@@ -55,7 +55,6 @@ from .decompose import (
     decompose,
     decomposition_from_factors,
     filtration,
-    find_splitting_idempotent,
     flat_riemannian_structure,
     nabla_span,
     verify_decomposition,
@@ -107,8 +106,7 @@ __all__ = [
     "FlatSplit", "LinearMap", "NotApplicable", "Unsupported", "adapted_basis",
     "build_strong_isometry", "commutant", "compare_decompositions",
     "decompose", "decomposition_from_factors", "filtration",
-    "find_splitting_idempotent", "flat_riemannian_structure", "nabla_span",
-    "verify_decomposition",
+    "flat_riemannian_structure", "nabla_span", "verify_decomposition",
     "CertificateError", "InputFormatError", "MetricLieError",
     "PreconditionError",
     "InputDocument", "dumps_document", "load_path", "parse_document",

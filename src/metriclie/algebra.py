@@ -45,10 +45,6 @@ def _coerce_table(table, n):
     return t
 
 
-def zero_table(n):
-    return tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n))
-
-
 def antisymmetrize(table):
     n = len(table)
     return tuple(tuple(vec_sub(table[i][j], table[j][i]) for j in range(n))
@@ -137,12 +133,6 @@ class AlgebraSpec:
     def gram(self):
         return self.metric.gram
 
-    def index(self, name):
-        return self.basis_names.index(name)
-
-    def bracket(self, i, j):
-        return self.brackets[i][j]
-
     def bracket_apply(self, x, y):
         """Bilinear extension of the bracket table to coordinate vectors."""
         n = self.dim
@@ -211,9 +201,6 @@ class ConnectionCoeffs:
     def dim(self):
         return len(self.gamma)
 
-    def nabla(self, i, j):
-        return self.gamma[i][j]
-
 
 def nabla_apply(conn: ConnectionCoeffs, x, y):
     """∇_x y for coordinate vectors x, y."""
@@ -263,12 +250,12 @@ def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
             d = vec_sub(vec_sub(gamma[i][j], gamma[j][i]), spec.brackets[i][j])
             if not vec_is_zero(d):
                 defects.append(("torsion", (i, j), d))
-    form = spec.metric
+    # lowered[i][j][k] = ⟨∇_{e_i} e_j, e_k⟩ = (G·Γ_ij)_k
+    lowered = [[spec.gram.apply(v) for v in row] for row in gamma]
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                d = form.pair(gamma[i][j], unit_vec(n, k)) + \
-                    form.pair(unit_vec(n, j), gamma[i][k])
+                d = lowered[i][j][k] + lowered[i][k][j]
                 if d != 0:
                     defects.append(("compatibility", (i, j, k), d))
     return (not defects), tuple(defects)
@@ -276,30 +263,22 @@ def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
 
 def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     """Solve the product-rule identity for the unique torsion-free metric
-    connection of the bracket table."""
+    connection of the bracket table: with c_ijk = ⟨[e_i,e_j], e_k⟩,
+    ⟨∇_{e_i} e_j, e_k⟩ = ½(c_ijk − c_jki + c_kij), and Γ_ij is that
+    covector times G⁻¹."""
     n = spec.dim
     form = spec.metric
     if not form.is_nondegenerate():
         raise PreconditionError("metric is degenerate; connection is not determined")
     ginv = form.gram.inverse()
-    gamma = []
-    for i in range(n):
-        row = []
-        ei = unit_vec(n, i)
-        for j in range(n):
-            ej = unit_vec(n, j)
-            rhs = []
-            for k in range(n):
-                ek = unit_vec(n, k)
-                val = form.pair(spec.brackets[i][j], ek) \
-                    - form.pair(spec.bracket_apply(ej, ek), ei) \
-                    + form.pair(spec.bracket_apply(ek, ei), ej)
-                rhs.append(val / 2)
-            # rhs[k] = ⟨∇_i e_j, e_k⟩, so the coordinate vector is rhs·G⁻¹
-            row.append(tuple(sum((rhs[m] * ginv.entries[m][k] for m in range(n)),
-                                 Fraction(0)) for k in range(n)))
-        gamma.append(tuple(row))
-    conn = ConnectionCoeffs(tuple(gamma))
+    c = [[form.gram.apply(v) for v in row] for row in spec.brackets]
+    # G⁻¹ is symmetric, so the covector times G⁻¹ is G⁻¹ applied to it
+    gamma = tuple(
+        tuple(ginv.apply(tuple((c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2
+                               for k in range(n)))
+              for j in range(n))
+        for i in range(n))
+    conn = ConnectionCoeffs(gamma)
     ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn

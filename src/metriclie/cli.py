@@ -242,37 +242,38 @@ def _random_basis_change(n, rng):
             return m
 
 
-def _second_decomposition(spec, entry, args):
-    """An alternative decomposition to compare against: the catalog's
-    alternative factors when the entry ships some, else the canonical
-    decomposition recomputed after a seeded change of basis and mapped
-    back to the original coordinates."""
+def _decomposition_pair(spec, entry, args):
+    """The canonical decomposition, the connection, and an alternative
+    decomposition to compare against: the catalog's alternative factors
+    when the entry ships some, else the canonical decomposition recomputed
+    after a seeded change of basis and mapped back to the original
+    coordinates.  Returns (conn, dec_a, dec_b, partner)."""
+    dec_a = decompose(spec, seed=args.seed, budget=args.budget)
+    conn = connection_of(spec)
     if entry is not None and entry.alt_factors is not None:
         factors = list(entry.alt_subspaces("alt_factors"))
-        dec_a = decompose(spec, seed=args.seed, budget=args.budget)
-        dec_b = decomposition_from_factors(spec, factors, dec_a.g0,
-                                           seed=args.seed, budget=args.budget)
-        return dec_b, "alt_factors"
-    n = spec.dim
-    rng = random.Random(args.seed)
-    p = _random_basis_change(n, rng)
-    spec_t = transform_spec(spec, p)
-    dec_t = decompose(spec_t, seed=args.seed, budget=args.budget)
-    factors = [Subspace.from_vectors(n, [row_apply(w, p) for w in f.rows])
-               for f in dec_t.factors]
-    g0 = None
-    if dec_t.g0 is not None:
-        g0 = Subspace.from_vectors(
-            n, [row_apply(w, p) for w in dec_t.g0.rows])
-    dec_b = decomposition_from_factors(spec, factors, g0,
+        g0 = dec_a.g0
+        partner = "alt_factors"
+    else:
+        n = spec.dim
+        p = _random_basis_change(n, random.Random(args.seed))
+        dec_t = decompose(transform_spec(spec, p), seed=args.seed,
+                          budget=args.budget)
+        factors = [Subspace.from_vectors(n, [row_apply(w, p) for w in f.rows])
+                   for f in dec_t.factors]
+        g0 = None
+        if dec_t.g0 is not None:
+            g0 = Subspace.from_vectors(
+                n, [row_apply(w, p) for w in dec_t.g0.rows])
+        partner = "basis_change"
+    dec_b = decomposition_from_factors(spec, factors, g0, conn=conn,
                                        seed=args.seed, budget=args.budget)
-    return dec_b, "basis_change"
+    return conn, dec_a, dec_b, partner
 
 
 def _report_compare(spec, args, entry):
-    dec_a = decompose(spec, seed=args.seed, budget=args.budget)
-    dec_b, partner = _second_decomposition(spec, entry, args)
-    rep = compare_decompositions(spec, dec_a, dec_b)
+    conn, dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
+    rep = compare_decompositions(spec, dec_a, dec_b, conn=conn)
     return {
         "partner": partner,
         "matching": [list(p) for p in rep.matching],
@@ -290,9 +291,8 @@ def _report_compare(spec, args, entry):
 
 
 def _report_isometry(spec, args, entry):
-    dec_a = decompose(spec, seed=args.seed, budget=args.budget)
-    dec_b, partner = _second_decomposition(spec, entry, args)
-    result = build_strong_isometry(spec, dec_a, dec_b)
+    conn, dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
+    result = build_strong_isometry(spec, dec_a, dec_b, conn=conn)
     if isinstance(result, Unsupported):
         return {"partner": partner, "status": "unsupported",
                 "reason": result.reason}

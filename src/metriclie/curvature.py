@@ -42,6 +42,13 @@ class CurvatureTensor:
         return all(vec_is_zero(v) for plane in self.coeffs
                    for row in plane for v in row)
 
+    def ricci(self) -> Mat:
+        """ric[i][j] = trace of Z ↦ R(Z, e_i) e_j."""
+        n = self.dim
+        return Mat.from_rows(
+            [[sum((self.coeffs[m][i][j][m] for m in range(n)), Fraction(0))
+              for j in range(n)] for i in range(n)], n)
+
 
 def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTensor:
     n = spec.dim
@@ -65,11 +72,7 @@ def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTens
 
 
 def ricci(spec: AlgebraSpec, conn: ConnectionCoeffs) -> Mat:
-    r = curvature_tensor(spec, conn)
-    n = spec.dim
-    return Mat.from_rows(
-        [[sum((r.coeffs[m][i][j][m] for m in range(n)), Fraction(0))
-          for j in range(n)] for i in range(n)], n)
+    return curvature_tensor(spec, conn).ricci()
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:
@@ -134,7 +137,7 @@ class ClassificationReport:
 def classify(spec: AlgebraSpec, conn: ConnectionCoeffs) -> ClassificationReport:
     n = spec.dim
     r = curvature_tensor(spec, conn)
-    ric = ricci(spec, conn)
+    ric = r.ricci()
     ricci_flat = ric.is_zero()
 
     einstein = None

@@ -5,11 +5,15 @@ uncovered case, and the flat-Riemannian splitting.
 
 The splitting engine works in the commutant of the 2n connection
 operators: a nontrivial idempotent there cuts the structure into two
-complementary strong ideals.  Idempotents are produced from coprime
-factorizations of minimal polynomials of commutant elements (basis
-elements first, then pairwise sums/differences, then seeded random
-combinations).  Everything the engine claims is re-verified from scratch
-before a Decomposition is returned; `--recheck` in the CLI is the same
+complementary strong ideals.  One search (`_search`) looks for such an
+idempotent in the coprime factorizations of minimal polynomials of
+commutant elements (basis elements first, then pairwise sums/differences,
+then seeded random combinations) and, when none turns up, returns the
+indecomposability evidence instead.  `decompose` recurses on the pieces
+of each split; `decomposition_from_factors` runs the same search on each
+supplied factor and refuses one that splits.  Both hand their pieces to
+one packager, which re-verifies every claim from scratch before a
+Decomposition is returned; `--recheck` in the CLI is the same
 verification run again.
 """
 
@@ -85,9 +89,6 @@ class LinearMap:
 
     def apply(self, v):
         return self.matrix.apply(v)
-
-    def is_idempotent(self):
-        return self.matrix @ self.matrix == self.matrix
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,15 @@ def _candidate_mats(comm, seed, budget):
         yield t
 
 
-def _idempotent_from_candidates(comm, n, seed, budget):
+def _search(view, seed, budget):
+    """Search the commutant of the view's connection operators for a
+    nontrivial idempotent.  Returns (idempotent Mat, None) on a split,
+    else (None, Evidence) saying why the view is taken as indecomposable."""
+    comm = commutant(view.conn)
+    if len(comm) == 1:
+        return None, Evidence(EVIDENCE_COMMUTANT_TRIVIAL,
+                              "commutant dimension 1")
+    n = view.spec.dim
     for t in _candidate_mats(comm, seed, budget):
         if t.is_zero() or _is_scalar_mat(t):
             continue
@@ -218,32 +227,17 @@ def _idempotent_from_candidates(comm, n, seed, budget):
         assert e @ e == e
         if e.is_zero() or e == Mat.identity(n):
             continue
-        return e
-    return None
-
-
-def _search_descriptor(ncomm, seed, budget):
-    npairs = ncomm * (ncomm - 1)
-    return (f"no splitting idempotent among {ncomm} commutant basis elements, "
-            f"{npairs} pairwise sums/differences, and {budget} seeded random "
-            f"combinations (seed {seed:#x})")
-
-
-def find_splitting_idempotent(spec: AlgebraSpec, conn: ConnectionCoeffs,
-                              seed=DEFAULT_SEED, budget=DEFAULT_BUDGET):
-    """Search the commutant for a nontrivial idempotent.  Returns
-    (LinearMap or None, descriptor string)."""
-    comm = commutant(conn)
-    if len(comm) == 1:
-        return None, "commutant dimension 1"
-    e = _idempotent_from_candidates(comm, spec.dim, seed, budget)
-    if e is None:
-        return None, _search_descriptor(len(comm), seed, budget)
-    return LinearMap(e), "splitting idempotent found"
+        return e, None
+    ncomm = len(comm)
+    return None, Evidence(
+        EVIDENCE_SEARCH_EXHAUSTED,
+        f"no splitting idempotent among {ncomm} commutant basis elements, "
+        f"{ncomm * (ncomm - 1)} pairwise sums/differences, and {budget} "
+        f"seeded random combinations (seed {seed:#x})")
 
 
 # ---------------------------------------------------------------------------
-# The recursive splitter
+# The recursive splitter and the packager
 
 
 def _check_split(view, h1, h2):
@@ -258,39 +252,22 @@ def _check_split(view, h1, h2):
 
 
 def _split(view, orthogonal_mode, seed, budget):
-    comm = commutant(view.conn)
-    if len(comm) > 1:
-        e = _idempotent_from_candidates(comm, view.spec.dim, seed, budget)
-        if e is not None:
-            h1 = column_space(e)
-            if orthogonal_mode:
-                h2 = orthogonal_complement(h1, view.spec.metric)
-            else:
-                h2 = kernel(e)
-            _check_split(view, h1, h2)
-            out = []
-            for sub in (h1, h2):
-                out.extend(_split(_restrict_view(view, sub),
-                                  orthogonal_mode, seed, budget))
-            return out
-        ev = Evidence(EVIDENCE_SEARCH_EXHAUSTED,
-                      _search_descriptor(len(comm), seed, budget))
+    """(ambient factor, evidence) pairs of the view's indecomposable
+    pieces, splitting recursively wherever the search finds an idempotent."""
+    e, ev = _search(view, seed, budget)
+    if e is None:
+        return [(view.carrier, ev)]
+    h1 = column_space(e)
+    if orthogonal_mode:
+        h2 = orthogonal_complement(h1, view.spec.metric)
     else:
-        ev = Evidence(EVIDENCE_COMMUTANT_TRIVIAL, "commutant dimension 1")
-    return [(view.carrier, ev)]
-
-
-def _leaf_evidence(view, seed, budget):
-    """Honest indecomposability evidence for a structure taken as a factor."""
-    comm = commutant(view.conn)
-    if len(comm) == 1:
-        return Evidence(EVIDENCE_COMMUTANT_TRIVIAL, "commutant dimension 1")
-    e = _idempotent_from_candidates(comm, view.spec.dim, seed, budget)
-    if e is not None:
-        raise PreconditionError("factor is decomposable; not a decomposition "
-                                "into indecomposables")
-    return Evidence(EVIDENCE_SEARCH_EXHAUSTED,
-                    _search_descriptor(len(comm), seed, budget))
+        h2 = kernel(e)
+    _check_split(view, h1, h2)
+    out = []
+    for sub in (h1, h2):
+        out.extend(_split(_restrict_view(view, sub), orthogonal_mode,
+                          seed, budget))
+    return out
 
 
 def _projection_matrix(n, target: Subspace, along: Subspace) -> Mat:
@@ -332,6 +309,24 @@ def _pairwise_orthogonal(spec, factors, g0):
     return True
 
 
+def _package(spec, conn, pieces, g0, case, note):
+    """Sort the (factor, evidence) pieces, attach the projections and the
+    orthogonality flag, and verify the result from scratch."""
+    pieces = sorted(pieces, key=lambda fe: (fe[0].dim, fe[0].basis.entries))
+    factors = tuple(f for f, _ in pieces)
+    evidence = tuple(ev for _, ev in pieces)
+    dec = Decomposition(
+        factors=factors,
+        g0=g0,
+        certificate=Certificate(_factor_projections(spec, factors, g0), evidence),
+        orthogonal=_pairwise_orthogonal(spec, factors, g0),
+        case=case,
+        note=note,
+    )
+    verify_decomposition(spec, conn, dec)
+    return dec
+
+
 def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
               budget=DEFAULT_BUDGET) -> Decomposition:
     conn = connection_of(spec)
@@ -340,21 +335,18 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
     report = ann_report(spec, conn)
     n = spec.dim
     top = _top_view(spec, conn)
+    g0 = None
     note = None
 
     if report.case == CASE_ANN_R_FULL:
         # every operator vanishes; split along a diagonalizing basis
-        diag = congruent_diagonalize(spec.metric)
         pieces = []
-        for row in diag.basis_change.entries:
-            f = Subspace.from_vectors(n, [row])
-            pieces.append((f, _leaf_evidence(_restrict_view(top, f),
-                                             seed, budget)))
-        g0 = None
+        for row in congruent_diagonalize(spec.metric).basis_change.entries:
+            line = Subspace.from_vectors(n, [row])
+            pieces.extend(_split(_restrict_view(top, line), True, seed, budget))
     elif report.case in (CASE_ANN_R_ZERO, CASE_ANN_R_EQ_ANN):
         g0_sub = subspace_complement(report.ann_r_radical, report.ann_r)
         if g0_sub.dim == 0:
-            g0 = None
             rest_view = top
         else:
             g0 = g0_sub
@@ -364,30 +356,15 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
             rest_view = _restrict_view(top, rest_local)
         pieces = _split(rest_view, True, seed, budget)
     elif report.case == CASE_ISOTROPIC:
-        g0 = None
         pieces = _split(top, False, seed, budget)
     else:
         assert report.case == CASE_NON_ISOTROPIC
-        g0 = None
         pieces = [(Subspace.full(n),
                    Evidence(EVIDENCE_NOT_CLAIMED,
                             "Ann_R is non-isotropic and differs from Ann; no "
                             "direct-sum statement covers this case"))]
         note = "no decomposition theorem covers this structure; see filtration"
-
-    pieces.sort(key=lambda fe: (fe[0].dim, fe[0].basis.entries))
-    factors = tuple(f for f, _ in pieces)
-    evidence = tuple(ev for _, ev in pieces)
-    dec = Decomposition(
-        factors=factors,
-        g0=g0,
-        certificate=Certificate(_factor_projections(spec, factors, g0), evidence),
-        orthogonal=_pairwise_orthogonal(spec, factors, g0),
-        case=report.case,
-        note=note,
-    )
-    verify_decomposition(spec, conn, dec)
-    return dec
+    return _package(spec, conn, pieces, g0, report.case, note)
 
 
 def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
@@ -403,20 +380,12 @@ def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
     for f in factors:
         if not is_strong_ideal(f, conn):
             raise PreconditionError("supplied factor is not a strong ideal")
-        pieces.append((f, _leaf_evidence(_restrict_view(top, f), seed, budget)))
-    pieces.sort(key=lambda fe: (fe[0].dim, fe[0].basis.entries))
-    ordered = tuple(f for f, _ in pieces)
-    evidence = tuple(ev for _, ev in pieces)
-    dec = Decomposition(
-        factors=ordered,
-        g0=g0,
-        certificate=Certificate(_factor_projections(spec, ordered, g0), evidence),
-        orthogonal=_pairwise_orthogonal(spec, ordered, g0),
-        case=report.case,
-        note=None,
-    )
-    verify_decomposition(spec, conn, dec)
-    return dec
+        e, ev = _search(_restrict_view(top, f), seed, budget)
+        if e is not None:
+            raise PreconditionError("factor is decomposable; not a "
+                                    "decomposition into indecomposables")
+        pieces.append((f, ev))
+    return _package(spec, conn, pieces, g0, report.case, None)
 
 
 def verify_decomposition(spec: AlgebraSpec, conn: ConnectionCoeffs,
@@ -433,14 +402,11 @@ def verify_decomposition(spec: AlgebraSpec, conn: ConnectionCoeffs,
         _req(is_strong_ideal(f, conn), "factor is not a strong ideal")
         _req(spec.metric.restrict(f).is_nondegenerate(),
              "metric restricts degenerately to a factor")
+    rep = ann_report(spec, conn)
     if dec.g0 is not None:
         _req(dec.g0.dim > 0, "empty g0 block must be None")
-        for v in dec.g0.rows:
-            for i in range(n):
-                e = unit_vec(n, i)
-                _req(vec_is_zero(nabla_apply(conn, e, v))
-                     and vec_is_zero(nabla_apply(conn, v, e)),
-                     "g0 is not inside the two-sided annihilator")
+        _req(rep.ann.contains_subspace(dec.g0),
+             "g0 is not inside the two-sided annihilator")
         _req(spec.metric.restrict(dec.g0).is_nondegenerate(),
              "metric restricts degenerately to g0")
     _req(dec.orthogonal == _pairwise_orthogonal(spec, dec.factors, dec.g0),
@@ -466,7 +432,6 @@ def verify_decomposition(spec: AlgebraSpec, conn: ConnectionCoeffs,
              "idempotent kernel is not the complementary sum")
         _req(is_strong_ideal(ker, conn),
              "idempotent kernel is not a strong ideal")
-    rep = ann_report(spec, conn)
     _req(dec.case == rep.case, "case tag does not match the structure")
 
 

@@ -106,7 +106,7 @@ class AnnReport:
 def ann_report(spec: AlgebraSpec, conn: ConnectionCoeffs) -> AnnReport:
     n = spec.dim
     a_r = ann_r(conn)
-    a = ann(conn)
+    a = subspace_intersect(a_r, _joint_kernel(right_ops(conn), conn.dim))
     ngg = nabla_gg(conn)
     form = spec.metric
     if form.is_nondegenerate():

@@ -355,10 +355,6 @@ class Subspace:
             out = vec_add(out, vec_scale(rat(c), row))
         return out
 
-    def transformed(self, m: Mat):
-        """Image under the map sending a row vector v to v·m."""
-        return Subspace.from_vectors(m.ncols, [row_apply(r, m) for r in self.rows])
-
 
 def row_space(m: Mat):
     return Subspace.from_vectors(m.ncols, m.entries)

@@ -154,3 +154,30 @@ def test_conflicting_connection_table_is_rejected():
                 ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
                 ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))),
         )
+
+
+def test_broken_connection_table_reports_every_defect():
+    # ∇_a a = b and ∇_b b = 2a break metric compatibility twice
+    spec = AlgebraSpec.build(
+        ("a", "b"), metric={("a", "a"): 1, ("b", "b"): 1},
+        connection={("a", "a"): {"b": 1}, ("b", "b"): {"a": 2}})
+    ok, defects = check_torsion_and_compatibility(spec.connection_override,
+                                                  spec)
+    assert not ok
+    assert defects == (("compatibility", (0, 0, 1), Fraction(1)),
+                       ("compatibility", (1, 0, 1), Fraction(2)))
+    with pytest.raises(PreconditionError) as exc:
+        connection_of(spec)
+    assert str(exc.value) == ("connection table fails the defining "
+                              "identities: compatibility at (0, 0, 1); "
+                              "compatibility at (1, 0, 1)")
+    # a table whose antisymmetrization is not the bracket also has torsion
+    f = Fraction
+    bumped = (((f(0), f(1)), (f(0), f(3))),
+              ((f(0), f(0)), (f(2), f(0))))
+    ok, defects = check_torsion_and_compatibility(bumped, spec)
+    assert not ok
+    assert defects == (("torsion", (0, 1), (f(0), f(3))),
+                       ("compatibility", (0, 0, 1), f(1)),
+                       ("compatibility", (0, 1, 1), f(6)),
+                       ("compatibility", (1, 0, 1), f(2)))
