@@ -9,6 +9,15 @@ Jacobi identity are carried around without pretending they are Lie
 algebras.  Either way the table is checked against the two defining
 identities (zero torsion and metric compatibility) before anything
 downstream is allowed to use it.
+
+Index conventions: brackets[i][j][a] = c_ij^a with [e_i,e_j] = Σ_a c_ij^a e_a,
+and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  Everything
+here contracts these tables through one loop, `linalg.lin_comb`: a table T
+gives T(x, y) = Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij
+and T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`; for T = Γ both
+together are the ∇-images of v, `nabla_images`); the Jacobi defect uses
+[[e_i,e_j],e_k] = Σ_a c_ij^a c_ak, and the Koszul formula is
+Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k = ⟨[e_i,e_j],e_k⟩.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    lin_comb,
     rat,
-    unit_vec,
+    row_apply,
     vec,
     vec_add,
     vec_is_zero,
@@ -43,6 +53,26 @@ def _coerce_table(table, n):
         for v in row:
             assert len(v) == n
     return t
+
+
+def table_apply(table, x, y):
+    """Σ_ij x_i y_j table[i][j]: the bilinear extension of a table."""
+    n = len(table)
+    return lin_comb(x, [lin_comb(y, row, n) if xi else None
+                        for xi, row in zip(x, table)], n)
+
+
+def left_images(table, v):
+    """table(e_i, v) = Σ_j v_j table[i][j], for each i."""
+    n = len(table)
+    return tuple(lin_comb(v, row, n) for row in table)
+
+
+def right_images(table, v):
+    """table(v, e_i) = Σ_j v_j table[j][i], for each i: the columns of the
+    operator y ↦ table(v, y)."""
+    n = len(table)
+    return tuple(lin_comb(v, (row[i] for row in table), n) for i in range(n))
 
 
 def antisymmetrize(table):
@@ -135,16 +165,7 @@ class AlgebraSpec:
 
     def bracket_apply(self, x, y):
         """Bilinear extension of the bracket table to coordinate vectors."""
-        n = self.dim
-        out = zero_vec(n)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.brackets[i][j]))
-        return out
+        return table_apply(self.brackets, x, y)
 
 
 @dataclass(frozen=True)
@@ -160,13 +181,16 @@ class ValidationReport:
 
 def validate(spec: AlgebraSpec) -> ValidationReport:
     n = spec.dim
+    c = spec.brackets
+    # cols[k][a] = c_ak, so [[e_i,e_j],e_k] = Σ_a c_ij^a c_ak reads cols[k]
+    cols = tuple(tuple(row[k] for row in c) for k in range(n))
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                d = spec.bracket_apply(spec.brackets[i][j], unit_vec(n, k))
-                d = vec_add(d, spec.bracket_apply(spec.brackets[j][k], unit_vec(n, i)))
-                d = vec_add(d, spec.bracket_apply(spec.brackets[k][i], unit_vec(n, j)))
+                d = vec_add(vec_add(lin_comb(c[i][j], cols[k], n),
+                                    lin_comb(c[j][k], cols[i], n)),
+                            lin_comb(c[k][i], cols[j], n))
                 if not vec_is_zero(d):
                     failures.append(((spec.basis_names[i], spec.basis_names[j],
                                       spec.basis_names[k]), d))
@@ -204,16 +228,14 @@ class ConnectionCoeffs:
 
 def nabla_apply(conn: ConnectionCoeffs, x, y):
     """∇_x y for coordinate vectors x, y."""
-    n = conn.dim
-    out = zero_vec(n)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            out = vec_add(out, vec_scale(xi * yj, conn.gamma[i][j]))
-    return out
+    return table_apply(conn.gamma, x, y)
+
+
+def nabla_images(conn: ConnectionCoeffs, v):
+    """∇_{e_i} v = Σ_j v_j Γ_ij, then ∇_v e_i = Σ_j v_j Γ_ji, for each i.
+    A subspace is a strong ideal when it holds these for each basis
+    vector v."""
+    return left_images(conn.gamma, v) + right_images(conn.gamma, v)
 
 
 def left_op(conn: ConnectionCoeffs, i) -> Mat:
@@ -301,30 +323,26 @@ def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
     """Restrict the structure to a strong ideal h.  Returns (sub_spec,
     sub_conn).  Basis vectors are the rows of h's canonical basis, named
     after the original basis name at each pivot position plus a prime."""
-    n = spec.dim
-    assert h.ambient_dim == n
+    assert h.ambient_dim == spec.dim
     if h.dim == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
-    for v in h.rows:
-        for i in range(n):
-            e = unit_vec(n, i)
-            if not (h.contains(nabla_apply(conn, e, v))
-                    and h.contains(nabla_apply(conn, v, e))):
-                raise PreconditionError("subspace is not a strong ideal; "
-                                        "restriction is undefined")
+    if not all(h.contains(w) for v in h.rows for w in nabla_images(conn, v)):
+        raise PreconditionError("subspace is not a strong ideal; "
+                                "restriction is undefined")
     sub_form = spec.metric.restrict(h)
     if not sub_form.is_nondegenerate():
         raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
-    d = h.dim
-    gamma = tuple(tuple(h.coords(nabla_apply(conn, h.rows[a], h.rows[b]))
-                        for b in range(d)) for a in range(d))
+
+    def sub_table(table):
+        return tuple(tuple(h.coords(table_apply(table, x, y)) for y in h.rows)
+                     for x in h.rows)
+
+    gamma = sub_table(conn.gamma)
     if spec.mode == MODE_CONNECTION:
         sub_spec = AlgebraSpec.from_connection(names, gamma, sub_form)
     else:
-        table = tuple(tuple(h.coords(spec.bracket_apply(h.rows[a], h.rows[b]))
-                            for b in range(d)) for a in range(d))
-        sub_spec = AlgebraSpec(d, names, table, sub_form)
+        sub_spec = AlgebraSpec(h.dim, names, sub_table(spec.brackets), sub_form)
     return sub_spec, ConnectionCoeffs(gamma)
 
 
@@ -334,17 +352,11 @@ def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:
     n = spec.dim
     assert p.shape == (n, n)
     pinv = p.inverse()
-
-    def new_coords(v_old):
-        return tuple(sum((v_old[a] * pinv.entries[a][b] for a in range(n)),
-                         Fraction(0)) for b in range(n))
-
     gram = SymForm(p @ spec.gram @ p.transpose())
-    if spec.mode == MODE_CONNECTION:
-        old_conn = ConnectionCoeffs(spec.connection_override)
-        gamma = tuple(tuple(new_coords(nabla_apply(old_conn, p.row(i), p.row(j)))
-                            for j in range(n)) for i in range(n))
-        return AlgebraSpec.from_connection(spec.basis_names, gamma, gram)
-    table = tuple(tuple(new_coords(spec.bracket_apply(p.row(i), p.row(j)))
-                        for j in range(n)) for i in range(n))
+    connection = spec.mode == MODE_CONNECTION
+    old = spec.connection_override if connection else spec.brackets
+    table = tuple(tuple(row_apply(table_apply(old, x, y), pinv)
+                        for y in p.entries) for x in p.entries)
+    if connection:
+        return AlgebraSpec.from_connection(spec.basis_names, table, gram)
     return AlgebraSpec(n, spec.basis_names, table, gram)

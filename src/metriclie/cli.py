@@ -122,8 +122,7 @@ def _named_entries(spec, table):
     return out
 
 
-def _report_validate(spec, args):
-    rep = validate(spec)
+def _report_validate(rep):
     failures = [{"triple": list(t), "defect": _vec(d)}
                 for t, d in rep.jacobi_failures]
     return {
@@ -301,7 +300,6 @@ def _report_isometry(spec, args, entry):
 
 
 _REPORTERS = {
-    "validate": _report_validate,
     "connection": _report_connection,
     "curvature": _report_curvature,
     "ricci": _report_ricci,
@@ -337,7 +335,9 @@ def _run_analysis(args):
                   file=sys.stderr)
         if args.command != "validate" and not spec.metric.is_nondegenerate():
             raise PreconditionError(f"{label}: metric is degenerate")
-        if args.command in ("compare", "isometry"):
+        if args.command == "validate":
+            body = _report_validate(vrep)
+        elif args.command in ("compare", "isometry"):
             body = {"compare": _report_compare,
                     "isometry": _report_isometry}[args.command](spec, args, entry)
         else:

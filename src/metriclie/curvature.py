@@ -3,6 +3,13 @@
 Conventions: R(X,Y)Z = ∇_X ∇_Y Z − ∇_Y ∇_X Z − ∇_{[X,Y]} Z, and the Ricci
 matrix is ric[i][j] = trace of Z ↦ R(Z, e_i) e_j.  Killing form
 K(X,Y) = tr(ad X ∘ ad Y).  Everything is exact.
+
+All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
+(index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
+Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j, R(e_j,e_i) = −R(e_i,e_j);
+ric_ij = Σ_m R(e_m,e_i)e_j^m; K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric;
+bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
+steps by [e_i, v] = Σ_j v_j c_ij.
 """
 
 from __future__ import annotations
@@ -10,8 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, ConnectionCoeffs, MODE_BRACKET, nabla_apply
-from .linalg import Mat, Subspace, unit_vec, vec_is_zero, vec_sub
+from .algebra import (
+    AlgebraSpec,
+    ConnectionCoeffs,
+    MODE_BRACKET,
+    left_images,
+    table_apply,
+)
+from .linalg import Mat, Subspace, lin_comb, vec_is_zero, vec_sub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -23,20 +36,8 @@ class CurvatureTensor:
         return len(self.coeffs)
 
     def apply(self, x, y, z):
-        n = self.dim
-        out = (Fraction(0),) * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, zk in enumerate(z):
-                    if zk == 0:
-                        continue
-                    c = xi * yj * zk
-                    out = tuple(o + c * w for o, w in zip(out, self.coeffs[i][j][k]))
-        return out
+        return lin_comb(x, [table_apply(plane, y, z) if xi else None
+                            for xi, plane in zip(x, self.coeffs)], self.dim)
 
     def is_zero(self):
         return all(vec_is_zero(v) for plane in self.coeffs
@@ -52,23 +53,20 @@ class CurvatureTensor:
 
 def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTensor:
     n = spec.dim
-    out = []
+    g = conn.gamma
+    cols = tuple(tuple(row[k] for row in g) for k in range(n))   # cols[k][a] = Γ_ak
+    out = [[(zero_vec(n),) * n] * n for _ in range(n)]
     for i in range(n):
-        ei = unit_vec(n, i)
-        plane = []
-        for j in range(n):
-            ej = unit_vec(n, j)
-            bij = spec.brackets[i][j]
-            row = []
-            for k in range(n):
-                ek = unit_vec(n, k)
-                v = nabla_apply(conn, ei, conn.gamma[j][k])
-                v = vec_sub(v, nabla_apply(conn, ej, conn.gamma[i][k]))
-                v = vec_sub(v, nabla_apply(conn, bij, ek))
-                row.append(v)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return CurvatureTensor(tuple(out))
+        for j in range(i + 1, n):
+            cij = spec.brackets[i][j]
+            plane = tuple(
+                vec_sub(vec_sub(lin_comb(g[j][k], g[i], n),
+                                lin_comb(g[i][k], g[j], n)),
+                        lin_comb(cij, cols[k], n))
+                for k in range(n))
+            out[i][j] = plane
+            out[j][i] = tuple(tuple(-x for x in v) for v in plane)
+    return CurvatureTensor(tuple(tuple(row) for row in out))
 
 
 def ricci(spec: AlgebraSpec, conn: ConnectionCoeffs) -> Mat:
@@ -84,22 +82,24 @@ def ad_matrix(spec: AlgebraSpec, i) -> Mat:
 
 def killing_form(spec: AlgebraSpec) -> Mat:
     n = spec.dim
-    ads = [ad_matrix(spec, i) for i in range(n)]
-    return Mat.from_rows([[(ads[i] @ ads[j]).trace() for j in range(n)]
-                          for i in range(n)], n)
+    c = spec.brackets
+    k = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k[i][j] = k[j][i] = sum((x * c[j][b][a] for a in range(n)
+                                     for b, x in enumerate(c[i][a]) if x),
+                                    Fraction(0))
+    return Mat.from_rows(k, n)
 
 
 def is_biinvariant(spec: AlgebraSpec) -> bool:
     """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples."""
     n = spec.dim
-    form = spec.metric
-    for i in range(n):
+    for row in spec.brackets:
+        lowered = [spec.gram.apply(v) for v in row]   # (G·c_ij)_k
         for j in range(n):
-            ej = unit_vec(n, j)
             for k in range(j, n):
-                ek = unit_vec(n, k)
-                if form.pair(spec.brackets[i][j], ek) + \
-                        form.pair(ej, spec.brackets[i][k]) != 0:
+                if lowered[j][k] + lowered[k][j] != 0:
                     return False
     return True
 
@@ -111,12 +111,8 @@ def nilpotency_class(spec: AlgebraSpec):
     current = Subspace.full(n)
     c = 0
     while current.dim > 0:
-        nxt_vectors = []
-        for i in range(n):
-            ei = unit_vec(n, i)
-            for v in current.rows:
-                nxt_vectors.append(spec.bracket_apply(ei, v))
-        nxt = Subspace.from_vectors(n, nxt_vectors)
+        nxt = Subspace.from_vectors(
+            n, [w for v in current.rows for w in left_images(spec.brackets, v)])
         if nxt == current:
             return None
         current = nxt

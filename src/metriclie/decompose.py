@@ -27,9 +27,11 @@ from .algebra import (
     AlgebraSpec,
     ConnectionCoeffs,
     connection_of,
+    left_images,
     left_ops,
     nabla_apply,
     restrict,
+    right_images,
     right_ops,
 )
 from .curvature import curvature_tensor
@@ -54,6 +56,7 @@ from .linalg import (
     congruent_diagonalize,
     coprime_split,
     kernel,
+    lin_comb,
     minimal_polynomial,
     orthogonal_complement,
     poly_eval_mat,
@@ -66,10 +69,10 @@ from .linalg import (
     subspace_complement,
     subspace_intersect,
     subspace_sum,
-    unit_vec,
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -674,11 +677,8 @@ def adapted_basis(spec: AlgebraSpec, conn: ConnectionCoeffs,
             raw.append(factor.embed(x))
         c = [[form.pair(raw[p], raw[q]) for q in range(k)] for p in range(k)]
         for p in range(k):
-            y = raw[p]
-            y = vec_add(y, vec_scale(-c[p][p] / 2, ann_vecs[p]))
-            for q in range(p + 1, k):
-                y = vec_add(y, vec_scale(-c[p][q], ann_vecs[q]))
-            dual_vecs.append(y)
+            dual_vecs.append(vec_sub(raw[p], lin_comb(
+                [c[p][p] / 2] + c[p][p + 1:], ann_vecs[p:], n)))
 
     vectors = tuple(ann_vecs + diag_vecs + dual_vecs)
     assert len(vectors) == factor.dim
@@ -712,11 +712,8 @@ def _components(n, v, pieces):
     out = []
     at = 0
     for p in pieces:
-        comp = zero_vec(n)
-        for t in range(p.dim):
-            comp = vec_add(comp, vec_scale(alpha[at + t], p.rows[t]))
+        out.append(lin_comb(alpha[at:at + p.dim], p.rows, n))
         at += p.dim
-        out.append(comp)
     return out
 
 
@@ -842,11 +839,9 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
                     val = form.pair(p0[p], p0[q])
                     b[p][q] = val / 2 if p == q else val
             for p in range(k):
-                y = comps[p][j]
-                for q in range(p, k):
-                    y = vec_add(y, vec_scale(b[p][q], ab.vectors[q]))
                 sources.append(ab.vectors[s + p])
-                images.append(y)
+                images.append(vec_add(comps[p][j],
+                                      lin_comb(b[p][p:], ab.vectors[p:k], n)))
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
         return Unsupported(
@@ -868,12 +863,11 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     _req(m.rank() == n, "constructed map is singular")
     _req(m.transpose() @ form.gram @ m == form.gram,
          "constructed map is not an isometry")
+    mcols = [m.col(i) for i in range(n)]   # m·e_i
     for i in range(n):
-        ei = unit_vec(n, i)
         for j in range(n):
-            ej = unit_vec(n, j)
-            _req(m.apply(nabla_apply(conn, ei, ej))
-                 == nabla_apply(conn, m.apply(ei), m.apply(ej)),
+            _req(m.apply(conn.gamma[i][j])
+                 == nabla_apply(conn, mcols[i], mcols[j]),
                  "constructed map does not respect the connection")
     for i, j in matching:
         img = Subspace.from_vectors(n, [m.apply(x) for x in fa[i].rows])
@@ -927,30 +921,24 @@ def flat_riemannian_structure(spec: AlgebraSpec):
         for y in derived.rows:
             _req(vec_is_zero(spec.bracket_apply(x, y)),
                  "derived block is not abelian")
-    for i in range(n):
-        ei = unit_vec(n, i)
-        for y in derived.rows:
-            _req(derived.contains(spec.bracket_apply(ei, y)),
-                 "derived block is not an ideal")
+    for y in derived.rows:
+        _req(all(derived.contains(w) for w in left_images(spec.brackets, y)),
+             "derived block is not an ideal")
     _req(derived.dim % 2 == 0, "derived block has odd dimension")
     _req(2 * b.dim <= derived.dim,
          "skew block too large for the derived block")
+    # right_images(conn.gamma, u)[j] = ∇_u e_j: the columns of
+    # L_u = Σ_a u_a L_a
     for v in core.rows:
-        for j in range(n):
-            _req(vec_is_zero(nabla_apply(conn, v, unit_vec(n, j))),
-                 "∇ must vanish for left slots outside b")
-    form = spec.metric
+        _req(all(vec_is_zero(w) for w in right_images(conn.gamma, v)),
+             "∇ must vanish for left slots outside b")
     for u in b.rows:
-        for j in range(n):
-            ej = unit_vec(n, j)
-            _req(nabla_apply(conn, u, ej) == spec.bracket_apply(u, ej),
-                 "∇_b must act as the adjoint action")
+        lu = right_images(conn.gamma, u)
+        _req(lu == right_images(spec.brackets, u),
+             "∇_b must act as the adjoint action")
+        lowered = [spec.gram.apply(w) for w in lu]   # (G·∇_u e_x)_y
         for x in range(n):
-            ex = unit_vec(n, x)
-            ux = nabla_apply(conn, u, ex)
             for y in range(n):
-                ey = unit_vec(n, y)
-                _req(form.pair(ux, ey)
-                     + form.pair(ex, nabla_apply(conn, u, ey)) == 0,
+                _req(lowered[x][y] + lowered[y][x] == 0,
                      "∇_b is not skew-adjoint")
     return FlatSplit(b=b, ann=a, derived=derived)

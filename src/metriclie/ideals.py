@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, ConnectionCoeffs, left_ops, nabla_apply, right_ops
+from .algebra import AlgebraSpec, ConnectionCoeffs, left_ops, nabla_images, right_ops
 from .linalg import (
     Mat,
     Subspace,
@@ -22,7 +22,6 @@ from .linalg import (
     orthogonal_complement,
     radical,
     subspace_intersect,
-    unit_vec,
 )
 
 CASE_ANN_R_FULL = "ANN_R_FULL"
@@ -64,15 +63,7 @@ def is_isotropic(h: Subspace, form: SymForm) -> bool:
 
 
 def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
-    n = conn.dim
-    for v in h.rows:
-        for i in range(n):
-            e = unit_vec(n, i)
-            if not h.contains(nabla_apply(conn, e, v)):
-                return False
-            if not h.contains(nabla_apply(conn, v, e)):
-                return False
-    return True
+    return all(h.contains(w) for v in h.rows for w in nabla_images(conn, v))
 
 
 def strong_ideal_closure(s: Subspace, conn: ConnectionCoeffs) -> Subspace:
@@ -80,13 +71,9 @@ def strong_ideal_closure(s: Subspace, conn: ConnectionCoeffs) -> Subspace:
     n = conn.dim
     current = s
     while True:
-        new_vectors = list(current.rows)
-        for v in current.rows:
-            for i in range(n):
-                e = unit_vec(n, i)
-                new_vectors.append(nabla_apply(conn, e, v))
-                new_vectors.append(nabla_apply(conn, v, e))
-        nxt = Subspace.from_vectors(n, new_vectors)
+        nxt = Subspace.from_vectors(
+            n, list(current.rows)
+            + [w for v in current.rows for w in nabla_images(conn, v)])
         if nxt == current:
             return current
         current = nxt

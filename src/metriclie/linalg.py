@@ -22,6 +22,8 @@ Rat = Fraction
 
 def rat(x) -> Rat:
     """Coerce ints / strings / Fractions; floats are refused on purpose."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating-point input is not allowed in exact arithmetic")
     return Fraction(x)
@@ -53,6 +55,18 @@ def vec_scale(k, a):
 
 def vec_is_zero(a):
     return all(x == 0 for x in a)
+
+
+def lin_comb(coeffs, vectors, n):
+    """Σ_a coeffs[a]·vectors[a] in Q^n; a zero coefficient's vector is
+    never read."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
 
 
 def dot(a, b):
@@ -350,10 +364,7 @@ class Subspace:
     def embed(self, coords):
         """Coordinates w.r.t. the canonical basis -> ambient vector."""
         assert len(coords) == self.dim
-        out = zero_vec(self.ambient_dim)
-        for c, row in zip(coords, self.rows):
-            out = vec_add(out, vec_scale(rat(c), row))
-        return out
+        return lin_comb(vec(coords), self.rows, self.ambient_dim)
 
 
 def row_space(m: Mat):

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
-from metriclie import connection_of, decompose
+from metriclie import connection_of, decompose, transform_spec
 from metriclie.catalog import catalog_get, catalog_list
+from metriclie.linalg import Mat
+
+GENERIC_MAX_DIM = 6
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +23,33 @@ def loaded():
 def decomposed(loaded):
     """name -> Decomposition, computed once (the searches are the slow part)."""
     return {name: decompose(spec) for name, (spec, _) in loaded.items()}
+
+
+@pytest.fixture(scope="session")
+def generic_loaded(loaded):
+    """name -> (spec, conn) for the catalog entries of dimension at most
+    GENERIC_MAX_DIM, rewritten on a seeded random basis (entries in
+    [-2, 2], drawn from random.Random(1) until invertible)."""
+    out = {}
+    for name, (spec, _) in loaded.items():
+        n = spec.dim
+        if n > GENERIC_MAX_DIM:
+            continue
+        rng = random.Random(1)
+        while True:
+            p = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                               for _ in range(n)], n)
+            if p.rank() == n:
+                break
+        t = transform_spec(spec, p)
+        out[name] = (t, connection_of(t))
+    return out
+
+
+@pytest.fixture(scope="session")
+def shipped_and_generic(loaded, generic_loaded):
+    """(label, spec, conn) for every catalog entry as shipped and for each
+    generic-basis copy."""
+    return ([(name, spec, conn) for name, (spec, conn) in loaded.items()]
+            + [(name + " (generic basis)", spec, conn)
+               for name, (spec, conn) in generic_loaded.items()])

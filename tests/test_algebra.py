@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,16 @@ from metriclie import (
     check_torsion_and_compatibility,
     connection_of,
     derive_connection,
+    is_strong_ideal,
+    left_ops,
     nabla_apply,
     restrict,
+    right_ops,
     transform_spec,
     validate,
 )
 from metriclie.errors import PreconditionError
-from metriclie.linalg import Mat, SymForm, Subspace, unit_vec
+from metriclie.linalg import Mat, SymForm, Subspace, unit_vec, vec_add, vec_is_zero
 
 
 @st.composite
@@ -181,3 +185,58 @@ def test_broken_connection_table_reports_every_defect():
                        ("compatibility", (0, 0, 1), f(1)),
                        ("compatibility", (0, 1, 1), f(6)),
                        ("compatibility", (1, 0, 1), f(2)))
+
+
+def jacobi_oracle(spec):
+    """[[e_i,e_j],e_k] + cyclic through bracket_apply on unit vectors."""
+    n = spec.dim
+    e = [unit_vec(n, i) for i in range(n)]
+
+    def br(x, y):
+        return spec.bracket_apply(x, y)
+
+    failures = []
+    for i, j, k in combinations(range(n), 3):
+        d = vec_add(vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
+                    br(br(e[k], e[i]), e[j]))
+        if not vec_is_zero(d):
+            names = spec.basis_names
+            failures.append(((names[i], names[j], names[k]), d))
+    return tuple(failures)
+
+
+def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic):
+    for label, spec, _ in shipped_and_generic:
+        assert validate(spec).jacobi_failures == jacobi_oracle(spec), label
+
+
+@given(random_spec())
+@settings(max_examples=25, deadline=None)
+def test_jacobi_failures_match_the_oracle_on_random_tables(spec):
+    assert validate(spec).jacobi_failures == jacobi_oracle(spec)
+
+
+def test_restrict_rejects_exactly_the_coordinate_non_ideals(loaded):
+    # is_strong_ideal is itself checked against the operator matrices;
+    # e2_flat has a coordinate line closed under left multiplication only
+    seen = set()
+    for name, (spec, conn) in loaded.items():
+        n = spec.dim
+        if n > 3:
+            continue
+        ops = left_ops(conn) + right_ops(conn)
+        for r in range(1, n + 1):
+            for idx in combinations(range(n), r):
+                h = Subspace.from_vectors(n, [unit_vec(n, i) for i in idx])
+                ideal = all(h.contains(op.apply(v)) for op in ops for v in h.rows)
+                assert is_strong_ideal(h, conn) == ideal, (name, idx)
+                try:
+                    restrict(spec, conn, h)
+                    rejected = False
+                except PreconditionError as exc:
+                    # a strong ideal may still be refused for a degenerate
+                    # metric; only the ideal check counts here
+                    rejected = "not a strong ideal" in str(exc)
+                assert rejected == (not ideal), (name, idx)
+                seen.add(rejected)
+    assert seen == {True, False}

@@ -4,10 +4,12 @@ oracles (different contraction routes than the library uses)."""
 from fractions import Fraction
 
 from metriclie import (
+    ad_matrix,
     classify,
     curvature_tensor,
     is_biinvariant,
     killing_form,
+    left_ops,
     nilpotency_class,
     restrict,
     ricci,
@@ -59,6 +61,31 @@ def test_ricci_matches_the_dual_basis_contraction(loaded):
 def test_killing_form_matches_structure_constant_sum(loaded):
     for name, (spec, _) in loaded.items():
         assert killing_form(spec) == killing_oracle(spec), name
+
+
+def test_curvature_tensor_matches_the_operator_form(shipped_and_generic):
+    # R(e_i, e_j) = [L_i, L_j] - sum_m c_ij^m L_m as Mat products, with
+    # L_i the matrix of y -> nabla_{e_i} y
+    for label, spec, conn in shipped_and_generic:
+        n = spec.dim
+        ls = left_ops(conn)
+        r = curvature_tensor(spec, conn)
+        for i in range(n):
+            for j in range(n):
+                op = ls[i] @ ls[j] - ls[j] @ ls[i]
+                for m in range(n):
+                    op = op - ls[m].scale(spec.brackets[i][j][m])
+                for k in range(n):
+                    assert r.coeffs[i][j][k] == op.col(k), (label, i, j, k)
+
+
+def test_killing_form_matches_the_ad_matrix_traces(shipped_and_generic):
+    for label, spec, _ in shipped_and_generic:
+        n = spec.dim
+        ads = [ad_matrix(spec, i) for i in range(n)]
+        want = Mat.from_rows([[(ads[i] @ ads[j]).trace() for j in range(n)]
+                              for i in range(n)], n)
+        assert killing_form(spec) == want, label
 
 
 def test_so3_killing_is_minus_two_identity(loaded):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclie.linalg import (
@@ -17,6 +18,7 @@ from metriclie.linalg import (
     poly_eval_mat,
     poly_mul,
     poly_xgcd,
+    rat,
     rational_sqrt,
     rref,
     solve,
@@ -192,3 +194,14 @@ def test_integer_echelon_matches_generic():
     again = rref(Mat.from_rows([[x + Fraction(1, 2) - Fraction(1, 2)
                                  for x in row] for row in rows], 3))
     assert r.matrix == again.matrix
+
+
+def test_rat_passes_fractions_through_and_refuses_floats():
+    x = Fraction(3, 7)
+    assert rat(x) is x
+    assert rat(2) == Fraction(2) and type(rat(2)) is Fraction
+    assert rat("-5/4") == Fraction(-5, 4)
+    with pytest.raises(TypeError):
+        rat(0.5)
+    with pytest.raises(TypeError):
+        Mat.from_rows([[Fraction(1), 0.25]], 2)
