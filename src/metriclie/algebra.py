@@ -238,6 +238,11 @@ def nabla_images(conn: ConnectionCoeffs, v):
     return left_images(conn.gamma, v) + right_images(conn.gamma, v)
 
 
+def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
+    """h is closed under ∇ in both slots."""
+    return all(h.contains(w) for v in h.rows for w in nabla_images(conn, v))
+
+
 def left_op(conn: ConnectionCoeffs, i) -> Mat:
     """Matrix of y ↦ ∇_{e_i} y (column action)."""
     n = conn.dim
@@ -326,7 +331,7 @@ def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
     assert h.ambient_dim == spec.dim
     if h.dim == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
-    if not all(h.contains(w) for v in h.rows for w in nabla_images(conn, v)):
+    if not is_strong_ideal(h, conn):
         raise PreconditionError("subspace is not a strong ideal; "
                                 "restriction is undefined")
     sub_form = spec.metric.restrict(h)

@@ -9,7 +9,12 @@ complementary strong ideals.  One search (`_search`) looks for such an
 idempotent in the coprime factorizations of minimal polynomials of
 commutant elements (basis elements first, then pairwise sums/differences,
 then seeded random combinations) and, when none turns up, returns the
-indecomposability evidence instead.  `decompose` recurses on the pieces
+indecomposability evidence instead.  A local commutant skips the loop:
+by Dickson's criterion (in characteristic 0, rad C is the radical of the
+trace form tr(xy) on C), a trace form of rank 1 means C = Q·1 ⊕ rad C,
+whose elements all have a minimal polynomial (t − λ)^k that no coprime
+split can cut, so there the SEARCH_EXHAUSTED detail is proven, not
+enumerated.  `decompose` recurses on the pieces
 of each split; `decomposition_from_factors` runs the same search on each
 supplied factor and refuses one that splits.  Both hand their pieces to
 one packager, which re-verifies every claim from scratch before a
@@ -205,14 +210,46 @@ def _candidate_mats(comm, seed, budget):
         yield t
 
 
+def _trace_form(comm):
+    """Gram matrix T_ab = tr(C_a C_b) = Σ_ij (C_a)_ij (C_b)_ji of the trace
+    form on the commutant basis, read from the entries."""
+    nonzero = [[(i, j, x) for i, row in enumerate(c.entries)
+                for j, x in enumerate(row) if x] for c in comm]
+    k = len(comm)
+    t = [[Fraction(0)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            cb = comm[b].entries
+            t[a][b] = t[b][a] = sum((x * cb[j][i] for i, j, x in nonzero[a]),
+                                    Fraction(0))
+    return Mat.from_rows(t, k)
+
+
 def _search(view, seed, budget):
-    """Search the commutant of the view's connection operators for a
+    """Search the commutant C of the view's connection operators for a
     nontrivial idempotent.  Returns (idempotent Mat, None) on a split,
-    else (None, Evidence) saying why the view is taken as indecomposable."""
+    else (None, Evidence) saying why the view is taken as indecomposable.
+
+    Dickson's criterion decides the local case without a search: in
+    characteristic 0, rad C is the radical of the trace form tr(xy) on C,
+    so that form has rank dim C/rad C.  Rank 1 means C = Q·1 ⊕ rad C: every
+    candidate has minimal polynomial (t − λ)^k, which `coprime_split`
+    keeps in one part, so no candidate can split.  The SEARCH_EXHAUSTED
+    evidence is then returned at once; its detail names the candidates
+    the loop would have tried, and on a local commutant that none of them
+    splits is proven, not enumerated."""
     comm = commutant(view.conn)
     if len(comm) == 1:
         return None, Evidence(EVIDENCE_COMMUTANT_TRIVIAL,
                               "commutant dimension 1")
+    ncomm = len(comm)
+    exhausted = Evidence(
+        EVIDENCE_SEARCH_EXHAUSTED,
+        f"no splitting idempotent among {ncomm} commutant basis elements, "
+        f"{ncomm * (ncomm - 1)} pairwise sums/differences, and {budget} "
+        f"seeded random combinations (seed {seed:#x})")
+    if _trace_form(comm).rank() == 1:
+        return None, exhausted
     n = view.spec.dim
     for t in _candidate_mats(comm, seed, budget):
         if t.is_zero() or _is_scalar_mat(t):
@@ -231,12 +268,7 @@ def _search(view, seed, budget):
         if e.is_zero() or e == Mat.identity(n):
             continue
         return e, None
-    ncomm = len(comm)
-    return None, Evidence(
-        EVIDENCE_SEARCH_EXHAUSTED,
-        f"no splitting idempotent among {ncomm} commutant basis elements, "
-        f"{ncomm * (ncomm - 1)} pairwise sums/differences, and {budget} "
-        f"seeded random combinations (seed {seed:#x})")
+    return None, exhausted
 
 
 # ---------------------------------------------------------------------------

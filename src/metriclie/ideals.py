@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, ConnectionCoeffs, left_ops, nabla_images, right_ops
+from .algebra import (
+    AlgebraSpec,
+    ConnectionCoeffs,
+    is_strong_ideal,  # defined next to nabla_images; re-exported here
+    left_ops,
+    nabla_images,
+    right_ops,
+)
 from .linalg import (
     Mat,
     Subspace,
@@ -60,10 +67,6 @@ def ann(conn: ConnectionCoeffs) -> Subspace:
 
 def is_isotropic(h: Subspace, form: SymForm) -> bool:
     return form.restrict(h).gram.is_zero()
-
-
-def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
-    return all(h.contains(w) for v in h.rows for w in nabla_images(conn, v))
 
 
 def strong_ideal_closure(s: Subspace, conn: ConnectionCoeffs) -> Subspace:

@@ -151,10 +151,12 @@ class Mat:
         return Mat(tuple(vec_scale(k, r) for r in self.entries), self.shape)
 
     def __matmul__(self, other):
+        """Row i of the product is Σ_k a_ik·(row k of other), so a zero
+        entry of self never touches the other matrix."""
         assert self.ncols == other.nrows, (self.shape, other.shape)
-        cols = other.transpose().entries
-        out = tuple(tuple(dot(r, c) for c in cols) for r in self.entries)
-        return Mat(out, (self.nrows, other.ncols))
+        n = other.ncols
+        out = tuple(lin_comb(r, other.entries, n) for r in self.entries)
+        return Mat(out, (self.nrows, n))
 
     def apply(self, v):
         """Matrix times column vector."""
@@ -192,7 +194,10 @@ def row_apply(v, m: Mat):
 # transform (used for inverses and small solves).  The subspace/kernel
 # machinery instead goes through an integer-scaled echelon pass — commutant
 # computations stack ~2n·n² constraint rows and pure Fraction elimination was
-# the bottleneck — and only the final normalization happens over Fraction.
+# the bottleneck.  A subspace's canonical basis is the Fraction normalization
+# of that echelon (`_rref_rows`); a kernel is read off the integer echelon
+# rows by back-substitution (`kernel`), so the constraint rows themselves
+# are never normalized.
 
 
 @dataclass(frozen=True)
@@ -376,18 +381,35 @@ def column_space(m: Mat):
 
 
 def kernel(m: Mat):
-    """{x : m·x = 0} as a Subspace of Q^ncols."""
-    rows, pivots = _rref_rows(m.entries, m.ncols)
-    pivset = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
+    """{x : m·x = 0} as a Subspace of Q^ncols.
+
+    One back-substitution through the integer echelon rows per free column
+    f: x_f = 1, the other free coordinates 0, and each pivot coordinate
+    solved from its row, last pivot first.  x stays integral: when the
+    pivot entry does not divide the sum it has to cancel, all of x is
+    first multiplied by the missing factor."""
+    nc = m.ncols
+    basis = _echelon(m.entries, nc)
+    pivset = {p for p, _ in basis}
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f]
-        vecs.append(v)
-    return Subspace.from_vectors(m.ncols, vecs)
+    for f in range(nc):
+        if f in pivset:
+            continue
+        x = [0] * nc
+        x[f] = 1
+        for p, row in reversed(basis):
+            s = 0
+            for j in range(p + 1, nc):
+                if x[j]:
+                    s += row[j] * x[j]
+            if s:
+                g = math.gcd(s, row[p])   # row[p] > 0
+                if g != row[p]:
+                    scale = row[p] // g
+                    x = [v * scale for v in x]
+                x[p] = -s // g
+        vecs.append(x)
+    return Subspace.from_vectors(nc, vecs)
 
 
 def solve(m: Mat, b):
@@ -672,23 +694,64 @@ def poly_eval_mat(a, m: Mat):
     return out
 
 
+def _reduce_into(echelon, w, q=None):
+    """Reduce w against echelon rows (pivot, row, poly) whose rows are 1 at
+    their pivot and 0 at every earlier row's pivot; q tracks w as a
+    polynomial combination and is reduced alongside.  Returns the pivot of
+    the remainder, or None when w reduces to zero."""
+    for p, row, rq in echelon:
+        c = w[p]
+        if c:
+            for k, y in enumerate(row):
+                if y:
+                    w[k] -= c * y
+            if q is not None:
+                for k, y in enumerate(rq):
+                    q[k] -= c * y
+    return next((k for k, x in enumerate(w) if x), None)
+
+
 def minimal_polynomial(op: Mat):
-    """Monic minimal polynomial via the first linear dependence among the
-    flattened powers I, T, T², …"""
+    """Monic minimal polynomial of T, as the lcm of the minimal polynomials
+    of the unit vectors e_j (p(T) = 0 exactly when p(T)·e_j = 0 for every j).
+
+    The minimal polynomial of e_j is the first linear dependence of its
+    Krylov sequence e_j, T·e_j, T²·e_j, …, found by one incremental
+    elimination that keeps each reduced vector together with the
+    polynomial q for which it equals q(T)·e_j; the next vector is T applied
+    to the last reduced one, so no power of T is ever formed.  An e_j that
+    already lies in the T-invariant span of the earlier sequences is
+    skipped: its minimal polynomial divides theirs."""
     assert op.is_square and op.nrows >= 1
     n = op.nrows
-
-    def flat(m):
-        return tuple(x for row in m.entries for x in row)
-
-    powers = [Mat.identity(n)]
-    while True:
-        target = flat(powers[-1] @ op)
-        a = Mat.from_rows([flat(m) for m in powers], n * n).transpose()
-        x = solve(a, target)
-        if x is not None:
-            return poly(tuple(-c for c in x) + (Fraction(1),))
-        powers.append(powers[-1] @ op)
+    cols = op.transpose().entries   # T·w = Σ_k w_k·(column k)
+    span = []    # echelon of the T-invariant span of the sequences so far
+    result = (Fraction(1),)
+    for j in range(n):
+        if len(span) == n:
+            break
+        if _reduce_into(span, list(unit_vec(n, j))) is None:
+            continue
+        seq = []
+        w, q = list(unit_vec(n, j)), [Fraction(1)]
+        while True:
+            lead = _reduce_into(seq, w, q)
+            if lead is None:
+                break
+            inv = 1 / w[lead]
+            w = [x * inv for x in w]
+            q = [x * inv for x in q]
+            seq.append((lead, w, q))
+            w, q = list(lin_comb(w, cols, n)), [Fraction(0)] + q
+        q = poly_monic(poly(q))
+        result = poly_mul(result, poly_divexact(q, poly_gcd(result, q)))
+        for _, row, _ in seq:
+            row = list(row)
+            lead = _reduce_into(span, row)
+            if lead is not None:
+                inv = 1 / row[lead]
+                span.append((lead, [x * inv for x in row], ()))
+    return result
 
 
 def squarefree_decomposition(p):

@@ -19,12 +19,22 @@ from metriclie import (
     verify_decomposition,
 )
 from metriclie.catalog import catalog_get
-from metriclie.decompose import NotApplicable
+from metriclie.algebra import restrict
+from metriclie.decompose import (
+    DEFAULT_BUDGET,
+    DEFAULT_SEED,
+    EVIDENCE_SEARCH_EXHAUSTED,
+    NotApplicable,
+    _candidate_mats,
+    _trace_form,
+)
 from metriclie.ideals import ann_r, is_strong_ideal
 from metriclie.linalg import (
     Mat,
     Subspace,
+    coprime_split,
     kernel,
+    minimal_polynomial,
     row_space,
     subspace_intersect,
     unit_vec,
@@ -247,3 +257,35 @@ def test_seed_changes_do_not_change_the_answer(loaded):
         b = decompose(spec, seed=99)
         assert a.factors == b.factors, name
         assert a.g0 == b.g0, name
+
+
+def test_local_commutant_leaves_have_no_splitting_candidate(
+        shipped_and_generic, decomposed):
+    """Dickson's criterion on real data: a leaf whose commutant trace form
+    has rank 1 yields no candidate with two coprime parts, and on the
+    shipped entries these are exactly the SEARCH_EXHAUSTED leaves."""
+    local = []
+    for label, spec, conn in shipped_and_generic:
+        dec = decomposed.get(label) or decompose(spec)
+        for i, factor in enumerate(dec.factors):
+            _, sub_conn = restrict(spec, conn, factor)
+            comm = commutant(sub_conn)
+            if len(comm) == 1:
+                continue
+            form = _trace_form(comm)
+            assert form == Mat.from_rows(
+                [[(a @ b).trace() for b in comm] for a in comm], len(comm))
+            if form.rank() > 1:
+                continue
+            local.append((label, i))
+            for t in _candidate_mats(comm, DEFAULT_SEED, DEFAULT_BUDGET):
+                if not t.is_zero():
+                    assert len(coprime_split(minimal_polynomial(t))) == 1, label
+    exhausted = sorted(
+        (name, i) for name, dec in decomposed.items()
+        for i, ev in enumerate(dec.certificate.indecomposability_evidence)
+        if ev.kind == EVIDENCE_SEARCH_EXHAUSTED)
+    assert sorted(x for x in local if x[0] in decomposed) == exhausted
+    assert sorted(name for name, _ in exhausted) == [
+        "n23_quadratic", "nonorthogonal8", "nonorthogonal8",
+        "nonorthogonal8_alt", "nonorthogonal8_alt", "t_star_h3"]

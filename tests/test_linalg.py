@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metriclie.decompose import commutant
 from metriclie.linalg import (
     Mat,
     Subspace,
@@ -14,6 +15,7 @@ from metriclie.linalg import (
     kernel,
     minimal_polynomial,
     orthogonal_complement,
+    poly,
     poly_deg,
     poly_eval_mat,
     poly_mul,
@@ -37,6 +39,19 @@ def mats(nmax=4, square=False):
         rows = draw(st.lists(st.lists(fractions, min_size=m, max_size=m),
                              min_size=n, max_size=n))
         return Mat.from_rows(rows, m)
+    return st.composite(build)()
+
+
+def shaped_mats(nmax=4, nrows=None, ncols=None):
+    """Matrices of every shape up to nmax × nmax, 0 rows and 0 columns
+    included, with many zero entries; nrows or ncols fixes that size."""
+    def build(draw):
+        r = draw(st.integers(0, nmax)) if nrows is None else nrows
+        c = draw(st.integers(0, nmax)) if ncols is None else ncols
+        entry = st.one_of(st.just(Fraction(0)), fractions)
+        rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return Mat.from_rows(rows, c)
     return st.composite(build)()
 
 
@@ -138,6 +153,36 @@ def test_kernel_vectors_annihilate(m):
         assert all(x == 0 for x in m.apply(v))
 
 
+@given(shaped_mats())
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_the_rref_oracle(m):
+    res = rref(m)
+    vecs = []
+    for f in range(m.ncols):
+        if f in res.pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for row, p in zip(res.matrix.entries, res.pivots):
+            v[p] = -row[f]
+        vecs.append(v)
+    assert kernel(m) == Subspace.from_vectors(m.ncols, vecs)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda k: st.tuples(shaped_mats(ncols=k), shaped_mats(nrows=k))))
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_the_triple_sum(pair):
+    a, b = pair
+    prod = a @ b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod.entries == tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.ncols)),
+                  Fraction(0))
+              for j in range(b.ncols))
+        for i in range(a.nrows))
+
+
 @given(mats(), st.lists(fractions, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_solve_solutions_check_out(m, b):
@@ -155,6 +200,78 @@ def test_minimal_polynomial_annihilates(m):
     assert p[-1] == 1  # monic
     z = poly_eval_mat(p, m)
     assert all(x == 0 for row in z.entries for x in row)
+
+
+def _minimal_polynomial_oracle(op):
+    """The first linear dependence among the flattened powers I, T, T², …"""
+    n = op.nrows
+
+    def flat(m):
+        return tuple(x for row in m.entries for x in row)
+
+    powers = [Mat.identity(n)]
+    while True:
+        target = flat(powers[-1] @ op)
+        a = Mat.from_rows([flat(m) for m in powers], n * n).transpose()
+        x = solve(a, target)
+        if x is not None:
+            return poly(tuple(-c for c in x) + (Fraction(1),))
+        powers.append(powers[-1] @ op)
+
+
+def _check_minimal_polynomial(m):
+    p = minimal_polynomial(m)
+    assert p == _minimal_polynomial_oracle(m)
+    assert p[-1] == 1
+    assert poly_eval_mat(p, m).is_zero()
+
+
+def _int_square(n, lo=-3, hi=3):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def _int_square_mats():
+    """Integer matrices with n ≤ 5: general, nilpotent (strictly upper
+    triangular), scalar, and a block repeated along the diagonal."""
+    def build(draw):
+        kind = draw(st.sampled_from(("general", "nilpotent", "scalar",
+                                     "repeated")))
+        if kind == "repeated":
+            k = draw(st.integers(1, 2))
+            copies = draw(st.integers(2, 5 // k))
+            block = draw(_int_square(k))
+            n = k * copies
+            rows = [[block[i % k][j % k] if i // k == j // k else 0
+                     for j in range(n)] for i in range(n)]
+            return Mat.from_rows(rows, n)
+        n = draw(st.integers(1, 5))
+        if kind == "scalar":
+            c = draw(st.integers(-3, 3))
+            return Mat.identity(n).scale(c)
+        rows = draw(_int_square(n))
+        if kind == "nilpotent":
+            rows = [[x if j > i else 0 for j, x in enumerate(r)]
+                    for i, r in enumerate(rows)]
+        return Mat.from_rows(rows, n)
+    return st.composite(build)()
+
+
+@given(_int_square_mats())
+@settings(max_examples=120, deadline=None)
+def test_minimal_polynomial_matches_the_powers_oracle(m):
+    _check_minimal_polynomial(m)
+
+
+def test_minimal_polynomial_matches_the_oracle_on_commutants(
+        shipped_and_generic):
+    for _, _, conn in shipped_and_generic:
+        comm = commutant(conn)
+        for a in comm:
+            _check_minimal_polynomial(a)
+        for i in range(len(comm)):
+            for j in range(i + 1, len(comm)):
+                _check_minimal_polynomial(comm[i] + comm[j])
 
 
 @given(mats(nmax=4, square=True))
