@@ -333,7 +333,7 @@ def _run_analysis(args):
             print(f"warning: {label}: Jacobi identity fails on "
                   f"{len(vrep.jacobi_failures)} basis triple(s)",
                   file=sys.stderr)
-        if args.command != "validate" and not spec.metric.is_nondegenerate():
+        if args.command != "validate" and not vrep.metric_nondegenerate_ok:
             raise PreconditionError(f"{label}: metric is degenerate")
         if args.command == "validate":
             body = _report_validate(vrep)

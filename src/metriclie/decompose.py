@@ -174,8 +174,10 @@ def commutant(conn: ConnectionCoeffs):
             for b in range(n):
                 row = [Fraction(0)] * (n * n)
                 for c in range(n):
-                    row[a * n + c] += me[c][b]
-                    row[c * n + b] -= me[a][c]
+                    if me[c][b]:
+                        row[a * n + c] += me[c][b]
+                    if me[a][c]:
+                        row[c * n + b] -= me[a][c]
                 if any(x != 0 for x in row):
                     rows.append(row)
     if rows:
@@ -603,7 +605,6 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
                     nabla_span(conn, fb[l], fa[i]).dim > 0:
                 cross_ok = False
 
-    b_pieces = list(fb) + ([dec_b.g0] if dec_b.g0 is not None else [])
     projections = []
     strong_hom = []
     isometric = []

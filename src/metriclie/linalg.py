@@ -9,6 +9,10 @@ decomposition certificates re-verify with zero slack.
 
 Vectors are plain tuples of Fractions.  Subspace bases are canonical
 (RREF, no zero rows), so two equal subspaces compare equal as values.
+
+One matrix core: every elimination (RREF and its transform, inverse,
+rank, kernel, solve, subspaces) runs through the integer echelon
+`_echelon`, and no contraction ever multiplies or adds a zero entry.
 """
 
 from __future__ import annotations
@@ -71,7 +75,11 @@ def lin_comb(coeffs, vectors, n):
 
 def dot(a, b):
     assert len(a) == len(b)
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    out = Fraction(0)
+    for x, y in zip(a, b):
+        if x and y:
+            out += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +190,21 @@ class Mat:
 
 
 def row_apply(v, m: Mat):
-    """Row vector times matrix."""
+    """Row vector times matrix: Σ_k v_k·(row k of m)."""
     assert len(v) == m.nrows
-    return tuple(dot(v, m.col(j)) for j in range(m.ncols))
+    return lin_comb(v, m.entries, m.ncols)
 
 
 # ---------------------------------------------------------------------------
 # Row reduction
 #
-# Two paths.  `rref` is the public Fraction Gauss–Jordan and also returns the
-# transform (used for inverses and small solves).  The subspace/kernel
-# machinery instead goes through an integer-scaled echelon pass — commutant
-# computations stack ~2n·n² constraint rows and pure Fraction elimination was
-# the bottleneck.  A subspace's canonical basis is the Fraction normalization
-# of that echelon (`_rref_rows`); a kernel is read off the integer echelon
-# rows by back-substitution (`kernel`), so the constraint rows themselves
-# are never normalized.
+# One path: an integer-scaled echelon pass (`_echelon`), since commutant
+# computations stack ~2n·n² constraint rows and Fraction elimination on
+# them was the bottleneck.  A subspace's canonical basis is the Fraction
+# normalization of that echelon (`_rref_rows`); `rref` reads the RREF and
+# its transform off the canonical rows of [m | I]; a kernel is read off the
+# integer echelon rows by back-substitution (`kernel`), so the constraint
+# rows themselves are never normalized.
 
 
 @dataclass(frozen=True)
@@ -209,41 +216,27 @@ class RrefResult:
 
 
 def rref(m: Mat) -> RrefResult:
+    """RREF of m read off the canonical rows of [m | I]: [m | I] has full
+    row rank, so those are nrows rows; their left halves are the RREF with
+    the zero rows last, their right halves the (invertible) transform, and
+    the pivots below ncols are m's pivots."""
     nr, nc = m.shape
-    rows = [list(r) for r in m.entries]
-    t = [[Fraction(1 if i == j else 0) for j in range(nr)] for i in range(nr)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        t[r], t[p] = t[p], t[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        t[r] = [x * inv for x in t[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                t[i] = [a - f * b for a, b in zip(t[i], t[r])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(Mat.from_rows(rows, nc), r, Mat.from_rows(t, nr), tuple(pivots))
+    rows, pivots = _rref_rows(
+        [r + e for r, e in zip(m.entries, Mat.identity(nr).entries)], nc + nr)
+    pivots = tuple(p for p in pivots if p < nc)
+    return RrefResult(Mat(tuple(r[:nc] for r in rows), (nr, nc)), len(pivots),
+                      Mat(tuple(r[nc:] for r in rows), (nr, nr)), pivots)
 
 
 def _int_row(row):
-    """Clear denominators and divide by the content; leading entry positive."""
+    """Clear denominators and divide by the content; leading entry positive.
+    Takes Fractions or ints; zero entries are skipped."""
     den = 1
     for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+        if x:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [x.numerator * (den // x.denominator) if x else 0 for x in row]
+    g = math.gcd(*ints)
     if g == 0:
         return None
     lead = next(x for x in ints if x)
@@ -257,7 +250,7 @@ def _echelon(rows, ncols):
     sorted by pivot column."""
     basis = []
     for row in rows:
-        r = _int_row([rat(x) for x in row])
+        r = _int_row(row)
         if r is None:
             continue
         for pivot, prow in basis:

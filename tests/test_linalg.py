@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from metriclie.algebra import left_ops, right_ops
 from metriclie.decompose import commutant
 from metriclie.linalg import (
     Mat,
+    RrefResult,
     Subspace,
     SymForm,
     congruent_diagonalize,
@@ -22,6 +24,8 @@ from metriclie.linalg import (
     poly_xgcd,
     rat,
     rational_sqrt,
+    row_apply,
+    row_space,
     rref,
     solve,
     subspace_complement,
@@ -55,6 +59,42 @@ def shaped_mats(nmax=4, nrows=None, ncols=None):
     return st.composite(build)()
 
 
+def square_mats(nmax=4):
+    """Square matrices n × n, 0 ≤ n ≤ nmax: sparse ones (mostly singular)
+    and dense ones (mostly invertible)."""
+    return st.one_of(
+        st.integers(0, nmax).flatmap(lambda n: shaped_mats(nmax, n, n)),
+        mats(nmax, square=True))
+
+
+def _rref_oracle(m: Mat) -> RrefResult:
+    """Fraction Gauss–Jordan on m, carrying the transform along."""
+    nr, nc = m.shape
+    rows = [list(r) for r in m.entries]
+    t = [[Fraction(1 if i == j else 0) for j in range(nr)] for i in range(nr)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        t[r], t[p] = t[p], t[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        t[r] = [x * inv for x in t[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                t[i] = [a - f * b for a, b in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+    return RrefResult(Mat.from_rows(rows, nc), r, Mat.from_rows(t, nr), tuple(pivots))
+
+
 def subspaces(n):
     vecs = st.lists(st.lists(fractions, min_size=n, max_size=n),
                     min_size=0, max_size=n + 1)
@@ -68,6 +108,31 @@ def test_rref_is_idempotent(m):
     r2 = rref(r1.matrix)
     assert r1.matrix == r2.matrix
     assert r1.pivots == r2.pivots
+
+
+@given(shaped_mats())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_the_gauss_jordan_oracle(m):
+    res, want = rref(m), _rref_oracle(m)
+    assert res.matrix == want.matrix
+    assert res.rank == want.rank == m.rank()
+    assert res.pivots == want.pivots
+    assert res.transform.shape == (m.nrows, m.nrows)
+    assert res.transform @ m == res.matrix
+    assert _rref_oracle(res.transform).rank == m.nrows
+
+
+@given(square_mats())
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_the_gauss_jordan_oracle(m):
+    want = _rref_oracle(m)
+    if want.rank < m.nrows:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv == want.transform
+    assert m @ inv == Mat.identity(m.nrows)
 
 
 @given(mats())
@@ -156,7 +221,7 @@ def test_kernel_vectors_annihilate(m):
 @given(shaped_mats())
 @settings(max_examples=80, deadline=None)
 def test_kernel_matches_the_rref_oracle(m):
-    res = rref(m)
+    res = _rref_oracle(m)
     vecs = []
     for f in range(m.ncols):
         if f in res.pivots:
@@ -174,13 +239,18 @@ def test_kernel_matches_the_rref_oracle(m):
 @settings(max_examples=80, deadline=None)
 def test_matmul_matches_the_triple_sum(pair):
     a, b = pair
-    prod = a @ b
-    assert prod.shape == (a.nrows, b.ncols)
-    assert prod.entries == tuple(
+    want = tuple(
         tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.ncols)),
                   Fraction(0))
               for j in range(b.ncols))
         for i in range(a.nrows))
+    prod = a @ b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod.entries == want
+    # row i of a·b is (row i of a)·b; column j is a·(column j of b)
+    assert tuple(row_apply(a.row(i), b) for i in range(a.nrows)) == want
+    assert tuple(a.apply(b.col(j)) for j in range(b.ncols)) == \
+        tuple(tuple(r[j] for r in want) for j in range(b.ncols))
 
 
 @given(mats(), st.lists(fractions, min_size=1, max_size=4))
@@ -263,6 +333,34 @@ def test_minimal_polynomial_matches_the_powers_oracle(m):
     _check_minimal_polynomial(m)
 
 
+def _commutant_oracle(conn):
+    """Every operator entry added into every constraint row, zero or not."""
+    n = conn.dim
+    ops = [m for m in left_ops(conn) + right_ops(conn) if not m.is_zero()]
+    rows = []
+    for m in ops:
+        me = m.entries
+        for a in range(n):
+            for b in range(n):
+                row = [Fraction(0)] * (n * n)
+                for c in range(n):
+                    row[a * n + c] += me[c][b]
+                    row[c * n + b] -= me[a][c]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    if rows:
+        sol = kernel(Mat.from_rows(rows, n * n))
+    else:
+        sol = Subspace.full(n * n)
+    return tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
+                 for r in sol.rows)
+
+
+def test_commutant_matches_the_dense_oracle(shipped_and_generic):
+    for label, _, conn in shipped_and_generic:
+        assert commutant(conn) == _commutant_oracle(conn), label
+
+
 def test_minimal_polynomial_matches_the_oracle_on_commutants(
         shipped_and_generic):
     for _, _, conn in shipped_and_generic:
@@ -301,16 +399,15 @@ def test_rational_sqrt_rejects_nonsquares():
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
 
 
-def test_integer_echelon_matches_generic():
-    # the integer fast path and the generic fraction path must agree
-    rows = [[Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(1), Fraction(3), Fraction(5)],
-            [Fraction(3), Fraction(7), Fraction(11)]]
-    m = Mat.from_rows(rows, 3)
-    r = rref(m)
-    again = rref(Mat.from_rows([[x + Fraction(1, 2) - Fraction(1, 2)
-                                 for x in row] for row in rows], 3))
-    assert r.matrix == again.matrix
+@given(shaped_mats())
+@example(Mat.from_rows([[2, 4, 6], [1, 3, 5], [3, 7, 11]], 3))
+@settings(max_examples=80, deadline=None)
+def test_integer_echelon_matches_generic(m):
+    # the integer echelon and the Fraction Gauss–Jordan oracle must agree
+    want = _rref_oracle(m)
+    assert rref(m).matrix == want.matrix
+    assert row_space(m) == Subspace(
+        m.ncols, Mat.from_rows(want.matrix.entries[:want.rank], m.ncols))
 
 
 def test_rat_passes_fractions_through_and_refuses_floats():
