@@ -16,8 +16,12 @@ here contracts these tables through one loop, `linalg.lin_comb`: a table T
 gives T(x, y) = Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij
 and T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`; for T = Γ both
 together are the ∇-images of v, `nabla_images`); the Jacobi defect uses
-[[e_i,e_j],e_k] = Σ_a c_ij^a c_ak, and the Koszul formula is
-Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k = ⟨[e_i,e_j],e_k⟩.
+[[e_i,e_j],e_k] = Σ_a c_ij^a c_ak, so the cyclic sum is one call,
+lin_comb(c_ij + c_jk + c_ki, cols[k] + cols[i] + cols[j]) with
+cols[k][a] = c_ak; the Koszul formula is
+Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k = ⟨[e_i,e_j],e_k⟩,
+one call over the three covectors against ½G⁻¹ stacked three times; the
+torsion defect Γ_ij − Γ_ji − c_ij is one call too.
 """
 
 from __future__ import annotations
@@ -188,9 +192,8 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                d = vec_add(vec_add(lin_comb(c[i][j], cols[k], n),
-                                    lin_comb(c[j][k], cols[i], n)),
-                            lin_comb(c[k][i], cols[j], n))
+                d = lin_comb(c[i][j] + c[j][k] + c[k][i],
+                             cols[k] + cols[i] + cols[j], n)
                 if not vec_is_zero(d):
                     failures.append(((spec.basis_names[i], spec.basis_names[j],
                                       spec.basis_names[k]), d))
@@ -274,7 +277,8 @@ def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = vec_sub(vec_sub(gamma[i][j], gamma[j][i]), spec.brackets[i][j])
+            d = lin_comb((1, -1, -1),
+                         (gamma[i][j], gamma[j][i], spec.brackets[i][j]), n)
             if not vec_is_zero(d):
                 defects.append(("torsion", (i, j), d))
     # lowered[i][j][k] = ⟨∇_{e_i} e_j, e_k⟩ = (G·Γ_ij)_k
@@ -297,15 +301,18 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     form = spec.metric
     if not form.is_nondegenerate():
         raise PreconditionError("metric is degenerate; connection is not determined")
-    ginv = form.gram.inverse()
+    # G⁻¹ is symmetric, so Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹):
+    # one contraction of the three covectors against ½G⁻¹ stacked three times
+    half = form.gram.inverse().scale(Fraction(1, 2)).entries * 3
     c = [[form.gram.apply(v) for v in row] for row in spec.brackets]
-    # G⁻¹ is symmetric, so the covector times G⁻¹ is G⁻¹ applied to it
-    gamma = tuple(
-        tuple(ginv.apply(tuple((c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2
-                               for k in range(n)))
-              for j in range(n))
-        for i in range(n))
-    conn = ConnectionCoeffs(gamma)
+    gamma = []
+    for i in range(n):
+        # −c_jki and c_kij as vectors over k, for each j
+        jki = [tuple(-c[j][k][i] for k in range(n)) for j in range(n)]
+        kij = [tuple(c[k][i][j] for k in range(n)) for j in range(n)]
+        gamma.append(tuple(lin_comb(c[i][j] + jki[j] + kij[j], half, n)
+                           for j in range(n)))
+    conn = ConnectionCoeffs(tuple(gamma))
     ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn

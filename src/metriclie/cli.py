@@ -30,6 +30,7 @@ from .decompose import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     Unsupported,
+    _decompose,
     build_strong_isometry,
     compare_decompositions,
     decompose,
@@ -247,8 +248,8 @@ def _decomposition_pair(spec, entry, args):
     when the entry ships some, else the canonical decomposition recomputed
     after a seeded change of basis and mapped back to the original
     coordinates.  Returns (conn, dec_a, dec_b, partner)."""
-    dec_a = decompose(spec, seed=args.seed, budget=args.budget)
     conn = connection_of(spec)
+    dec_a = _decompose(spec, conn, seed=args.seed, budget=args.budget)
     if entry is not None and entry.alt_factors is not None:
         factors = list(entry.alt_subspaces("alt_factors"))
         g0 = dec_a.g0

@@ -6,7 +6,8 @@ K(X,Y) = tr(ad X ∘ ad Y).  Everything is exact.
 
 All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
 (index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
-Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j, R(e_j,e_i) = −R(e_i,e_j);
+Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j (one `lin_comb` call over
+the concatenated coefficients and vectors) and R(e_j,e_i) = −R(e_i,e_j);
 ric_ij = Σ_m R(e_m,e_i)e_j^m; K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric;
 bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
 steps by [e_i, v] = Σ_j v_j c_ij.
@@ -24,7 +25,7 @@ from .algebra import (
     left_images,
     table_apply,
 )
-from .linalg import Mat, Subspace, lin_comb, vec_is_zero, vec_sub, zero_vec
+from .linalg import Mat, Subspace, lin_comb, vec_is_zero, zero_vec
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,20 @@ class CurvatureTensor:
 
 
 def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTensor:
+    """R(e_i,e_j)e_k for i < j is one contraction,
+    lin_comb(Γ_jk + (−Γ_ik) + (−c_ij), Γ_i + Γ_j + cols[k]) with
+    cols[k][a] = Γ_ak, so each coordinate is normalized once."""
     n = spec.dim
     g = conn.gamma
     cols = tuple(tuple(row[k] for row in g) for k in range(n))   # cols[k][a] = Γ_ak
     out = [[(zero_vec(n),) * n] * n for _ in range(n)]
     for i in range(n):
+        neg = tuple(tuple(-x for x in v) for v in g[i])   # neg[k] = −Γ_ik
         for j in range(i + 1, n):
-            cij = spec.brackets[i][j]
-            plane = tuple(
-                vec_sub(vec_sub(lin_comb(g[j][k], g[i], n),
-                                lin_comb(g[i][k], g[j], n)),
-                        lin_comb(cij, cols[k], n))
-                for k in range(n))
+            negc = tuple(-x for x in spec.brackets[i][j])
+            gij = g[i] + g[j]
+            plane = tuple(lin_comb(g[j][k] + neg[k] + negc, gij + cols[k], n)
+                          for k in range(n))
             out[i][j] = plane
             out[j][i] = tuple(tuple(-x for x in v) for v in plane)
     return CurvatureTensor(tuple(tuple(row) for row in out))

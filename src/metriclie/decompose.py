@@ -178,7 +178,7 @@ def commutant(conn: ConnectionCoeffs):
                         row[a * n + c] += me[c][b]
                     if me[a][c]:
                         row[c * n + b] -= me[a][c]
-                if any(x != 0 for x in row):
+                if any(row):
                     rows.append(row)
     if rows:
         sol = kernel(Mat.from_rows(rows, n * n))
@@ -366,7 +366,12 @@ def _package(spec, conn, pieces, g0, case, note):
 
 def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
               budget=DEFAULT_BUDGET) -> Decomposition:
-    conn = connection_of(spec)
+    return _decompose(spec, connection_of(spec), seed=seed, budget=budget)
+
+
+def _decompose(spec, conn, *, seed, budget):
+    """`decompose` on the structure's connection `conn`, for callers that
+    already hold it."""
     if not spec.metric.is_nondegenerate():
         raise PreconditionError("metric is degenerate")
     report = ann_report(spec, conn)

@@ -10,9 +10,15 @@ decomposition certificates re-verify with zero slack.
 Vectors are plain tuples of Fractions.  Subspace bases are canonical
 (RREF, no zero rows), so two equal subspaces compare equal as values.
 
-One matrix core: every elimination (RREF and its transform, inverse,
-rank, kernel, solve, subspaces) runs through the integer echelon
-`_echelon`, and no contraction ever multiplies or adds a zero entry.
+One matrix core, in integers.  Every contraction (matrix products and
+applications, table contractions, subspace reduction) runs through
+`lin_comb` / `dot`, which accumulate each coordinate as an unreduced
+integer numerator/denominator pair and normalize it into a `Fraction`
+once, at the end; a term with a zero factor is never added.  Every
+elimination (RREF and its transform, inverse, rank, kernel, solve,
+subspaces) runs through the integer echelon `_echelon`, and a canonical
+basis becomes Fractions only when each entry is divided by its row's
+pivot, once.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Rat:
@@ -58,28 +65,55 @@ def vec_scale(k, a):
 
 
 def vec_is_zero(a):
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def lin_comb(coeffs, vectors, n):
-    """Σ_a coeffs[a]·vectors[a] in Q^n; a zero coefficient's vector is
-    never read."""
-    out = [Fraction(0)] * n
+    """Σ_a coeffs[a]·vectors[a] in Q^n, for Fraction or int entries.
+
+    Each coordinate is accumulated as an unreduced integer pair num/den:
+    a term's product p/q is added as is when q equals den, and otherwise
+    the two denominators are merged through their gcd, so den stays the
+    lcm of the term denominators.  Each nonzero coordinate becomes a
+    normalized Fraction once, at the end; a zero one is a shared
+    Fraction(0).  A zero coefficient's vector is never read, and a zero
+    entry is never multiplied."""
+    num = [0] * n
+    den = [1] * n
     for c, v in zip(coeffs, vectors):
-        if c:
+        cn = c.numerator
+        if cn:
+            cd = c.denominator
             for k, x in enumerate(v):
-                if x:
-                    out[k] += c * x
-    return tuple(out)
+                xn = x.numerator
+                if xn:
+                    p = cn * xn
+                    q = cd * x.denominator
+                    d = den[k]
+                    if q == d:
+                        num[k] += p
+                    else:
+                        g = math.gcd(d, q)
+                        num[k] = num[k] * (q // g) + p * (d // g)
+                        den[k] = d // g * q
+    return tuple(Fraction(a, b) if a else _ZERO for a, b in zip(num, den))
 
 
 def dot(a, b):
+    """Σ_k a_k·b_k, accumulated like one coordinate of `lin_comb`."""
     assert len(a) == len(b)
-    out = Fraction(0)
+    num, den = 0, 1
     for x, y in zip(a, b):
-        if x and y:
-            out += x * y
-    return out
+        p = x.numerator * y.numerator
+        if p:
+            q = x.denominator * y.denominator
+            if q == den:
+                num += p
+            else:
+                g = math.gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+    return Fraction(num, den) if num else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -230,64 +264,89 @@ def rref(m: Mat) -> RrefResult:
 
 def _int_row(row):
     """Clear denominators and divide by the content; leading entry positive.
-    Takes Fractions or ints; zero entries are skipped."""
-    den = 1
-    for x in row:
-        if x:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [x.numerator * (den // x.denominator) if x else 0 for x in row]
+    Takes Fractions or ints."""
+    nums = [x.numerator for x in row]
+    dens = [x.denominator for x in row]
+    den = math.lcm(*dens)
+    ints = nums if den == 1 else [a * (den // d) for a, d in zip(nums, dens)]
     g = math.gcd(*ints)
     if g == 0:
         return None
     lead = next(x for x in ints if x)
     if lead < 0:
         g = -g
-    return [x // g for x in ints]
+    return ints if g == 1 else [x // g for x in ints]
+
+
+def _clear(r, col, prow, nz):
+    """The integer row r with its entry at col cleared against prow, whose
+    entry there is positive and whose nonzero columns are nz: r is scaled
+    by b // g only when that is not 1, and prow is subtracted only at nz."""
+    x, b = r[col], prow[col]
+    g = math.gcd(x, b)
+    mb, mx = b // g, x // g
+    if mb != 1:
+        r = [mb * a if a else 0 for a in r]
+    for k in nz:
+        r[k] -= mx * prow[k]
+    return r
 
 
 def _echelon(rows, ncols):
     """Integer echelon basis of the row space: list of (pivot, int_row),
-    sorted by pivot column."""
-    basis = []
+    sorted by pivot column.
+
+    An incoming row is cleared (`_clear`) at each basis pivot where it is
+    nonzero; once reduced, its content is divided out only when it is not
+    1."""
+    basis = []   # (pivot, int_row, nonzero columns of int_row)
     for row in rows:
         r = _int_row(row)
         if r is None:
             continue
-        for pivot, prow in basis:
-            x = r[pivot]
-            if x:
-                b = prow[pivot]
-                g = math.gcd(x, b)
-                mb, mx = b // g, x // g
-                r = [mb * a - mx * c for a, c in zip(r, prow)]
+        for pivot, prow, nz in basis:
+            if r[pivot]:
+                r = _clear(r, pivot, prow, nz)
         lead = next((i for i, x in enumerate(r) if x), None)
         if lead is None:
             continue
-        g = 0
-        for x in r:
-            g = math.gcd(g, x)
+        g = math.gcd(*r)
         if r[lead] < 0:
             g = -g
-        r = [x // g for x in r]
-        basis.append((lead, r))
-        basis.sort(key=lambda pr: pr[0])
-    return basis
+        if g != 1:
+            r = [x // g for x in r]
+        basis.append((lead, r, [k for k, x in enumerate(r) if x]))
+        basis.sort(key=lambda prn: prn[0])
+    return [(p, r) for p, r, _ in basis]
 
 
 def _rref_rows(rows, ncols):
-    """Canonical RREF rows (Fractions) of the span of `rows`, plus pivots."""
+    """Canonical RREF rows (Fractions) of the span of `rows`, plus pivots.
+
+    Back-substitution runs on the integer echelon rows, last pivot first:
+    each row is cleared (`_clear`) at every later pivot, against rows that
+    are already zero at all other pivots, and its content is divided out.
+    Each entry then becomes a Fraction once, divided by the row's
+    (positive) pivot entry."""
     basis = _echelon(rows, ncols)
-    out = [[Fraction(x) for x in r] for _, r in basis]
     pivots = [p for p, _ in basis]
-    for i in reversed(range(len(out))):
-        p = pivots[i]
-        inv = 1 / out[i][p]
-        out[i] = [x * inv for x in out[i]]
-        for j in range(i):
-            f = out[j][p]
-            if f != 0:
-                out[j] = [a - f * b for a, b in zip(out[j], out[i])]
-    return [tuple(r) for r in out], tuple(pivots)
+    ints = [r for _, r in basis]
+    nzs = [None] * len(ints)
+    for i in reversed(range(len(ints))):
+        r = ints[i]
+        for j in range(i + 1, len(ints)):
+            if r[pivots[j]]:
+                r = _clear(r, pivots[j], ints[j], nzs[j])
+        g = math.gcd(*r)
+        if g != 1:
+            r = [x // g for x in r]
+        ints[i] = r
+        nzs[i] = [k for k, x in enumerate(r) if x]
+    out = []
+    for p, r in zip(pivots, ints):
+        d = r[p]
+        out.append(tuple(Fraction(x, d) if x else _ZERO for x in r))
+    return out, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +389,19 @@ class Subspace:
     def pivots(self):
         out = []
         for r in self.rows:
-            out.append(next(i for i, x in enumerate(r) if x != 0))
+            out.append(next(i for i, x in enumerate(r) if x))
         return tuple(out)
 
     def reduce(self, v):
-        """Return (coords, remainder): v - coords·basis = remainder."""
+        """Return (coords, remainder): v - coords·basis = remainder.  The
+        basis is in RREF, so the coordinates are v's pivot entries and the
+        remainder is one contraction."""
         v = vec(v)
         assert len(v) == self.ambient_dim
-        coords = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c != 0:
-                v = vec_sub(v, vec_scale(c, row))
-        return tuple(coords), v
+        coords = tuple(v[p] for p in self.pivots)
+        rem = lin_comb((1,) + tuple(-c for c in coords), (v,) + self.rows,
+                       self.ambient_dim)
+        return coords, rem
 
     def contains(self, v):
         _, rem = self.reduce(v)

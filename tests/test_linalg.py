@@ -1,10 +1,13 @@
 """Property tests for the exact linear algebra kernel."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from metriclie import linalg
 from metriclie.algebra import left_ops, right_ops
 from metriclie.decompose import commutant
 from metriclie.linalg import (
@@ -14,7 +17,9 @@ from metriclie.linalg import (
     SymForm,
     congruent_diagonalize,
     coprime_split,
+    dot,
     kernel,
+    lin_comb,
     minimal_polynomial,
     orthogonal_complement,
     poly,
@@ -251,6 +256,129 @@ def test_matmul_matches_the_triple_sum(pair):
     assert tuple(row_apply(a.row(i), b) for i in range(a.nrows)) == want
     assert tuple(a.apply(b.col(j)) for j in range(b.ncols)) == \
         tuple(tuple(r[j] for r in want) for j in range(b.ncols))
+
+
+# Entries for the contraction kernel: ints, zeros of both types, negatives,
+# and denominators that are large coprime primes or powers of 2, so that
+# unreduced sums both share and lack common factors.
+_PRIMES = (3, 7, 1_000_003, 998_244_353, 2 ** 61 - 1)
+wide = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(_PRIMES)),
+    st.builds(lambda k, e: Fraction(k, 2 ** e), st.integers(-99, 99),
+              st.integers(0, 70)),
+)
+
+
+def _terms(n, m):
+    """m coefficients with m vectors in Q^n."""
+    return st.tuples(st.lists(wide, min_size=m, max_size=m),
+                     st.lists(st.lists(wide, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+
+
+contractions = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
+    lambda nm: st.tuples(st.just(nm[0]), _terms(*nm)))
+
+
+class _Recorder:
+    """Stands in for Fraction inside linalg and records each (num, den)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, num=0, den=1):
+        self.calls.append((num, den))
+        return Fraction(num, den)
+
+
+def _lcm_of_terms(pairs):
+    """lcm of c.denominator·x.denominator over the nonzero terms."""
+    return math.lcm(1, *(Fraction(c).denominator * Fraction(x).denominator
+                         for c, x in pairs if c and x))
+
+
+@given(contractions)
+@example((3, ([], [])))
+@example((2, ([Fraction(1, 2), Fraction(1, 4)], [[1, 0], [Fraction(1, 2), 0]])))
+@settings(max_examples=150, deadline=None)
+def test_lin_comb_matches_the_fraction_sum(case):
+    n, (coeffs, vectors) = case
+    want = tuple(sum((Fraction(c) * Fraction(v[k]) for c, v in zip(coeffs, vectors)),
+                     Fraction(0)) for k in range(n))
+    got = lin_comb(coeffs, vectors, n)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    # each nonzero coordinate is built once, over the lcm of its terms'
+    # denominators: the merge goes through the gcd
+    rec = _Recorder()
+    with mock.patch.object(linalg, "Fraction", rec):
+        assert lin_comb(coeffs, vectors, n) == want
+    assert [den for _, den in rec.calls] == [
+        _lcm_of_terms([(c, v[k]) for c, v in zip(coeffs, vectors)])
+        for k in range(n) if want[k]]
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(wide, min_size=n, max_size=n), st.lists(wide, min_size=n, max_size=n))))
+@example(([], []))
+@example(([Fraction(1, 2), Fraction(1, 4)], [1, 1]))
+@settings(max_examples=150, deadline=None)
+def test_dot_matches_the_fraction_sum(pair):
+    a, b = pair
+    want = sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    got = dot(a, b)
+    assert got == want and type(got) is Fraction
+    rec = _Recorder()
+    with mock.patch.object(linalg, "Fraction", rec):
+        assert dot(a, b) == want
+    assert [den for _, den in rec.calls] == ([_lcm_of_terms(zip(a, b))]
+                                             if want else [])
+
+
+def _reduce_oracle(sub, v):
+    """The sequential-subtraction reduction: walk the canonical rows in
+    order and subtract v's entry at each pivot times the row."""
+    v = tuple(Fraction(x) for x in v)
+    coords = []
+    for row, p in zip(sub.rows, sub.pivots):
+        c = v[p]
+        coords.append(c)
+        if c != 0:
+            v = tuple(a - c * b for a, b in zip(v, row))
+    return tuple(coords), v
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    subspaces(n), st.lists(wide, min_size=n, max_size=n))))
+@settings(max_examples=150, deadline=None)
+def test_subspace_reduce_matches_sequential_subtraction(case):
+    sub, v = case
+    coords, rem = sub.reduce(v)
+    assert (coords, rem) == _reduce_oracle(sub, v)
+    assert all(type(x) is Fraction for x in coords + rem)
+    assert sub.contains(v) == all(x == 0 for x in rem)
+    assert sub.contains(sub.embed(coords))
+
+
+@given(st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(wide, min_size=c, max_size=c), min_size=1, max_size=5)))
+@settings(max_examples=100, deadline=None)
+def test_integer_eliminations_match_the_oracle_on_wide_entries(rows):
+    # large coprime and power-of-2 denominators make the pivot entries
+    # differ, so every reduction step scales the row being reduced
+    m = Mat.from_rows(rows)
+    res, want = rref(m), _rref_oracle(m)
+    assert res.matrix == want.matrix and res.pivots == want.pivots
+    assert all(type(x) is Fraction for r in res.matrix.entries for x in r)
+    assert res.transform @ m == res.matrix
+    assert row_space(m) == Subspace(
+        m.ncols, Mat.from_rows(want.matrix.entries[:want.rank], m.ncols))
+    ker = kernel(m)
+    assert ker.dim == m.ncols - want.rank
+    assert all(m.apply(x) == (Fraction(0),) * m.nrows for x in ker.rows)
 
 
 @given(mats(), st.lists(fractions, min_size=1, max_size=4))
