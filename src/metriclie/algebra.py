@@ -38,7 +38,6 @@ from .linalg import (
     rat,
     row_apply,
     vec,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -112,10 +111,10 @@ class AlgebraSpec:
                                  "of the connection table")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        c = self.brackets
         for i in range(n):
-            for j in range(n):
-                if not vec_is_zero(vec_add(self.brackets[i][j],
-                                           self.brackets[j][i])):
+            for j in range(i, n):
+                if not vec_is_zero(lin_comb((1, 1), (c[i][j], c[j][i]), n)):
                     raise ValueError("bracket table is not antisymmetric")
 
     @classmethod

@@ -13,6 +13,7 @@ Jacobi warnings go to stderr and never change the exit code.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,7 +59,11 @@ def _int_arg(text):
     return int(text, 0)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process; argparse fills a fresh namespace on
+    each parse, so calls share no option state."""
     parser = _Parser(prog="metriclie",
                      description="exact analysis of metric Lie algebras")
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -16,14 +16,17 @@ whose elements all have a minimal polynomial (t − λ)^k that no coprime
 split can cut, so there the SEARCH_EXHAUSTED detail is proven, not
 enumerated.  `decompose` recurses on the pieces
 of each split; `decomposition_from_factors` runs the same search on each
-supplied factor and refuses one that splits.  Both hand their pieces to
-one packager, which re-verifies every claim from scratch before a
-Decomposition is returned; `--recheck` in the CLI is the same
-verification run again.
+supplied factor and refuses one that splits.  A piece is carried as a
+subspace of the whole space and restricted once, from the top structure,
+and that restriction is its one strong-ideal and nondegeneracy test (see
+"Pieces" below).  Both hand their pieces to one packager, which
+re-verifies every claim from scratch before a Decomposition is returned;
+`--recheck` in the CLI is the same verification run again.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,29 +135,24 @@ def _req(cond, msg):
 
 
 # ---------------------------------------------------------------------------
-# Views: a structure restricted to a strong ideal, remembering where it
-# sits in the ambient space.
+# Pieces: a piece of the structure is a subspace of the whole space (its
+# carrier), and its tables come from one `restrict` of the top structure.
+#
+# Restricting from the top gives the same tables as restricting through the
+# pieces it was cut from.  Let c have canonical (RREF) basis C and let h be
+# a subspace of Q^{dim c} with canonical basis H.  C's pivot columns are
+# identity columns, so H·C is in RREF, with pivots at C's pivots picked by
+# H's: H·C is the canonical basis of h's image in the whole space.
+# Coordinates in it are read at those pivots, which is where coordinates in
+# C and then in H are read, so restricting to h inside c and restricting to
+# the image of h give equal Γ, bracket and metric tables.
 
 
-@dataclass(frozen=True)
-class _View:
-    spec: AlgebraSpec
-    conn: ConnectionCoeffs
-    carrier: Subspace
-
-
-def _top_view(spec, conn):
-    return _View(spec, conn, Subspace.full(spec.dim))
-
-
-def _to_ambient(view, local_sub):
-    rows = [row_apply(r, view.carrier.basis) for r in local_sub.rows]
-    return Subspace.from_vectors(view.carrier.ambient_dim, rows)
-
-
-def _restrict_view(view, h_local):
-    sub_spec, sub_conn = restrict(view.spec, view.conn, h_local)
-    return _View(sub_spec, sub_conn, _to_ambient(view, h_local))
+def _to_ambient(carrier, local_sub):
+    """The image in the whole space of a subspace given in the coordinates
+    of `carrier`'s canonical basis."""
+    rows = [row_apply(r, carrier.basis) for r in local_sub.rows]
+    return Subspace.from_vectors(carrier.ambient_dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +167,13 @@ def commutant(conn: ConnectionCoeffs):
     ops = [m for m in left_ops(conn) + right_ops(conn) if not m.is_zero()]
     rows = []
     for m in ops:
-        me = m.entries
+        # the rows of an operator scaled to integers span the same space
+        d = math.lcm(*(x.denominator for row in m.entries for x in row))
+        me = [[x.numerator * (d // x.denominator) for x in row]
+              for row in m.entries]
         for a in range(n):
             for b in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for c in range(n):
                     if me[c][b]:
                         row[a * n + c] += me[c][b]
@@ -181,7 +182,8 @@ def commutant(conn: ConnectionCoeffs):
                 if any(row):
                     rows.append(row)
     if rows:
-        sol = kernel(Mat.from_rows(rows, n * n))
+        # integer rows, read as they are by the integer echelon in `kernel`
+        sol = kernel(Mat(tuple(rows), (len(rows), n * n)))
     else:
         sol = Subspace.full(n * n)
     mats = tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
@@ -227,10 +229,11 @@ def _trace_form(comm):
     return Mat.from_rows(t, k)
 
 
-def _search(view, seed, budget):
-    """Search the commutant C of the view's connection operators for a
+def _search(conn, seed, budget):
+    """Search the commutant C of the connection operators of `conn` for a
     nontrivial idempotent.  Returns (idempotent Mat, None) on a split,
-    else (None, Evidence) saying why the view is taken as indecomposable.
+    else (None, Evidence) saying why the structure is taken as
+    indecomposable.
 
     Dickson's criterion decides the local case without a search: in
     characteristic 0, rad C is the radical of the trace form tr(xy) on C,
@@ -240,7 +243,7 @@ def _search(view, seed, budget):
     evidence is then returned at once; its detail names the candidates
     the loop would have tried, and on a local commutant that none of them
     splits is proven, not enumerated."""
-    comm = commutant(view.conn)
+    comm = commutant(conn)
     if len(comm) == 1:
         return None, Evidence(EVIDENCE_COMMUTANT_TRIVIAL,
                               "commutant dimension 1")
@@ -252,7 +255,7 @@ def _search(view, seed, budget):
         f"seeded random combinations (seed {seed:#x})")
     if _trace_form(comm).rank() == 1:
         return None, exhausted
-    n = view.spec.dim
+    n = conn.dim
     for t in _candidate_mats(comm, seed, budget):
         if t.is_zero() or _is_scalar_mat(t):
             continue
@@ -277,33 +280,31 @@ def _search(view, seed, budget):
 # The recursive splitter and the packager
 
 
-def _check_split(view, h1, h2):
-    n = view.spec.dim
-    _req(subspace_intersect(h1, h2).dim == 0
-         and subspace_sum(h1, h2) == Subspace.full(n),
-         "split is not a direct sum")
-    for h in (h1, h2):
-        _req(is_strong_ideal(h, view.conn), "split piece is not a strong ideal")
-        _req(view.spec.metric.restrict(h).is_nondegenerate(),
-             "metric restricts degenerately to a split piece")
-
-
-def _split(view, orthogonal_mode, seed, budget):
-    """(ambient factor, evidence) pairs of the view's indecomposable
-    pieces, splitting recursively wherever the search finds an idempotent."""
-    e, ev = _search(view, seed, budget)
+def _split(spec, conn, carrier, orthogonal_mode, seed, budget):
+    """(ambient factor, evidence) pairs of the indecomposable pieces of the
+    strong ideal `carrier`, splitting recursively wherever the search finds
+    an idempotent.  A proper carrier is restricted from the top structure,
+    which is its one strong-ideal and nondegeneracy test: split pieces are
+    strong ideals of the whole structure, as ∇ vanishes between
+    complementary strong ideals and on the annihilator block g0."""
+    sub_spec, sub_conn = spec, conn
+    if carrier.dim < spec.dim:
+        sub_spec, sub_conn = restrict(spec, conn, carrier)
+    e, ev = _search(sub_conn, seed, budget)
     if e is None:
-        return [(view.carrier, ev)]
+        return [(carrier, ev)]
     h1 = column_space(e)
     if orthogonal_mode:
-        h2 = orthogonal_complement(h1, view.spec.metric)
+        h2 = orthogonal_complement(h1, sub_spec.metric)
     else:
         h2 = kernel(e)
-    _check_split(view, h1, h2)
+    _req(subspace_intersect(h1, h2).dim == 0
+         and subspace_sum(h1, h2) == Subspace.full(carrier.dim),
+         "split is not a direct sum")
     out = []
     for sub in (h1, h2):
-        out.extend(_split(_restrict_view(view, sub), orthogonal_mode,
-                          seed, budget))
+        out.extend(_split(spec, conn, _to_ambient(carrier, sub),
+                          orthogonal_mode, seed, budget))
     return out
 
 
@@ -376,7 +377,6 @@ def _decompose(spec, conn, *, seed, budget):
         raise PreconditionError("metric is degenerate")
     report = ann_report(spec, conn)
     n = spec.dim
-    top = _top_view(spec, conn)
     g0 = None
     note = None
 
@@ -385,20 +385,18 @@ def _decompose(spec, conn, *, seed, budget):
         pieces = []
         for row in congruent_diagonalize(spec.metric).basis_change.entries:
             line = Subspace.from_vectors(n, [row])
-            pieces.extend(_split(_restrict_view(top, line), True, seed, budget))
+            pieces.extend(_split(spec, conn, line, True, seed, budget))
     elif report.case in (CASE_ANN_R_ZERO, CASE_ANN_R_EQ_ANN):
         g0_sub = subspace_complement(report.ann_r_radical, report.ann_r)
-        if g0_sub.dim == 0:
-            rest_view = top
-        else:
+        rest = Subspace.full(n)
+        if g0_sub.dim:
             g0 = g0_sub
-            rest_local = orthogonal_complement(g0_sub, spec.metric)
-            _req(subspace_intersect(g0_sub, rest_local).dim == 0,
+            rest = orthogonal_complement(g0_sub, spec.metric)
+            _req(subspace_intersect(g0_sub, rest).dim == 0,
                  "annihilator complement is degenerate")
-            rest_view = _restrict_view(top, rest_local)
-        pieces = _split(rest_view, True, seed, budget)
+        pieces = _split(spec, conn, rest, True, seed, budget)
     elif report.case == CASE_ISOTROPIC:
-        pieces = _split(top, False, seed, budget)
+        pieces = _split(spec, conn, Subspace.full(n), False, seed, budget)
     else:
         assert report.case == CASE_NON_ISOTROPIC
         pieces = [(Subspace.full(n),
@@ -417,12 +415,10 @@ def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
     if conn is None:
         conn = connection_of(spec)
     report = ann_report(spec, conn)
-    top = _top_view(spec, conn)
     pieces = []
     for f in factors:
-        if not is_strong_ideal(f, conn):
-            raise PreconditionError("supplied factor is not a strong ideal")
-        e, ev = _search(_restrict_view(top, f), seed, budget)
+        # restrict refuses a factor that is not a nondegenerate strong ideal
+        e, ev = _search(restrict(spec, conn, f)[1], seed, budget)
         if e is not None:
             raise PreconditionError("factor is decomposable; not a "
                                     "decomposition into indecomposables")
@@ -488,26 +484,30 @@ class FiltrationChain:
 
 
 def filtration(spec: AlgebraSpec) -> FiltrationChain:
-    conn = connection_of(spec)
-    view = _top_view(spec, conn)
-    chain = [view.carrier]
+    """Peel nondegenerate annihilator blocks off until Ann_R is isotropic or
+    everything.  A chain member is a strong ideal of its predecessor but
+    not always of the whole structure, so unlike a split piece it is
+    restricted inside its predecessor; that `restrict` is its one
+    strong-ideal test."""
+    sub_spec, sub_conn = spec, connection_of(spec)
+    carrier = Subspace.full(spec.dim)
+    chain = [carrier]
     h_blocks = []
     while True:
-        a = ann_r(view.conn)
-        form = view.spec.metric
-        if a.dim == view.spec.dim or is_isotropic(a, form):
+        a = ann_r(sub_conn)
+        form = sub_spec.metric
+        if a.dim == sub_spec.dim or is_isotropic(a, form):
             break
         rad = radical(a, form)
         h_local = subspace_complement(rad, a)
         next_local = orthogonal_complement(h_local, form)
         _req(subspace_intersect(h_local, next_local).dim == 0
-             and h_local.dim + next_local.dim == view.spec.dim,
+             and h_local.dim + next_local.dim == sub_spec.dim,
              "annihilator block does not split off")
-        _req(is_strong_ideal(next_local, view.conn),
-             "filtration step is not a strong ideal")
-        h_blocks.append(_to_ambient(view, h_local))
-        chain.append(_to_ambient(view, next_local))
-        view = _restrict_view(view, next_local)
+        sub_spec, sub_conn = restrict(sub_spec, sub_conn, next_local)
+        h_blocks.append(_to_ambient(carrier, h_local))
+        carrier = _to_ambient(carrier, next_local)
+        chain.append(carrier)
     for i in range(len(chain) - 1):
         for x in chain[i].rows:
             for y in chain[i].rows:

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from .algebra import MODE_BRACKET, MODE_CONNECTION, AlgebraSpec
 from .errors import InputFormatError
+from .linalg import Mat, SymForm
 
 _RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
@@ -163,30 +164,12 @@ def parse_document(obj) -> InputDocument:
     gram_filled = [[gram[i][j] if gram[i][j] is not None else Fraction(0)
                     for j in range(n)] for i in range(n)]
 
-    metric_dict = {(basis[i], basis[j]): gram_filled[i][j]
-                   for i in range(n) for j in range(i, n)
-                   if gram_filled[i][j] != 0}
+    form = SymForm(Mat.from_rows(gram_filled, n))
     try:
         if mode == MODE_BRACKET:
-            spec = AlgebraSpec.build(
-                basis,
-                brackets={(basis[i], basis[j]):
-                          {basis[c]: filled[i][j][c]
-                           for c in range(n) if filled[i][j][c] != 0}
-                          for i in range(n) for j in range(i + 1, n)
-                          if any(x != 0 for x in filled[i][j])},
-                metric=metric_dict,
-            )
+            spec = AlgebraSpec(n, tuple(basis), filled, form)
         else:
-            spec = AlgebraSpec.build(
-                basis,
-                connection={(basis[i], basis[j]):
-                            {basis[c]: filled[i][j][c]
-                             for c in range(n) if filled[i][j][c] != 0}
-                            for i in range(n) for j in range(n)
-                            if any(x != 0 for x in filled[i][j])},
-                metric=metric_dict,
-            )
+            spec = AlgebraSpec.from_connection(basis, filled, form)
     except ValueError as exc:
         _fail(str(exc))
     return InputDocument(name=name, spec=spec)

@@ -160,6 +160,27 @@ def test_conflicting_connection_table_is_rejected():
         )
 
 
+def _bracket_spec(table):
+    n = len(table)
+    return AlgebraSpec(n, tuple(f"e{i + 1}" for i in range(n)), table,
+                       SymForm(Mat.identity(n)))
+
+
+def test_bracket_table_broken_below_the_diagonal_is_rejected():
+    f = Fraction
+    z = (f(0), f(0))
+    _bracket_spec(((z, (f(0), f(1))), ((f(0), f(-1)), z)))
+    with pytest.raises(ValueError, match="bracket table is not antisymmetric"):
+        _bracket_spec(((z, (f(0), f(1))), ((f(0), f(1)), z)))
+
+
+def test_nonzero_bracket_of_a_vector_with_itself_is_rejected():
+    f = Fraction
+    z = (f(0), f(0))
+    with pytest.raises(ValueError, match="bracket table is not antisymmetric"):
+        _bracket_spec((((f(0), f(1)), z), (z, z)))
+
+
 def test_broken_connection_table_reports_every_defect():
     # ∇_a a = b and ∇_b b = 2a break metric compatibility twice
     spec = AlgebraSpec.build(

@@ -41,6 +41,21 @@ def test_seeded_compare_is_byte_identical(capsys):
     assert json.loads(out1)["partner"] == "basis_change"
 
 
+def test_consecutive_calls_share_no_option_state(capsys):
+    for name in ("abelian_2", "abelian_3"):
+        code, out, _ = run(capsys, "ann", "--catalog", name, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "results" not in payload
+        assert payload["source"] == name
+    _, out, _ = run(capsys, "decompose", "--catalog", "abelian_2", "--recheck",
+                    "--format", "json")
+    assert json.loads(out)["recheck"] == "passed"
+    _, out, _ = run(capsys, "decompose", "--catalog", "abelian_2",
+                    "--format", "json")
+    assert "recheck" not in json.loads(out)
+
+
 def test_no_floats_in_machine_output(capsys):
     for cmd in ("connection", "curvature", "ricci", "classify", "ann",
                 "decompose"):

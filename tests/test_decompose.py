@@ -1,14 +1,18 @@
+import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metriclie import (
+    AlgebraSpec,
     PreconditionError,
     Unsupported,
     adapted_basis,
     build_strong_isometry,
     commutant,
     compare_decompositions,
+    connection_of,
     decompose,
     decomposition_from_factors,
     filtration,
@@ -26,15 +30,18 @@ from metriclie.decompose import (
     EVIDENCE_SEARCH_EXHAUSTED,
     NotApplicable,
     _candidate_mats,
+    _to_ambient,
     _trace_form,
 )
 from metriclie.ideals import ann_r, is_strong_ideal
 from metriclie.linalg import (
     Mat,
     Subspace,
+    SymForm,
     coprime_split,
     kernel,
     minimal_polynomial,
+    row_apply,
     row_space,
     subspace_intersect,
     unit_vec,
@@ -205,6 +212,22 @@ def test_filtration_chain_shapes(loaded):
         assert len(ch.h_blocks) == len(ch.chain) - 1, name
 
 
+def test_filtration_members_need_only_be_ideals_of_their_predecessor():
+    # x acts on h3 ⊕ Q·s ([a, b] = z, ⟨b, z⟩ = 1) by b ↦ s ↦ −z, a skew
+    # derivation; the chain's last member is a strong ideal of the one
+    # before it but not of the whole structure, so restricting it from the
+    # top would refuse a valid chain
+    spec = AlgebraSpec.build(
+        ("x", "a", "b", "z", "s"),
+        brackets={("a", "b"): {"z": 1}, ("x", "b"): {"s": 1},
+                  ("x", "s"): {"z": -1}},
+        metric={("x", "x"): 1, ("a", "a"): 1, ("b", "z"): 1, ("s", "s"): 1})
+    ch = filtration(spec)
+    assert [s.dim for s in ch.chain] == [5, 4, 3]
+    assert [h.dim for h in ch.h_blocks] == [1, 1]
+    assert not is_strong_ideal(ch.chain[2], connection_of(spec))
+
+
 def test_filtration_steps_absorb_brackets(loaded):
     # each quotient is abelian: [chain[i], chain[i]] lands in chain[i+1]
     for name in ("e2_flat", "h3_plane"):
@@ -289,3 +312,80 @@ def test_local_commutant_leaves_have_no_splitting_candidate(
     assert sorted(name for name, _ in exhausted) == [
         "n23_quadratic", "nonorthogonal8", "nonorthogonal8",
         "nonorthogonal8_alt", "nonorthogonal8_alt", "t_star_h3"]
+
+
+def subspaces(n):
+    vecs = st.lists(st.lists(st.fractions(min_value=-9, max_value=9,
+                                          max_denominator=6),
+                             min_size=n, max_size=n), max_size=n + 1)
+    return vecs.map(lambda vs: Subspace.from_vectors(n, vs))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_subspace_of_a_carrier_maps_onto_its_canonical_basis(data):
+    """The lemma behind restricting split pieces from the top: the carrier's
+    pivot columns are identity columns, so the canonical basis of h mapped
+    through the carrier's canonical basis is canonical already."""
+    n = data.draw(st.integers(1, 5))
+    c = data.draw(subspaces(n))
+    h = data.draw(subspaces(c.dim))
+    mapped = tuple(row_apply(r, c.basis) for r in h.rows)
+    assert _to_ambient(c, h).rows == mapped
+
+
+def _direct_sum(*specs):
+    n = sum(s.dim for s in specs)
+    zero = (Fraction(0),)
+    table = [[zero * n] * n for _ in range(n)]
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    names = []
+    at = 0
+    for k, s in enumerate(specs):
+        names += [f"{b}_{k}" for b in s.basis_names]
+        pad = n - at - s.dim
+        for i in range(s.dim):
+            for j in range(s.dim):
+                table[at + i][at + j] = zero * at + s.brackets[i][j] + zero * pad
+                gram[at + i][at + j] = s.gram.entries[i][j]
+        at += s.dim
+    return AlgebraSpec(n, tuple(names), table, SymForm(Mat.from_rows(gram, n)))
+
+
+def test_restricting_from_the_top_equals_restricting_twice(
+        shipped_and_generic, loaded, monkeypatch):
+    """Every piece `decompose` restricts, and the whole space, paired with
+    each piece inside it: one restriction from the top gives the tables and
+    metric of restricting to the outer piece and then to the inner one.
+    so3 ⊕ sl2 ⊕ so3 adds pieces of pieces, which no catalog entry has."""
+    module = importlib.import_module("metriclie.decompose")
+    triple = _direct_sum(*(loaded[name][0] for name in
+                           ("so3_killing_neg", "sl2_killing",
+                            "so3_killing_neg")))
+    cases = list(shipped_and_generic) + [
+        ("so3+sl2+so3", triple, connection_of(triple))]
+    proper_pairs = 0
+    for label, spec, conn in cases:
+        visited = [Subspace.full(spec.dim)]
+
+        def recording(s, c, h, spec=spec, visited=visited):
+            if s is spec:
+                visited.append(h)
+            return restrict(s, c, h)
+        monkeypatch.setattr(module, "restrict", recording)
+        decompose(spec)
+        monkeypatch.undo()
+        for outer in visited:
+            mid_spec, mid_conn = restrict(spec, conn, outer)
+            for inner in visited:
+                if inner == outer or not outer.contains_subspace(inner):
+                    continue
+                proper_pairs += outer.dim < spec.dim
+                local = Subspace.from_vectors(
+                    outer.dim, [outer.coords(r) for r in inner.rows])
+                twice_spec, twice_conn = restrict(mid_spec, mid_conn, local)
+                top_spec, top_conn = restrict(spec, conn, inner)
+                assert top_conn.gamma == twice_conn.gamma, label
+                assert top_spec.brackets == twice_spec.brackets, label
+                assert top_spec.metric == twice_spec.metric, label
+    assert proper_pairs > 0
