@@ -333,7 +333,9 @@ def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
 def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
     """Restrict the structure to a strong ideal h.  Returns (sub_spec,
     sub_conn).  Basis vectors are the rows of h's canonical basis, named
-    after the original basis name at each pivot position plus a prime."""
+    after the original basis name at each pivot position plus a prime.
+    conn is spec's connection (`connection_of`), which is torsion-free, so
+    the restricted bracket table is the antisymmetrized Γ sub-table."""
     assert h.ambient_dim == spec.dim
     if h.dim == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
@@ -344,16 +346,12 @@ def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
     if not sub_form.is_nondegenerate():
         raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
-
-    def sub_table(table):
-        return tuple(tuple(h.coords(table_apply(table, x, y)) for y in h.rows)
-                     for x in h.rows)
-
-    gamma = sub_table(conn.gamma)
+    gamma = tuple(tuple(h.coords(table_apply(conn.gamma, x, y)) for y in h.rows)
+                  for x in h.rows)
     if spec.mode == MODE_CONNECTION:
         sub_spec = AlgebraSpec.from_connection(names, gamma, sub_form)
     else:
-        sub_spec = AlgebraSpec(h.dim, names, sub_table(spec.brackets), sub_form)
+        sub_spec = AlgebraSpec(h.dim, names, antisymmetrize(gamma), sub_form)
     return sub_spec, ConnectionCoeffs(gamma)
 
 

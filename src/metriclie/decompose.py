@@ -63,6 +63,7 @@ from .linalg import (
     column_space,
     congruent_diagonalize,
     coprime_split,
+    _kernel_ints,
     kernel,
     lin_comb,
     minimal_polynomial,
@@ -159,33 +160,86 @@ def _to_ambient(carrier, local_sub):
 # Commutant and splitting idempotents
 
 
+def _commutator_rows(m, n):
+    """The n² conditions (TM − MT)_ab = 0 on T, for M scaled to integers by
+    the lcm of its denominators (the rows span the same space).  T is
+    flattened column-major, T[x][y] at y·n + x: on generic bases the
+    integer echelon of these rows grows far less than row-major (on the
+    first 12-dimensional system of the commutant tests it runs about 8×
+    faster).  Each row is a list of (column, integer) pairs, zeros left
+    out."""
+    d = math.lcm(*(x.denominator for row in m.entries for x in row))
+    me = [[x.numerator * (d // x.denominator) for x in row]
+          for row in m.entries]
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = {}
+            for c in range(n):
+                if me[c][b]:
+                    row[c * n + a] = row.get(c * n + a, 0) + me[c][b]
+                if me[a][c]:
+                    row[b * n + c] = row.get(b * n + c, 0) - me[a][c]
+            rows.append([(j, v) for j, v in row.items() if v])
+    return rows
+
+
 def commutant(conn: ConnectionCoeffs):
     """Basis (tuple of Mat) of {T : T commutes with every ∇-operator in
-    either slot}.  Unknown T is flattened row-major; each operator M
-    contributes the linear conditions TM − MT = 0."""
+    either slot}, in canonical (RREF) order over T flattened row-major.
+
+    One operator at a time, in integers: the first operator's conditions
+    TM − MT = 0 are solved on all of M_n, and each later operator's only
+    on the solution so far, as its rows times the current basis (n² rows
+    of width dim).  Their integer kernel (`_kernel_ints`) gives the new
+    basis as combinations of the old one, and each new vector's content is
+    divided out.  An operator whose restricted system is zero is skipped,
+    and the loop stops at dimension 1: the identity meets every condition,
+    so that line is Q·I.  Fractions appear only in the one canonical form
+    at the end."""
     n = conn.dim
-    ops = [m for m in left_ops(conn) + right_ops(conn) if not m.is_zero()]
-    rows = []
-    for m in ops:
-        # the rows of an operator scaled to integers span the same space
-        d = math.lcm(*(x.denominator for row in m.entries for x in row))
-        me = [[x.numerator * (d // x.denominator) for x in row]
-              for row in m.entries]
-        for a in range(n):
-            for b in range(n):
-                row = [0] * (n * n)
-                for c in range(n):
-                    if me[c][b]:
-                        row[a * n + c] += me[c][b]
-                    if me[a][c]:
-                        row[c * n + b] -= me[a][c]
-                if any(row):
-                    rows.append(row)
-    if rows:
-        # integer rows, read as they are by the integer echelon in `kernel`
-        sol = kernel(Mat(tuple(rows), (len(rows), n * n)))
-    else:
-        sol = Subspace.full(n * n)
+    nn = n * n
+    basis = None   # integer vectors spanning the solution; None: all of M_n
+    for m in left_ops(conn) + right_ops(conn):
+        if basis is not None and len(basis) == 1:
+            break
+        if basis is None:
+            cols = None
+            width = nn
+        else:
+            cols = [c if any(c) else None for c in zip(*basis)]
+            width = len(basis)
+        system = []
+        for row in _commutator_rows(m, n):
+            r = [0] * width
+            for j, v in row:
+                if cols is None:
+                    r[j] = v
+                elif cols[j] is not None:
+                    r = [a + v * x for a, x in zip(r, cols[j])]
+            if any(r):
+                system.append(r)
+        if not system:
+            continue
+        coeffs = _kernel_ints(system, width)
+        if basis is not None:
+            combos = []
+            for y in coeffs:
+                t = [0] * nn
+                for yi, b in zip(y, basis):
+                    if yi:
+                        t = [a + yi * x for a, x in zip(t, b)]
+                combos.append(t)
+            coeffs = combos
+        basis = []
+        for t in coeffs:
+            g = math.gcd(*t)
+            basis.append([x // g for x in t] if g != 1 else t)
+    if basis is None:
+        sol = Subspace.full(nn)
+    else:   # column-major back to row-major: T[x][y] moves to x·n + y
+        sol = Subspace.from_vectors(nn, [[t[j % n * n + j // n]
+                                          for j in range(nn)] for t in basis])
     mats = tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
                  for r in sol.rows)
     flat_id = tuple(x for row in Mat.identity(n).entries for x in row)

@@ -232,13 +232,15 @@ def row_apply(v, m: Mat):
 # ---------------------------------------------------------------------------
 # Row reduction
 #
-# One path: an integer-scaled echelon pass (`_echelon`), since commutant
-# computations stack ~2n·n² constraint rows and Fraction elimination on
-# them was the bottleneck.  A subspace's canonical basis is the Fraction
-# normalization of that echelon (`_rref_rows`); `rref` reads the RREF and
-# its transform off the canonical rows of [m | I]; a kernel is read off the
-# integer echelon rows by back-substitution (`kernel`), so the constraint
-# rows themselves are never normalized.
+# One path: an integer-scaled echelon pass (`_echelon`), because Fraction
+# elimination on the commutant's n²-column systems is far slower.
+# A subspace's canonical basis is the Fraction normalization of that
+# echelon (`_rref_rows`); `rref` reads the RREF and its transform off the
+# canonical rows of [m | I]; a kernel is read off the integer echelon rows
+# by back-substitution (`_kernel_ints`), so the constraint rows themselves
+# are never normalized.  The commutant solves one operator at a time on
+# these integer kernels and builds Fractions only for its final canonical
+# basis.
 
 
 @dataclass(frozen=True)
@@ -431,26 +433,26 @@ def column_space(m: Mat):
     return row_space(m.transpose())
 
 
-def kernel(m: Mat):
-    """{x : m·x = 0} as a Subspace of Q^ncols.
+def _kernel_ints(rows, ncols):
+    """Integer vectors spanning {x : rows·x = 0} in Q^ncols, one per free
+    column, for Fraction or int rows.
 
     One back-substitution through the integer echelon rows per free column
     f: x_f = 1, the other free coordinates 0, and each pivot coordinate
     solved from its row, last pivot first.  x stays integral: when the
     pivot entry does not divide the sum it has to cancel, all of x is
     first multiplied by the missing factor."""
-    nc = m.ncols
-    basis = _echelon(m.entries, nc)
+    basis = _echelon(rows, ncols)
     pivset = {p for p, _ in basis}
     vecs = []
-    for f in range(nc):
+    for f in range(ncols):
         if f in pivset:
             continue
-        x = [0] * nc
+        x = [0] * ncols
         x[f] = 1
         for p, row in reversed(basis):
             s = 0
-            for j in range(p + 1, nc):
+            for j in range(p + 1, ncols):
                 if x[j]:
                     s += row[j] * x[j]
             if s:
@@ -460,7 +462,12 @@ def kernel(m: Mat):
                     x = [v * scale for v in x]
                 x[p] = -s // g
         vecs.append(x)
-    return Subspace.from_vectors(nc, vecs)
+    return vecs
+
+
+def kernel(m: Mat):
+    """{x : m·x = 0} as a Subspace of Q^ncols."""
+    return Subspace.from_vectors(m.ncols, _kernel_ints(m.entries, m.ncols))
 
 
 def solve(m: Mat, b):

@@ -25,23 +25,32 @@ def decomposed(loaded):
     return {name: decompose(spec) for name, (spec, _) in loaded.items()}
 
 
+def _rebased(spec):
+    """spec rewritten on a seeded random basis: entries in [-2, 2], drawn
+    from random.Random(1) until invertible."""
+    n = spec.dim
+    rng = random.Random(1)
+    while True:
+        p = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                           for _ in range(n)], n)
+        if p.rank() == n:
+            return transform_spec(spec, p)
+
+
+@pytest.fixture(scope="session")
+def rebased():
+    return _rebased
+
+
 @pytest.fixture(scope="session")
 def generic_loaded(loaded):
     """name -> (spec, conn) for the catalog entries of dimension at most
-    GENERIC_MAX_DIM, rewritten on a seeded random basis (entries in
-    [-2, 2], drawn from random.Random(1) until invertible)."""
+    GENERIC_MAX_DIM, rewritten on the seeded random basis of `_rebased`."""
     out = {}
     for name, (spec, _) in loaded.items():
-        n = spec.dim
-        if n > GENERIC_MAX_DIM:
+        if spec.dim > GENERIC_MAX_DIM:
             continue
-        rng = random.Random(1)
-        while True:
-            p = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
-                               for _ in range(n)], n)
-            if p.rank() == n:
-                break
-        t = transform_spec(spec, p)
+        t = _rebased(spec)
         out[name] = (t, connection_of(t))
     return out
 

@@ -1,5 +1,6 @@
 """Property tests for the exact linear algebra kernel."""
 
+import importlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -7,8 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metriclie import linalg
-from metriclie.algebra import left_ops, right_ops
+from metriclie import AlgebraSpec, connection_of, linalg
+from metriclie.algebra import ConnectionCoeffs, left_ops, right_ops
 from metriclie.decompose import commutant
 from metriclie.linalg import (
     Mat,
@@ -487,6 +488,120 @@ def _commutant_oracle(conn):
 def test_commutant_matches_the_dense_oracle(shipped_and_generic):
     for label, _, conn in shipped_and_generic:
         assert commutant(conn) == _commutant_oracle(conn), label
+
+
+def _so3_over_fields(*ds):
+    """The orthogonal sum of so(3)⊗Q(√d), one block per d, on e1..e3 and
+    f1..f3 = √d·e1..√d·e3, with the bi-invariant metric ⟨e, e⟩ = 1,
+    ⟨f, f⟩ = d on each block."""
+    names, brackets, metric = [], {}, {}
+    for k, d in enumerate(ds):
+        e = [f"e{i}_{k}" for i in (1, 2, 3)]
+        f = [f"f{i}_{k}" for i in (1, 2, 3)]
+        names += e + f
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            brackets[(e[i], e[j])] = {e[l]: 1}
+            brackets[(e[i], f[j])] = {f[l]: 1}
+            brackets[(f[i], e[j])] = {f[l]: 1}
+            brackets[(f[i], f[j])] = {e[l]: d}
+        for i in range(3):
+            metric[(e[i], e[i])] = 1
+            metric[(f[i], f[i])] = d
+    return AlgebraSpec.build(names, brackets=brackets, metric=metric)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls commutant makes to a helper of its module."""
+    module = importlib.import_module("metriclie.decompose")
+    inner = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _sparse_connection(n, entries):
+    """Raw Γ table with Γ_ij = entries[i, j] and zero elsewhere."""
+    zero = (Fraction(0),) * n
+    return ConnectionCoeffs(tuple(tuple(entries.get((i, j), zero)
+                                        for j in range(n)) for i in range(n)))
+
+
+def test_commutant_of_dimension_one_is_everything(monkeypatch):
+    # both 1×1 operators are nonzero, and every commutator vanishes
+    conn = _sparse_connection(1, {(0, 0): (Fraction(3),)})
+    kernels = _counting(monkeypatch, "_kernel_ints")
+    assert commutant(conn) == _commutant_oracle(conn) == (Mat.identity(1),)
+    assert kernels == []
+
+
+def test_commutant_of_zero_operators_is_all_matrices():
+    conn = _sparse_connection(3, {})
+    comm = commutant(conn)
+    assert comm == _commutant_oracle(conn)
+    assert Subspace.from_vectors(
+        9, [sum(a.entries, ()) for a in comm]) == Subspace.full(9)
+
+
+def test_commutant_of_a_single_operator(monkeypatch):
+    # Γ_00 = e1 alone: ∇_{e0} and ∇_{·}e0 are the same operator, e0 ↦ e1,
+    # so the second system is zero on the first one's solution
+    conn = _sparse_connection(3, {(0, 0): (0, 1, 0)})
+    nonzero = [m for m in left_ops(conn) + right_ops(conn) if not m.is_zero()]
+    assert len(nonzero) == 2 and nonzero[0] == nonzero[1]
+    kernels = _counting(monkeypatch, "_kernel_ints")
+    assert commutant(conn) == _commutant_oracle(conn)
+    assert len(kernels) == 1
+
+
+def test_commutant_stops_once_it_reaches_the_scalars(loaded, monkeypatch):
+    # ∇_{e1} and ∇_{e2} of so(3) already leave only Q·I: four of the six
+    # operators are never read
+    _, conn = loaded["so3_killing_neg"]
+    rows = _counting(monkeypatch, "_commutator_rows")
+    assert commutant(conn) == _commutant_oracle(conn) == (Mat.identity(3),)
+    assert len(rows) == 2
+
+
+def test_commutant_of_a_field_block_in_a_generic_basis(rebased):
+    spec = rebased(_so3_over_fields(2))
+    conn = connection_of(spec)
+    comm = commutant(conn)
+    assert comm == _commutant_oracle(conn)
+    assert len(comm) == 2   # the centroid Q(√2)
+
+
+def test_commutant_of_the_twelve_dimensional_generic_sum(rebased):
+    """so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3) in a generic basis: the centroid
+    Q(√2) × Q(√3).  A guard on cost too: solved one operator at a time this
+    takes about a second, and as one system of all 24 operators' conditions
+    it takes minutes."""
+    spec = rebased(_so3_over_fields(2, 3))
+    conn = connection_of(spec)
+    comm = commutant(conn)
+    assert len(comm) == 4
+    flat = Subspace.from_vectors(144, [sum(a.entries, ()) for a in comm])
+    assert flat.contains(sum(Mat.identity(12).entries, ()))
+    ops = left_ops(conn) + right_ops(conn)
+    assert len(ops) == 24
+    for a in comm:
+        for m in ops:
+            assert a @ m == m @ a
+
+
+@given(shaped_mats())
+@settings(max_examples=60, deadline=None)
+def test_kernel_ints_are_integral_annihilating_and_span_the_kernel(m):
+    vecs = linalg._kernel_ints(m.entries, m.ncols)
+    for v in vecs:
+        assert all(type(x) is int for x in v)
+        assert all(dot(r, tuple(map(Fraction, v))) == 0 for r in m.entries)
+    span = Subspace.from_vectors(m.ncols, vecs)
+    assert len(vecs) == span.dim == m.ncols - m.rank()
+    assert span == kernel(m)
 
 
 def test_minimal_polynomial_matches_the_oracle_on_commutants(
