@@ -26,7 +26,7 @@ torsion defect Γ_ij − Γ_ji − c_ij is one call too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -92,6 +92,8 @@ class AlgebraSpec:
     metric: SymForm
     mode: str = MODE_BRACKET
     connection_override: tuple | None = None
+    _connection: ConnectionCoeffs | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -213,9 +215,9 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """gamma[i][j] = coordinates of ∇_{e_i} e_j.  Built only through
-    `derive_connection` / `connection_of`, which check the defining
-    identities; the raw constructor checks shape only."""
+    """gamma[i][j] = coordinates of ∇_{e_i} e_j.  `derive_connection` and
+    `connection_of` build it checked, `restrict` as a sub-table of a checked
+    one; the raw constructor checks shape only."""
 
     gamma: tuple
 
@@ -319,26 +321,33 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
 
 def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
     """The structure's connection table: the override (checked) in
-    connection mode, the derived one in bracket mode."""
+    connection mode, the derived one in bracket mode.  Kept on the spec
+    after the first call; a table that fails is refused on every call."""
+    if spec._connection is not None:
+        return spec._connection
     if spec.mode == MODE_CONNECTION:
         ok, defects = check_torsion_and_compatibility(spec.connection_override, spec)
         if not ok:
             raise PreconditionError(
                 "connection table fails the defining identities: "
                 + "; ".join(f"{kind} at {idx}" for kind, idx, _ in defects[:5]))
-        return ConnectionCoeffs(spec.connection_override)
-    return derive_connection(spec)
+        conn = ConnectionCoeffs(spec.connection_override)
+    else:
+        conn = derive_connection(spec)
+    object.__setattr__(spec, "_connection", conn)
+    return conn
 
 
-def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
-    """Restrict the structure to a strong ideal h.  Returns (sub_spec,
-    sub_conn).  Basis vectors are the rows of h's canonical basis, named
-    after the original basis name at each pivot position plus a prime.
-    conn is spec's connection (`connection_of`), which is torsion-free, so
-    the restricted bracket table is the antisymmetrized Γ sub-table."""
+def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
+    """Restrict the structure to a strong ideal h.  Basis vectors are the
+    rows of h's canonical basis, named after the original basis name at
+    each pivot position plus a prime.  The connection is torsion-free, so
+    the restricted bracket table is the antisymmetrized Γ sub-table, and
+    the sub-structure keeps that sub-table as its connection."""
     assert h.ambient_dim == spec.dim
     if h.dim == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
+    conn = connection_of(spec)
     if not is_strong_ideal(h, conn):
         raise PreconditionError("subspace is not a strong ideal; "
                                 "restriction is undefined")
@@ -352,7 +361,8 @@ def restrict(spec: AlgebraSpec, conn: ConnectionCoeffs, h: Subspace):
         sub_spec = AlgebraSpec.from_connection(names, gamma, sub_form)
     else:
         sub_spec = AlgebraSpec(h.dim, names, antisymmetrize(gamma), sub_form)
-    return sub_spec, ConnectionCoeffs(gamma)
+    object.__setattr__(sub_spec, "_connection", ConnectionCoeffs(gamma))
+    return sub_spec
 
 
 def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:

@@ -31,7 +31,6 @@ from .decompose import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     Unsupported,
-    _decompose,
     build_strong_isometry,
     compare_decompositions,
     decompose,
@@ -59,6 +58,12 @@ def _int_arg(text):
     return int(text, 0)
 
 
+def _budget_arg(text):
+    if _int_arg(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return _int_arg(text)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared by every
@@ -76,7 +81,7 @@ def build_parser():
                        metavar="NAME", help="built-in entry (repeatable)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=_int_arg, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET)
         p.add_argument("--output", metavar="FILE", default=None)
 
     for name in COMMANDS:
@@ -150,8 +155,7 @@ def _report_connection(spec, args):
 
 
 def _report_curvature(spec, args):
-    conn = connection_of(spec)
-    r = curvature_tensor(spec, conn)
+    r = curvature_tensor(spec)
     names = spec.basis_names
     entries = []
     for i in range(spec.dim):
@@ -167,14 +171,12 @@ def _report_curvature(spec, args):
 
 
 def _report_ricci(spec, args):
-    conn = connection_of(spec)
-    m = ricci(spec, conn)
+    m = ricci(spec)
     return {"matrix": _mat(m), "nondegenerate": m.rank() == spec.dim}
 
 
 def _report_classify(spec, args):
-    conn = connection_of(spec)
-    rep = classify(spec, conn)
+    rep = classify(spec)
     sig = congruent_diagonalize(spec.metric).signature
     return {
         "flat": rep.flat,
@@ -188,8 +190,7 @@ def _report_classify(spec, args):
 
 
 def _report_ann(spec, args):
-    conn = connection_of(spec)
-    rep = ann_report(spec, conn)
+    rep = ann_report(spec)
     return {
         "case": rep.case,
         "ann_r": _subspace(rep.ann_r),
@@ -224,7 +225,7 @@ def _report_decompose(spec, args):
     dec = decompose(spec, seed=args.seed, budget=args.budget)
     payload = _decomposition_payload(dec)
     if getattr(args, "recheck", False):
-        verify_decomposition(spec, connection_of(spec), dec)
+        verify_decomposition(spec, dec)
         payload["recheck"] = "passed"
     return payload
 
@@ -248,13 +249,12 @@ def _random_basis_change(n, rng):
 
 
 def _decomposition_pair(spec, entry, args):
-    """The canonical decomposition, the connection, and an alternative
-    decomposition to compare against: the catalog's alternative factors
-    when the entry ships some, else the canonical decomposition recomputed
-    after a seeded change of basis and mapped back to the original
-    coordinates.  Returns (conn, dec_a, dec_b, partner)."""
-    conn = connection_of(spec)
-    dec_a = _decompose(spec, conn, seed=args.seed, budget=args.budget)
+    """The canonical decomposition and an alternative decomposition to
+    compare against: the catalog's alternative factors when the entry ships
+    some, else the canonical decomposition recomputed after a seeded change
+    of basis and mapped back to the original coordinates.  Returns
+    (dec_a, dec_b, partner)."""
+    dec_a = decompose(spec, seed=args.seed, budget=args.budget)
     if entry is not None and entry.alt_factors is not None:
         factors = list(entry.alt_subspaces("alt_factors"))
         g0 = dec_a.g0
@@ -264,21 +264,19 @@ def _decomposition_pair(spec, entry, args):
         p = _random_basis_change(n, random.Random(args.seed))
         dec_t = decompose(transform_spec(spec, p), seed=args.seed,
                           budget=args.budget)
-        factors = [Subspace.from_vectors(n, [row_apply(w, p) for w in f.rows])
-                   for f in dec_t.factors]
-        g0 = None
-        if dec_t.g0 is not None:
-            g0 = Subspace.from_vectors(
-                n, [row_apply(w, p) for w in dec_t.g0.rows])
+        def back(s):
+            return Subspace.from_vectors(n, [row_apply(w, p) for w in s.rows])
+        factors = [back(f) for f in dec_t.factors]
+        g0 = None if dec_t.g0 is None else back(dec_t.g0)
         partner = "basis_change"
-    dec_b = decomposition_from_factors(spec, factors, g0, conn=conn,
-                                       seed=args.seed, budget=args.budget)
-    return conn, dec_a, dec_b, partner
+    dec_b = decomposition_from_factors(spec, factors, g0, seed=args.seed,
+                                       budget=args.budget)
+    return dec_a, dec_b, partner
 
 
 def _report_compare(spec, args, entry):
-    conn, dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
-    rep = compare_decompositions(spec, dec_a, dec_b, conn=conn)
+    dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
+    rep = compare_decompositions(spec, dec_a, dec_b)
     return {
         "partner": partner,
         "matching": [list(p) for p in rep.matching],
@@ -296,8 +294,8 @@ def _report_compare(spec, args, entry):
 
 
 def _report_isometry(spec, args, entry):
-    conn, dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
-    result = build_strong_isometry(spec, dec_a, dec_b, conn=conn)
+    dec_a, dec_b, partner = _decomposition_pair(spec, entry, args)
+    result = build_strong_isometry(spec, dec_a, dec_b)
     if isinstance(result, Unsupported):
         return {"partner": partner, "status": "unsupported",
                 "reason": result.reason}

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec,
-    ConnectionCoeffs,
     MODE_BRACKET,
+    connection_of,
     left_images,
     table_apply,
 )
@@ -52,12 +52,12 @@ class CurvatureTensor:
               for j in range(n)] for i in range(n)], n)
 
 
-def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTensor:
+def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
     """R(e_i,e_j)e_k for i < j is one contraction,
     lin_comb(Γ_jk + (−Γ_ik) + (−c_ij), Γ_i + Γ_j + cols[k]) with
     cols[k][a] = Γ_ak, so each coordinate is normalized once."""
     n = spec.dim
-    g = conn.gamma
+    g = connection_of(spec).gamma
     cols = tuple(tuple(row[k] for row in g) for k in range(n))   # cols[k][a] = Γ_ak
     out = [[(zero_vec(n),) * n] * n for _ in range(n)]
     for i in range(n):
@@ -72,8 +72,8 @@ def curvature_tensor(spec: AlgebraSpec, conn: ConnectionCoeffs) -> CurvatureTens
     return CurvatureTensor(tuple(tuple(row) for row in out))
 
 
-def ricci(spec: AlgebraSpec, conn: ConnectionCoeffs) -> Mat:
-    return curvature_tensor(spec, conn).ricci()
+def ricci(spec: AlgebraSpec) -> Mat:
+    return curvature_tensor(spec).ricci()
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:
@@ -133,9 +133,9 @@ class ClassificationReport:
     killing: Mat
 
 
-def classify(spec: AlgebraSpec, conn: ConnectionCoeffs) -> ClassificationReport:
+def classify(spec: AlgebraSpec) -> ClassificationReport:
     n = spec.dim
-    r = curvature_tensor(spec, conn)
+    r = curvature_tensor(spec)
     ric = r.ricci()
     ricci_flat = ric.is_zero()
 

@@ -21,7 +21,10 @@ subspace of the whole space and restricted once, from the top structure,
 and that restriction is its one strong-ideal and nondegeneracy test (see
 "Pieces" below).  Both hand their pieces to one packager, which
 re-verifies every claim from scratch before a Decomposition is returned;
-`--recheck` in the CLI is the same verification run again.
+`--recheck` in the CLI is the same verification run again.  Each function
+takes a structure alone and reads the connection it carries
+(`connection_of`), so a certificate is checked against the structure's
+own connection, and a piece keeps the Γ sub-table `restrict` built.
 """
 
 from __future__ import annotations
@@ -309,7 +312,6 @@ def _search(conn, seed, budget):
         f"seeded random combinations (seed {seed:#x})")
     if _trace_form(comm).rank() == 1:
         return None, exhausted
-    n = conn.dim
     for t in _candidate_mats(comm, seed, budget):
         if t.is_zero() or _is_scalar_mat(t):
             continue
@@ -324,7 +326,7 @@ def _search(conn, seed, budget):
         assert g == (Fraction(1),)
         e = poly_eval_mat(poly_mul(u, f), t)
         assert e @ e == e
-        if e.is_zero() or e == Mat.identity(n):
+        if e.is_zero() or e == Mat.identity(conn.dim):
             continue
         return e, None
     return None, exhausted
@@ -334,17 +336,15 @@ def _search(conn, seed, budget):
 # The recursive splitter and the packager
 
 
-def _split(spec, conn, carrier, orthogonal_mode, seed, budget):
+def _split(spec, carrier, orthogonal_mode, seed, budget):
     """(ambient factor, evidence) pairs of the indecomposable pieces of the
     strong ideal `carrier`, splitting recursively wherever the search finds
     an idempotent.  A proper carrier is restricted from the top structure,
     which is its one strong-ideal and nondegeneracy test: split pieces are
     strong ideals of the whole structure, as ∇ vanishes between
     complementary strong ideals and on the annihilator block g0."""
-    sub_spec, sub_conn = spec, conn
-    if carrier.dim < spec.dim:
-        sub_spec, sub_conn = restrict(spec, conn, carrier)
-    e, ev = _search(sub_conn, seed, budget)
+    sub_spec = restrict(spec, carrier) if carrier.dim < spec.dim else spec
+    e, ev = _search(connection_of(sub_spec), seed, budget)
     if e is None:
         return [(carrier, ev)]
     h1 = column_space(e)
@@ -357,8 +357,8 @@ def _split(spec, conn, carrier, orthogonal_mode, seed, budget):
          "split is not a direct sum")
     out = []
     for sub in (h1, h2):
-        out.extend(_split(spec, conn, _to_ambient(carrier, sub),
-                          orthogonal_mode, seed, budget))
+        out.extend(_split(spec, _to_ambient(carrier, sub), orthogonal_mode,
+                          seed, budget))
     return out
 
 
@@ -401,7 +401,7 @@ def _pairwise_orthogonal(spec, factors, g0):
     return True
 
 
-def _package(spec, conn, pieces, g0, case, note):
+def _package(spec, pieces, g0, case, note):
     """Sort the (factor, evidence) pieces, attach the projections and the
     orthogonality flag, and verify the result from scratch."""
     pieces = sorted(pieces, key=lambda fe: (fe[0].dim, fe[0].basis.entries))
@@ -415,21 +415,15 @@ def _package(spec, conn, pieces, g0, case, note):
         case=case,
         note=note,
     )
-    verify_decomposition(spec, conn, dec)
+    verify_decomposition(spec, dec)
     return dec
 
 
 def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
               budget=DEFAULT_BUDGET) -> Decomposition:
-    return _decompose(spec, connection_of(spec), seed=seed, budget=budget)
-
-
-def _decompose(spec, conn, *, seed, budget):
-    """`decompose` on the structure's connection `conn`, for callers that
-    already hold it."""
     if not spec.metric.is_nondegenerate():
         raise PreconditionError("metric is degenerate")
-    report = ann_report(spec, conn)
+    report = ann_report(spec)
     n = spec.dim
     g0 = None
     note = None
@@ -439,7 +433,7 @@ def _decompose(spec, conn, *, seed, budget):
         pieces = []
         for row in congruent_diagonalize(spec.metric).basis_change.entries:
             line = Subspace.from_vectors(n, [row])
-            pieces.extend(_split(spec, conn, line, True, seed, budget))
+            pieces.extend(_split(spec, line, True, seed, budget))
     elif report.case in (CASE_ANN_R_ZERO, CASE_ANN_R_EQ_ANN):
         g0_sub = subspace_complement(report.ann_r_radical, report.ann_r)
         rest = Subspace.full(n)
@@ -448,9 +442,9 @@ def _decompose(spec, conn, *, seed, budget):
             rest = orthogonal_complement(g0_sub, spec.metric)
             _req(subspace_intersect(g0_sub, rest).dim == 0,
                  "annihilator complement is degenerate")
-        pieces = _split(spec, conn, rest, True, seed, budget)
+        pieces = _split(spec, rest, True, seed, budget)
     elif report.case == CASE_ISOTROPIC:
-        pieces = _split(spec, conn, Subspace.full(n), False, seed, budget)
+        pieces = _split(spec, Subspace.full(n), False, seed, budget)
     else:
         assert report.case == CASE_NON_ISOTROPIC
         pieces = [(Subspace.full(n),
@@ -458,33 +452,31 @@ def _decompose(spec, conn, *, seed, budget):
                             "Ann_R is non-isotropic and differs from Ann; no "
                             "direct-sum statement covers this case"))]
         note = "no decomposition theorem covers this structure; see filtration"
-    return _package(spec, conn, pieces, g0, report.case, note)
+    return _package(spec, pieces, g0, report.case, note)
 
 
 def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
-                               conn=None, seed=DEFAULT_SEED,
+                               seed=DEFAULT_SEED,
                                budget=DEFAULT_BUDGET) -> Decomposition:
     """Package externally supplied factors as a verified Decomposition
     (used to feed alternative decompositions to the comparison tools)."""
-    if conn is None:
-        conn = connection_of(spec)
-    report = ann_report(spec, conn)
+    report = ann_report(spec)
     pieces = []
     for f in factors:
         # restrict refuses a factor that is not a nondegenerate strong ideal
-        e, ev = _search(restrict(spec, conn, f)[1], seed, budget)
+        e, ev = _search(connection_of(restrict(spec, f)), seed, budget)
         if e is not None:
             raise PreconditionError("factor is decomposable; not a "
                                     "decomposition into indecomposables")
         pieces.append((f, ev))
-    return _package(spec, conn, pieces, g0, report.case, None)
+    return _package(spec, pieces, g0, report.case, None)
 
 
-def verify_decomposition(spec: AlgebraSpec, conn: ConnectionCoeffs,
-                         dec: Decomposition):
-    """Re-derive every claim the Decomposition makes; CertificateError on
-    any mismatch.  This is the --recheck path."""
+def verify_decomposition(spec: AlgebraSpec, dec: Decomposition):
+    """Re-derive every claim the Decomposition makes, on the structure's own
+    connection; CertificateError on any mismatch.  The --recheck path."""
     n = spec.dim
+    conn = connection_of(spec)
     pieces = list(dec.factors) + ([dec.g0] if dec.g0 is not None else [])
     _req(sum(p.dim for p in pieces) == n and
          _span_of(n, pieces) == Subspace.full(n),
@@ -494,7 +486,7 @@ def verify_decomposition(spec: AlgebraSpec, conn: ConnectionCoeffs,
         _req(is_strong_ideal(f, conn), "factor is not a strong ideal")
         _req(spec.metric.restrict(f).is_nondegenerate(),
              "metric restricts degenerately to a factor")
-    rep = ann_report(spec, conn)
+    rep = ann_report(spec)
     if dec.g0 is not None:
         _req(dec.g0.dim > 0, "empty g0 block must be None")
         _req(rep.ann.contains_subspace(dec.g0),
@@ -543,12 +535,12 @@ def filtration(spec: AlgebraSpec) -> FiltrationChain:
     not always of the whole structure, so unlike a split piece it is
     restricted inside its predecessor; that `restrict` is its one
     strong-ideal test."""
-    sub_spec, sub_conn = spec, connection_of(spec)
+    sub_spec = spec
     carrier = Subspace.full(spec.dim)
     chain = [carrier]
     h_blocks = []
     while True:
-        a = ann_r(sub_conn)
+        a = ann_r(connection_of(sub_spec))
         form = sub_spec.metric
         if a.dim == sub_spec.dim or is_isotropic(a, form):
             break
@@ -558,7 +550,7 @@ def filtration(spec: AlgebraSpec) -> FiltrationChain:
         _req(subspace_intersect(h_local, next_local).dim == 0
              and h_local.dim + next_local.dim == sub_spec.dim,
              "annihilator block does not split off")
-        sub_spec, sub_conn = restrict(sub_spec, sub_conn, next_local)
+        sub_spec = restrict(sub_spec, next_local)
         h_blocks.append(_to_ambient(carrier, h_local))
         carrier = _to_ambient(carrier, next_local)
         chain.append(carrier)
@@ -580,11 +572,12 @@ def nabla_span(conn: ConnectionCoeffs, a: Subspace, b: Subspace) -> Subspace:
         n, [nabla_apply(conn, x, y) for x in a.rows for y in b.rows])
 
 
-def _match_factors(spec, conn, dec_a, dec_b):
+def _match_factors(spec, dec_a, dec_b):
     """Pair the factors: literal equality first, then the unique partner
     with a nonzero ∇-interaction; leftovers (inert factors, ∇FF = 0) are
     paired by dimension, preferring a partner whose diagonalized metric
     has the same square-class multiset.  Returns (matching, matched_by)."""
+    conn = connection_of(spec)
     fa, fb = dec_a.factors, dec_b.factors
     _req(len(fa) == len(fb), "factor counts differ")
     used = set()
@@ -637,12 +630,10 @@ class CompareReport:
 
 
 def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
-                           dec_b: Decomposition, *,
-                           conn=None) -> CompareReport:
-    if conn is None:
-        conn = connection_of(spec)
+                           dec_b: Decomposition) -> CompareReport:
+    conn = connection_of(spec)
     n = spec.dim
-    matching, matched_by = _match_factors(spec, conn, dec_a, dec_b)
+    matching, matched_by = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
 
     dims_ok = all(fa[i].dim == fb[j].dim for i, j in matching)
@@ -728,9 +719,9 @@ class AdaptedBasis:
     corrections: Mat | None = None   # b_pq, filled in by the isometry builder
 
 
-def adapted_basis(spec: AlgebraSpec, conn: ConnectionCoeffs,
-                  factor: Subspace) -> AdaptedBasis:
+def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
     n = spec.dim
+    conn = connection_of(spec)
     form = spec.metric
     if not is_strong_ideal(factor, conn):
         raise PreconditionError("adapted basis needs a strong ideal")
@@ -861,7 +852,7 @@ def _inert_pair_map(spec, f_a, f_b):
 
 
 def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
-                          dec_b: Decomposition, *, conn=None):
+                          dec_b: Decomposition):
     """A rational strong isometry of the whole structure carrying the
     first decomposition onto the second (factor to matched factor, g0 to
     g0).  Requires the one- and two-sided annihilators to coincide and
@@ -869,11 +860,10 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     uniqueness statement only provides the factor-matching report, not an
     ambient isometry.  Returns LinearMap, or Unsupported when the only
     obstruction is irrational norm matching between inert factors."""
-    if conn is None:
-        conn = connection_of(spec)
+    conn = connection_of(spec)
     n = spec.dim
     form = spec.metric
-    report = ann_report(spec, conn)
+    report = ann_report(spec)
 
     if not report.ann_r_equals_ann:
         raise PreconditionError(
@@ -884,7 +874,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         raise PreconditionError(
             "strong-isometry construction needs orthogonal decompositions")
 
-    matching, _ = _match_factors(spec, conn, dec_a, dec_b)
+    matching, _ = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
     sources = []
     images = []
@@ -913,7 +903,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         a_f = subspace_intersect(report.ann_r, fa[i])
         _req(a_f == subspace_intersect(report.ann_r, fb[j]),
              "matched factors do not share their annihilator")
-        ab = adapted_basis(spec, conn, fa[i])
+        ab = adapted_basis(spec, fa[i])
         k, s = ab.k, ab.s
         for x in ab.vectors[:s]:
             sources.append(x)
@@ -991,7 +981,7 @@ def flat_riemannian_structure(spec: AlgebraSpec):
     sig = congruent_diagonalize(spec.metric).signature
     if sig[1] or sig[2]:
         return NotApplicable("metric is not positive definite")
-    if not curvature_tensor(spec, conn).is_zero():
+    if not curvature_tensor(spec).is_zero():
         return NotApplicable("structure is not flat")
     n = spec.dim
     derived = Subspace.from_vectors(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraSpec,
     ConnectionCoeffs,
+    connection_of,
     is_strong_ideal,  # defined next to nabla_images; re-exported here
     left_ops,
     nabla_images,
@@ -93,8 +94,9 @@ class AnnReport:
     case: str
 
 
-def ann_report(spec: AlgebraSpec, conn: ConnectionCoeffs) -> AnnReport:
+def ann_report(spec: AlgebraSpec) -> AnnReport:
     n = spec.dim
+    conn = connection_of(spec)
     a_r = ann_r(conn)
     a = subspace_intersect(a_r, _joint_kernel(right_ops(conn), conn.dim))
     ngg = nabla_gg(conn)

@@ -108,26 +108,26 @@ def test_c04_biinvariant_identities_flatness_and_ricci_flatness(loaded):
             for j in range(n):
                 assert conn.gamma[i][j] == tuple(
                     x / 2 for x in spec.brackets[i][j]), name
-        ric = ricci(spec, conn)
+        ric = ricci(spec)
         k = killing_form(spec)
         for i in range(n):
             for j in range(n):
                 assert 4 * ric.entries[i][j] == -k.entries[i][j], name
     spec, conn = loaded["t_star_h3"]
-    assert curvature_tensor(spec, conn).is_zero()
+    assert curvature_tensor(spec).is_zero()
     spec, conn = loaded["n23_quadratic"]
-    r = curvature_tensor(spec, conn)
+    r = curvature_tensor(spec)
     assert not r.is_zero()
-    assert all(x == 0 for row in ricci(spec, conn).entries for x in row)
+    assert all(x == 0 for row in ricci(spec).entries for x in row)
 
 
 def test_c05_einstein_constants_of_the_simple_entries(loaded):
     for name, c in (("so3_killing_neg", Fraction(1, 4)),
                     ("sl2_killing", Fraction(-1, 4))):
-        spec, conn = loaded[name]
-        rep = classify(spec, conn)
+        spec, _ = loaded[name]
+        rep = classify(spec)
         assert rep.einstein == c, name
-        ric = ricci(spec, conn)
+        ric = ricci(spec)
         k = killing_form(spec)
         n = spec.dim
         for i in range(n):
@@ -137,8 +137,8 @@ def test_c05_einstein_constants_of_the_simple_entries(loaded):
 
 
 def test_c06_nonorthogonal_eight_dim_reproduction(loaded, decomposed):
-    spec, conn = loaded["nonorthogonal8"]
-    rep = ann_report(spec, conn)
+    spec, _ = loaded["nonorthogonal8"]
+    rep = ann_report(spec)
     assert rep.ann_r == Subspace.from_vectors(
         8, [unit_vec(8, i) for i in (0, 1, 4, 5)])      # X1 X2 Y1 Y2
     assert rep.isotropic
@@ -179,8 +179,8 @@ def _random_invertible(n, rng):
 
 def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
     tested = 0
-    for name, (spec, conn) in loaded.items():
-        rep = ann_report(spec, conn)
+    for name, (spec, _) in loaded.items():
+        rep = ann_report(spec)
         if rep.ann_r.dim != 0:
             continue
         canonical = set(decomposed[name].factors)
@@ -197,15 +197,15 @@ def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
 
 
 def test_c08_einstein_constant_inherited_by_the_factors(loaded, decomposed):
-    spec, conn = loaded["so3_x_so3"]
-    whole = classify(spec, conn)
+    spec, _ = loaded["so3_x_so3"]
+    whole = classify(spec)
     assert whole.einstein == Fraction(1, 4)
     assert whole.einstein != 0
     factors = decomposed["so3_x_so3"].factors
     assert len(factors) == 2
     for f in factors:
-        sub_spec, sub_conn = restrict(spec, conn, f)
-        assert classify(sub_spec, sub_conn).einstein == Fraction(1, 4)
+        sub_spec = restrict(spec, f)
+        assert classify(sub_spec).einstein == Fraction(1, 4)
 
 
 def test_c09_filtration_chain_of_the_flat_motion_algebra(loaded):
@@ -266,7 +266,7 @@ def test_c11_certificate_soundness_and_recheck(loaded, decomposed, capsys):
 def test_c12_nondegenerate_ricci_forces_trivial_annihilator(loaded):
     nondegenerate = 0
     for name, (spec, conn) in loaded.items():
-        ric = ricci(spec, conn)
+        ric = ricci(spec)
         if ric.rank() != spec.dim:
             continue
         nondegenerate += 1

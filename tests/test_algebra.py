@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclie import (
+    MODE_BRACKET,
     AlgebraSpec,
     check_torsion_and_compatibility,
     connection_of,
+    decompose,
     derive_connection,
     is_strong_ideal,
     left_ops,
@@ -108,19 +110,28 @@ def test_transform_spec_moves_the_metric_by_congruence(loaded):
             assert tconn.gamma[i][j] == back
 
 
-def test_restricting_a_factor_rederives_its_connection(loaded, decomposed):
-    spec, conn = loaded["h3_plane"]
-    factor = decomposed["h3_plane"].factors[0]
-    sub_spec, sub_conn = restrict(spec, conn, factor)
-    assert sub_spec.dim == 3
-    assert derive_connection(sub_spec).gamma == sub_conn.gamma
+def test_restricting_a_factor_rederives_its_connection(shipped_and_generic,
+                                                       decomposed):
+    """The Γ sub-table a restricted structure carries is the connection the
+    Koszul formula derives from its own bracket and metric, for every
+    factor of every bracket-mode entry, shipped and in a generic basis."""
+    factors = 0
+    for label, spec, _ in shipped_and_generic:
+        if spec.mode != MODE_BRACKET:
+            continue
+        for factor in (decomposed.get(label) or decompose(spec)).factors:
+            sub_spec = restrict(spec, factor)
+            assert sub_spec.dim == factor.dim, label
+            assert connection_of(sub_spec) == derive_connection(sub_spec), label
+            factors += 1
+    assert factors > len(shipped_and_generic)
 
 
 def test_restrict_rejects_non_ideals(loaded):
-    spec, conn = loaded["heisenberg3_euclid"]
+    spec, _ = loaded["heisenberg3_euclid"]
     h = Subspace.from_vectors(3, [unit_vec(3, 2)])
     with pytest.raises(PreconditionError):
-        restrict(spec, conn, h)
+        restrict(spec, h)
 
 
 def test_validate_flags_jacobi_failures(loaded):
@@ -196,6 +207,9 @@ def test_broken_connection_table_reports_every_defect():
     assert str(exc.value) == ("connection table fails the defining "
                               "identities: compatibility at (0, 0, 1); "
                               "compatibility at (1, 0, 1)")
+    # nothing is kept from a failure: the next call checks and refuses again
+    with pytest.raises(PreconditionError, match="fails the defining"):
+        connection_of(spec)
     # a table whose antisymmetrization is not the bracket also has torsion
     f = Fraction
     bumped = (((f(0), f(1)), (f(0), f(3))),
@@ -252,7 +266,7 @@ def test_restrict_rejects_exactly_the_coordinate_non_ideals(loaded):
                 ideal = all(h.contains(op.apply(v)) for op in ops for v in h.rows)
                 assert is_strong_ideal(h, conn) == ideal, (name, idx)
                 try:
-                    restrict(spec, conn, h)
+                    restrict(spec, h)
                     rejected = False
                 except PreconditionError as exc:
                     # a strong ideal may still be refused for a degenerate

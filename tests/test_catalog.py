@@ -46,8 +46,8 @@ def test_expected_records(loaded, decomposed):
         entry = catalog_get(name)
         spec, conn = loaded[name]
         dec = decomposed[name]
-        rep = ann_report(spec, conn)
-        cls = classify(spec, conn)
+        rep = ann_report(spec)
+        cls = classify(spec)
         e = entry.expected
 
         assert e["dim"] == spec.dim, name
@@ -87,7 +87,7 @@ def test_expected_records(loaded, decomposed):
                 for j in range(spec.dim):
                     assert k.entries[i][j] == rat(e["killing_matrix"][i][j])
         if "ricci_diagonal" in e:
-            r = ricci(spec, conn)
+            r = ricci(spec)
             for i in range(spec.dim):
                 for j in range(spec.dim):
                     want = rat(e["ricci_diagonal"][i]) if i == j else 0
@@ -127,7 +127,7 @@ def test_alt_factor_records(loaded, decomposed):
     for name in catalog_list():
         entry = catalog_get(name)
         e = entry.expected
-        spec, conn = loaded[name]
+        spec, _ = loaded[name]
         if "alt_isometry_supported" in e:
             alt = decomposition_from_factors(spec, list(entry.alt_subspaces()))
             res = build_strong_isometry(spec, decomposed[name], alt)

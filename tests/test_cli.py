@@ -139,12 +139,43 @@ def test_certificate_failures_exit_three(capsys, monkeypatch):
 
 
 def test_jacobi_warning_goes_to_stderr_only(capsys):
-    code, out, err = run(capsys, "decompose", "--catalog", "nonorthogonal8",
-                         "--format", "json")
+    warning = ("warning: nonorthogonal8: Jacobi identity fails on 2 basis "
+               "triple(s)\n")
+    for command in ("validate", "ann", "decompose"):
+        code, out, err = run(capsys, command, "--catalog", "nonorthogonal8",
+                             "--format", "json")
+        assert code == 0, command
+        assert err == warning, command
+        assert "warning" not in out
+        json.loads(out)   # machine payload stays clean
+    code, _, err = run(capsys, "ann", "--catalog", "so3_x_so3")
     assert code == 0
-    assert "Jacobi" in err
-    assert "warning" not in out
-    json.loads(out)   # machine payload stays clean
+    assert err == ""
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["decompose", "--catalog", "t_star_h3", "--budget", "-5"])
+    assert e.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: must not be negative: -5" in captured.err
+
+
+def test_recheck_derives_the_connection_once(capsys, monkeypatch):
+    import metriclie.algebra as algebra
+    derive = algebra.derive_connection
+    derived = []
+
+    def counting(spec):
+        derived.append(spec)
+        return derive(spec)
+    monkeypatch.setattr(algebra, "derive_connection", counting)
+    code, out, _ = run(capsys, "decompose", "--catalog", "so3_x_so3",
+                       "--recheck", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["recheck"] == "passed"
+    assert len(derived) == 1
 
 
 def test_recheck_passes_on_all_entries(capsys):

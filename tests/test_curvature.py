@@ -17,11 +17,11 @@ from metriclie import (
 from metriclie.linalg import Mat, unit_vec
 
 
-def ricci_oracle(spec, conn):
+def ricci_oracle(spec):
     """ric(X, Y) as the metric contraction sum_k <R(b_k, X) Y, b^k> with
     b^k the metric-dual basis — same trace, different code path."""
     n = spec.dim
-    r = curvature_tensor(spec, conn)
+    r = curvature_tensor(spec)
     ginv = spec.gram.inverse()
     dual = [ginv.row(k) for k in range(n)]
     out = []
@@ -54,8 +54,8 @@ def killing_oracle(spec):
 
 
 def test_ricci_matches_the_dual_basis_contraction(loaded):
-    for name, (spec, conn) in loaded.items():
-        assert ricci(spec, conn) == ricci_oracle(spec, conn), name
+    for name, (spec, _) in loaded.items():
+        assert ricci(spec) == ricci_oracle(spec), name
 
 
 def test_killing_form_matches_structure_constant_sum(loaded):
@@ -69,7 +69,7 @@ def test_curvature_tensor_matches_the_operator_form(shipped_and_generic):
     for label, spec, conn in shipped_and_generic:
         n = spec.dim
         ls = left_ops(conn)
-        r = curvature_tensor(spec, conn)
+        r = curvature_tensor(spec)
         for i in range(n):
             for j in range(n):
                 op = ls[i] @ ls[j] - ls[j] @ ls[i]
@@ -120,8 +120,8 @@ def test_biinvariant_connection_is_half_bracket(loaded):
 def test_biinvariant_ricci_is_minus_quarter_killing(loaded):
     for name in ("so3_killing_neg", "sl2_killing", "t_star_h3",
                  "n23_quadratic"):
-        spec, conn = loaded[name]
-        ric = ricci(spec, conn)
+        spec, _ = loaded[name]
+        ric = ricci(spec)
         k = killing_form(spec)
         n = spec.dim
         for i in range(n):
@@ -132,8 +132,8 @@ def test_biinvariant_ricci_is_minus_quarter_killing(loaded):
 def test_curvature_antisymmetry_and_metric_skewness(loaded):
     # R(X,Y) = -R(Y,X) always; <R(X,Y)Z, W> = -<R(X,Y)W, Z> for the
     # bracket-mode entries (where the connection really is metric)
-    for name, (spec, conn) in loaded.items():
-        r = curvature_tensor(spec, conn)
+    for name, (spec, _) in loaded.items():
+        r = curvature_tensor(spec)
         n = spec.dim
         for i in range(n):
             for j in range(n):
@@ -164,28 +164,27 @@ def test_nilpotency_classes(loaded):
 
 
 def test_flatness_and_ricci_flatness(loaded):
-    spec, conn = loaded["t_star_h3"]
-    assert curvature_tensor(spec, conn).is_zero()
-    spec, conn = loaded["n23_quadratic"]
-    r = curvature_tensor(spec, conn)
+    spec, _ = loaded["t_star_h3"]
+    assert curvature_tensor(spec).is_zero()
+    spec, _ = loaded["n23_quadratic"]
+    r = curvature_tensor(spec)
     assert not r.is_zero()
-    ric = ricci(spec, conn)
+    ric = ricci(spec)
     assert all(x == 0 for row in ric.entries for x in row)
 
 
 def test_einstein_constant_inherited_by_simple_factors(loaded, decomposed):
-    spec, conn = loaded["so3_x_so3"]
-    whole = classify(spec, conn)
+    spec, _ = loaded["so3_x_so3"]
+    whole = classify(spec)
     assert whole.einstein == Fraction(1, 4)
     for f in decomposed["so3_x_so3"].factors:
-        sub_spec, sub_conn = restrict(spec, conn, f)
-        sub = classify(sub_spec, sub_conn)
+        sub = classify(restrict(spec, f))
         assert sub.einstein == Fraction(1, 4)
         assert not sub.flat
 
 
 def test_ricci_flat_classifies_with_zero_constant(loaded):
-    spec, conn = loaded["t_star_h3"]
-    rep = classify(spec, conn)
+    spec, _ = loaded["t_star_h3"]
+    rep = classify(spec)
     assert rep.flat and rep.ricci_flat
     assert rep.einstein == Fraction(0)

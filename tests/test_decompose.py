@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from metriclie import (
     AlgebraSpec,
+    CertificateError,
     PreconditionError,
     Unsupported,
     adapted_basis,
@@ -50,8 +51,24 @@ from metriclie.linalg import (
 
 def test_reverification_accepts_every_catalog_decomposition(loaded, decomposed):
     for name, dec in decomposed.items():
-        spec, conn = loaded[name]
-        verify_decomposition(spec, conn, dec)   # raises on any defect
+        spec, _ = loaded[name]
+        verify_decomposition(spec, dec)   # raises on any defect
+
+
+def test_a_certificate_is_checked_against_the_structures_own_connection(
+        loaded):
+    """The abelian structure on so3_x_so3's basis and metric splits into
+    six lines.  They are no strong ideals of so(3) ⊕ so(3), so that
+    certificate is refused there: it is checked against the connection the
+    structure carries, not against one handed in beside it."""
+    spec, _ = loaded["so3_x_so3"]
+    n = spec.dim
+    zero = ((Fraction(0),) * n,) * n
+    abelian = AlgebraSpec(n, spec.basis_names, (zero,) * n, spec.metric)
+    dec = decompose(abelian)
+    assert [f.dim for f in dec.factors] == [1] * 6
+    with pytest.raises(CertificateError, match="not a strong ideal"):
+        verify_decomposition(spec, dec)
 
 
 def test_decompose_is_deterministic(loaded, decomposed):
@@ -129,7 +146,7 @@ def test_comparing_a_decomposition_with_itself(loaded, decomposed):
 
 def test_adapted_basis_shape_for_an_isotropic_annihilator(loaded):
     spec, conn = loaded["t_star_h3"]
-    ab = adapted_basis(spec, conn, Subspace.full(6))
+    ab = adapted_basis(spec, Subspace.full(6))
     assert (ab.k, ab.s) == (3, 3)
     assert len(ab.vectors) == 6
     assert ab.diagonal == ()
@@ -139,18 +156,18 @@ def test_adapted_basis_shape_for_an_isotropic_annihilator(loaded):
 
 
 def test_adapted_basis_diagonal_block(loaded, decomposed):
-    spec, conn = loaded["h3_plane"]
+    spec, _ = loaded["h3_plane"]
     factor = decomposed["h3_plane"].factors[0]
-    ab = adapted_basis(spec, conn, factor)
+    ab = adapted_basis(spec, factor)
     assert (ab.k, ab.s) == (0, 3)
     assert len(ab.diagonal) == 3
     assert all(d != 0 for d in ab.diagonal)
 
 
 def test_adapted_basis_requires_a_strong_ideal(loaded):
-    spec, conn = loaded["heisenberg3_euclid"]
+    spec, _ = loaded["heisenberg3_euclid"]
     with pytest.raises(PreconditionError):
-        adapted_basis(spec, conn, Subspace.from_vectors(3, [unit_vec(3, 0)]))
+        adapted_basis(spec, Subspace.from_vectors(3, [unit_vec(3, 0)]))
 
 
 def test_self_isometry_is_the_identity(loaded, decomposed):
@@ -288,11 +305,10 @@ def test_local_commutant_leaves_have_no_splitting_candidate(
     has rank 1 yields no candidate with two coprime parts, and on the
     shipped entries these are exactly the SEARCH_EXHAUSTED leaves."""
     local = []
-    for label, spec, conn in shipped_and_generic:
+    for label, spec, _ in shipped_and_generic:
         dec = decomposed.get(label) or decompose(spec)
         for i, factor in enumerate(dec.factors):
-            _, sub_conn = restrict(spec, conn, factor)
-            comm = commutant(sub_conn)
+            comm = commutant(connection_of(restrict(spec, factor)))
             if len(comm) == 1:
                 continue
             form = _trace_form(comm)
@@ -365,27 +381,47 @@ def test_restricting_from_the_top_equals_restricting_twice(
     cases = list(shipped_and_generic) + [
         ("so3+sl2+so3", triple, connection_of(triple))]
     proper_pairs = 0
-    for label, spec, conn in cases:
+    for label, spec, _ in cases:
         visited = [Subspace.full(spec.dim)]
 
-        def recording(s, c, h, spec=spec, visited=visited):
+        def recording(s, h, spec=spec, visited=visited):
             if s is spec:
                 visited.append(h)
-            return restrict(s, c, h)
+            return restrict(s, h)
         monkeypatch.setattr(module, "restrict", recording)
         decompose(spec)
         monkeypatch.undo()
         for outer in visited:
-            mid_spec, mid_conn = restrict(spec, conn, outer)
+            mid_spec = restrict(spec, outer)
             for inner in visited:
                 if inner == outer or not outer.contains_subspace(inner):
                     continue
                 proper_pairs += outer.dim < spec.dim
                 local = Subspace.from_vectors(
                     outer.dim, [outer.coords(r) for r in inner.rows])
-                twice_spec, twice_conn = restrict(mid_spec, mid_conn, local)
-                top_spec, top_conn = restrict(spec, conn, inner)
-                assert top_conn.gamma == twice_conn.gamma, label
+                twice_spec = restrict(mid_spec, local)
+                top_spec = restrict(spec, inner)
+                assert (connection_of(top_spec).gamma
+                        == connection_of(twice_spec).gamma), label
                 assert top_spec.brackets == twice_spec.brackets, label
                 assert top_spec.metric == twice_spec.metric, label
     assert proper_pairs > 0
+
+
+def test_pieces_of_pieces_derive_no_connection(loaded, monkeypatch):
+    """Every piece keeps the Γ sub-table `restrict` built, so decomposing
+    so3 ⊕ sl2 ⊕ so3, whose pieces are split again, derives one connection:
+    the whole structure's."""
+    algebra = importlib.import_module("metriclie.algebra")
+    derive = algebra.derive_connection
+    derived = []
+
+    def counting(spec):
+        derived.append(spec)
+        return derive(spec)
+    monkeypatch.setattr(algebra, "derive_connection", counting)
+    triple = _direct_sum(*(loaded[name][0] for name in
+                           ("so3_killing_neg", "sl2_killing",
+                            "so3_killing_neg")))
+    assert len(decompose(triple).factors) == 3
+    assert len(derived) == 1 and derived[0] is triple

@@ -22,7 +22,7 @@ def test_right_annihilator_is_the_nabla_orthocomplement(loaded):
 
 def test_two_sided_annihilator_sits_inside_the_right_one(loaded):
     for name, (spec, conn) in loaded.items():
-        rep = ann_report(spec, conn)
+        rep = ann_report(spec)
         assert rep.ann_r.contains_subspace(rep.ann), name
         # membership characterization of the two-sided annihilator
         n = spec.dim
@@ -34,14 +34,14 @@ def test_two_sided_annihilator_sits_inside_the_right_one(loaded):
 
 
 def test_case_dispatch_matches_catalog(loaded):
-    for name, (spec, conn) in loaded.items():
-        rep = ann_report(spec, conn)
+    for name, (spec, _) in loaded.items():
+        rep = ann_report(spec)
         assert rep.case == catalog_get(name).expected["case"], name
 
 
 def test_nonorthogonal8_annihilators(loaded):
-    spec, conn = loaded["nonorthogonal8"]
-    rep = ann_report(spec, conn)
+    spec, _ = loaded["nonorthogonal8"]
+    rep = ann_report(spec)
     want_r = Subspace.from_vectors(8, [unit_vec(8, i) for i in (0, 1, 4, 5)])
     want = Subspace.from_vectors(8, [unit_vec(8, i) for i in (1, 5)])
     assert rep.ann_r == want_r
@@ -86,13 +86,13 @@ def test_strong_ideals_control_their_orthocomplement(loaded, decomposed):
 
 
 def test_radical_of_ann_r(loaded):
-    spec, conn = loaded["n23_quadratic"]
-    rep = ann_report(spec, conn)
+    spec, _ = loaded["n23_quadratic"]
+    rep = ann_report(spec)
     # ann_r is isotropic here, so it equals its own radical
     assert rep.ann_r_radical == rep.ann_r
     assert rep.ann_r.dim == 2
-    spec, conn = loaded["e2_flat"]
-    rep = ann_report(spec, conn)
+    spec, _ = loaded["e2_flat"]
+    rep = ann_report(spec)
     # nondegenerate one-sided annihilator: trivial radical
     assert rep.ann_r.dim == 1
     assert rep.ann_r_radical.dim == 0
