@@ -199,9 +199,12 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
                     failures.append(((spec.basis_names[i], spec.basis_names[j],
                                       spec.basis_names[k]), d))
     connection_ok = None
-    if spec.mode == MODE_CONNECTION:
-        ok, _ = check_torsion_and_compatibility(spec.connection_override, spec)
-        connection_ok = ok
+    if spec.mode == MODE_CONNECTION:   # checked once, by the derivation
+        try:
+            connection_of(spec)
+            connection_ok = True
+        except PreconditionError:
+            connection_ok = False
     return ValidationReport(
         mode=spec.mode,
         antisymmetry_ok=True,   # enforced at construction

@@ -834,37 +834,68 @@ def squarefree_decomposition(p):
     return out
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _eval_mod(coeffs, x, m):
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % m
+    return v
+
+
+def _reconstruct(x, m, num_bound, den_bound):
+    """The fraction a/b ≡ x mod m with |a| ≤ num_bound and
+    0 < b ≤ den_bound, or None; unique when m > 2·num_bound·den_bound.
+    The extended Euclidean algorithm on (m, x) stops at its first
+    remainder a ≤ num_bound, whose cofactor of x is b up to sign."""
+    r0, r1, t0, t1 = m, x % m, 0, 1
+    while r1 > num_bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if abs(t1) <= den_bound else None
 
 
 def rational_roots(p):
-    """All rational roots of a squarefree polynomial, sorted."""
+    """All rational roots of a squarefree polynomial, sorted, found q-adically
+    instead of by trial division.
+
+    Scale p to integer coefficients c_0..c_d and divide out the root 0; a
+    root a/b in lowest terms then has a | c_0 and b | c_d.  Take the first
+    prime q ≥ 101 that does not divide c_d and at which every root of p mod
+    q is simple; as p is squarefree, only the primes dividing its
+    discriminant fail.  a/b reduces to one of those roots mod q, and
+    Newton–Hensel lifting carries each to the unique q-adic root above it,
+    modulo some m > 2·|c_0|·|c_d|.  For that m, rational reconstruction with
+    |a| ≤ |c_0| and 0 < b ≤ |c_d| returns a/b (Wang 1981; von zur Gathen &
+    Gerhard, Modern Computer Algebra, Thm 5.26), and a candidate is kept
+    only if it is an exact root."""
     assert poly_deg(p) >= 1
-    den = 1
-    for x in p:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ic = [int(x * den) for x in p]
+    assert poly_deg(poly_gcd(p, poly_derivative(p))) == 0, \
+        "rational_roots needs a squarefree polynomial"
+    den = math.lcm(*(x.denominator for x in p))
+    ic = [x.numerator * (den // x.denominator) for x in p]
     roots = []
     if ic[0] == 0:
         roots.append(Fraction(0))
         while ic[0] == 0:
             ic = ic[1:]
-    if len(ic) > 1:
-        for a in _divisors(ic[0]):
-            for b in _divisors(ic[-1]):
-                for s in (1, -1):
-                    r = Fraction(s * a, b)
-                    if r not in roots and poly_eval(p, r) == 0:
-                        roots.append(r)
+    if len(ic) == 1:
+        return roots
+    c0, lead = abs(ic[0]), abs(ic[-1])
+    dc = [i * c for i, c in enumerate(ic)][1:]
+    q = 99
+    while True:
+        q += 2
+        if lead % q and all(q % k for k in range(3, math.isqrt(q) + 1, 2)):
+            mod_roots = [x for x in range(q) if _eval_mod(ic, x, q) == 0]
+            if all(_eval_mod(dc, x, q) for x in mod_roots):
+                break
+    for x in mod_roots:
+        m = q
+        while m <= 2 * c0 * lead:
+            m *= m
+            x = (x - _eval_mod(ic, x, m) * pow(_eval_mod(dc, x, m), -1, m)) % m
+        r = _reconstruct(x, m, c0, lead)
+        if r is not None and poly_eval(p, r) == 0:
+            roots.append(r)
     return sorted(roots)
 
 

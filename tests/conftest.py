@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from metriclie import connection_of, decompose, transform_spec
+from metriclie import AlgebraSpec, connection_of, decompose, transform_spec
 from metriclie.catalog import catalog_get, catalog_list
 from metriclie.linalg import Mat
 
@@ -62,3 +62,31 @@ def shipped_and_generic(loaded, generic_loaded):
     return ([(name, spec, conn) for name, (spec, conn) in loaded.items()]
             + [(name + " (generic basis)", spec, conn)
                for name, (spec, conn) in generic_loaded.items()])
+
+
+def _so3_over_fields(*ds, degree=2):
+    """The orthogonal sum of so(3)⊗K, one block per d, for K = Q(θ) with
+    θ^degree = d.  A block has the basis θ^a·e_i (a < degree), named
+    e_i, f_i, g_i for a = 0, 1, 2, and the bi-invariant metric
+    ⟨θ^a·e_i, θ^b·e_i⟩ = tr_K(θ^(a+b))/degree: 1 at a + b = 0, d at
+    a + b = degree, and 0 otherwise."""
+    names, brackets, metric = [], {}, {}
+    for k, d in enumerate(ds):
+        x = [[f"{'efg'[a]}{i}_{k}" for i in (1, 2, 3)] for a in range(degree)]
+        names += sum(x, [])
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            for a in range(degree):
+                for b in range(degree):
+                    c = a + b
+                    brackets[(x[a][i], x[b][j])] = {
+                        x[c % degree][l]: d if c >= degree else 1}
+        for i in range(3):
+            metric[(x[0][i], x[0][i])] = 1
+            for a in range(1, degree):
+                metric[(x[a][i], x[degree - a][i])] = d
+    return AlgebraSpec.build(names, brackets=brackets, metric=metric)
+
+
+@pytest.fixture(scope="session")
+def so3_over_fields():
+    return _so3_over_fields

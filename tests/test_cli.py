@@ -1,8 +1,14 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import metriclie
+from metriclie import AlgebraSpec, dumps_document
 from metriclie.cli import main
 from metriclie.errors import CertificateError
 
@@ -176,6 +182,81 @@ def test_recheck_derives_the_connection_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["recheck"] == "passed"
     assert len(derived) == 1
+
+
+def test_connection_identities_are_checked_once_per_source(capsys,
+                                                          monkeypatch):
+    """validate reads connection_ok from the connection's own derivation,
+    so `decompose` on a connection-mode entry checks the Γ identities
+    once."""
+    import metriclie.algebra as algebra
+    check = algebra.check_torsion_and_compatibility
+    calls = []
+
+    def counting(gamma, spec):
+        calls.append(spec)
+        return check(gamma, spec)
+    monkeypatch.setattr(algebra, "check_torsion_and_compatibility", counting)
+    code, _, _ = run(capsys, "decompose", "--catalog", "nonorthogonal8",
+                     "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_a_connection_table_failing_the_identities_is_reported_and_refused(
+        capsys, tmp_path):
+    # ∇_a a = b and ∇_b b = 2a break metric compatibility twice
+    spec = AlgebraSpec.build(
+        ("a", "b"), metric={("a", "a"): 1, ("b", "b"): 1},
+        connection={("a", "a"): {"b": 1}, ("b", "b"): {"a": 2}})
+    p = tmp_path / "broken.json"
+    p.write_text(dumps_document("broken", spec))
+    code, out, _ = run(capsys, "validate", "--input", str(p),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["connection_ok"] is False
+    code, _, err = run(capsys, "decompose", "--input", str(p))
+    assert code == 2
+    assert ("connection table fails the defining identities: compatibility "
+            "at (0, 0, 1); compatibility at (1, 0, 1)") in err
+
+
+def test_importing_the_cli_runs_no_library_function():
+    """Every command pays for the import, so it may only define things:
+    nothing in metriclie runs then but module and class bodies (and the
+    comprehensions inside them) and the catalog's `_add` registrations."""
+    script = textwrap.dedent("""
+        import importlib.util, inspect, os, sys
+        pkg = os.path.dirname(importlib.util.find_spec("metriclie").origin)
+        ran = []
+
+        def is_body(code):
+            return not code.co_flags & inspect.CO_OPTIMIZED
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event != "call" or os.path.dirname(code.co_filename) != pkg:
+                return
+            where = (os.path.basename(code.co_filename), code.co_name)
+            if is_body(code) or where == ("catalog.py", "_add") or (
+                    code.co_name.startswith("<")
+                    and is_body(frame.f_back.f_code)):
+                return
+            ran.append(":".join(where))
+
+        sys.setprofile(profile)
+        import metriclie.cli
+        sys.setprofile(None)
+        print(" ".join(ran))
+    """)
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_recheck_passes_on_all_entries(capsys):

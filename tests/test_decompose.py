@@ -1,8 +1,10 @@
 import importlib
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import (
     AlgebraSpec,
@@ -29,16 +31,19 @@ from metriclie.decompose import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     EVIDENCE_SEARCH_EXHAUSTED,
+    LinearMap,
     NotApplicable,
     _candidate_mats,
+    _projection_matrix,
     _to_ambient,
     _trace_form,
 )
-from metriclie.ideals import ann_r, is_strong_ideal
+from metriclie.ideals import ann_r, ann_report, is_strong_ideal
 from metriclie.linalg import (
     Mat,
     Subspace,
     SymForm,
+    column_space,
     coprime_split,
     kernel,
     minimal_polynomial,
@@ -46,6 +51,7 @@ from metriclie.linalg import (
     row_space,
     subspace_intersect,
     unit_vec,
+    vec_add,
 )
 
 
@@ -91,6 +97,62 @@ def test_certificate_idempotents(loaded, decomposed):
             image = row_space(e.transpose())
             assert is_strong_ideal(image, conn), name
             assert is_strong_ideal(kernel(e), conn), name
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_an_idempotent_commutes_exactly_with_what_keeps_its_image_and_kernel(
+        data):
+    """The lemma that lets the verifier skip the commutation products: for
+    a projection e, e·T = T·e exactly when T maps im e and ker e into
+    themselves.  T = S·M·S⁻¹ for e = S·diag(1, …, 1, 0, …, 0)·S⁻¹ keeps
+    both when M's off-diagonal blocks vanish, and these are zeroed at
+    random."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, n))
+    small = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    s = Mat.from_rows(data.draw(small), n)
+    assume(s.rank() == n)
+    m = data.draw(small)
+    upper, lower = data.draw(st.booleans()), data.draw(st.booleans())
+    for i in range(n):
+        for j in range(n):
+            if (i < k <= j and not upper) or (j < k <= i and not lower):
+                m[i][j] = 0
+    sinv = s.inverse()
+    e = s @ Mat.from_rows([[int(i == j < k) for j in range(n)]
+                           for i in range(n)], n) @ sinv
+    t = s @ Mat.from_rows(m, n) @ sinv
+    keeps = all(sub.contains(t.apply(v))
+                for sub in (column_space(e), kernel(e)) for v in sub.rows)
+    assert (e @ t == t @ e) == keeps
+
+
+def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
+        loaded, decomposed):
+    # a projection onto so3_x_so3's first factor along a complement other
+    # than the second factor: idempotent, with the right image
+    spec, _ = loaded["so3_x_so3"]
+    dec = decomposed["so3_x_so3"]
+    f1, f2 = dec.factors
+    skew = Subspace.from_vectors(
+        spec.dim, [vec_add(v, f1.rows[0]) for v in f2.rows])
+    e = _projection_matrix(spec.dim, f1, skew)
+    assert e @ e == e and column_space(e) == f1
+    cert = replace(dec.certificate, splitting_idempotents=(
+        LinearMap(e),) + dec.certificate.splitting_idempotents[1:])
+    with pytest.raises(CertificateError, match="kernel is not the"):
+        verify_decomposition(spec, replace(dec, certificate=cert))
+    # h3_plane's g0 moved off the annihilator, still complementing the factor
+    spec, _ = loaded["h3_plane"]
+    dec = decomposed["h3_plane"]
+    (f,) = dec.factors
+    v = next(r for r in f.rows if not ann_report(spec).ann.contains(r))
+    moved = Subspace.from_vectors(spec.dim,
+                                  [vec_add(g, v) for g in dec.g0.rows])
+    with pytest.raises(CertificateError, match="g0 is not inside"):
+        verify_decomposition(spec, replace(dec, g0=moved))
 
 
 def test_commutant_contains_identity_and_has_expected_size(loaded):
@@ -328,6 +390,54 @@ def test_local_commutant_leaves_have_no_splitting_candidate(
     assert sorted(name for name, _ in exhausted) == [
         "n23_quadratic", "nonorthogonal8", "nonorthogonal8",
         "nonorthogonal8_alt", "nonorthogonal8_alt", "t_star_h3"]
+
+
+@pytest.mark.parametrize("generic", (False, True), ids=("block", "generic"))
+@pytest.mark.parametrize("degree", (2, 3), ids=("sqrt2", "cbrt2"))
+def test_a_field_commutant_ends_the_search(degree, generic, rebased,
+                                           so3_over_fields, monkeypatch):
+    """so(3)⊗Q(√2) and so(3)⊗Q(∛2), whose commutant is that field: the
+    first candidate's minimal polynomial proves that no candidate splits,
+    and the whole candidate loop, run here as the oracle, confirms it.  In
+    the generic basis the cubic's minimal polynomials have coefficients of
+    about 75 bits, beyond any trial division of their constant terms, and
+    the decomposition must still take seconds at most."""
+    spec = so3_over_fields(2, degree=degree)
+    if generic:
+        spec = rebased(spec)
+    module = importlib.import_module("metriclie.decompose")
+    inner = module.minimal_polynomial
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return inner(t)
+    monkeypatch.setattr(module, "minimal_polynomial", counting)
+    start = time.perf_counter()
+    dec = decompose(spec)
+    assert time.perf_counter() - start < 2
+    monkeypatch.undo()
+    assert [f.dim for f in dec.factors] == [3 * degree]
+    assert [ev.kind for ev in dec.certificate.indecomposability_evidence] \
+        == [EVIDENCE_SEARCH_EXHAUSTED]
+    assert len(calls) == 1
+    comm = commutant(connection_of(spec))
+    assert len(comm) == _trace_form(comm).rank() == degree
+    for t in _candidate_mats(comm, DEFAULT_SEED, DEFAULT_BUDGET):
+        if not t.is_zero():
+            assert len(coprime_split(minimal_polynomial(t))) == 1
+
+
+def test_products_of_fields_still_split(loaded, decomposed, so3_over_fields):
+    """The field rule must not stop the search where C/rad C is a product:
+    so(3) ⊕ so(3) (Q × Q, rank 2) and so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3) in block
+    basis (Q(√2) × Q(√3), rank 4)."""
+    block = so3_over_fields(2, 3)
+    cases = ((loaded["so3_x_so3"][0], decomposed["so3_x_so3"], 2, [3, 3]),
+             (block, decompose(block), 4, [6, 6]))
+    for spec, dec, rank, dims in cases:
+        assert _trace_form(commutant(connection_of(spec))).rank() == rank
+        assert [f.dim for f in dec.factors] == dims
 
 
 def subspaces(n):

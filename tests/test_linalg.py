@@ -6,9 +6,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from metriclie import AlgebraSpec, connection_of, linalg
+from metriclie import connection_of, linalg
 from metriclie.algebra import ConnectionCoeffs, left_ops, right_ops
 from metriclie.decompose import commutant
 from metriclie.linalg import (
@@ -29,11 +29,13 @@ from metriclie.linalg import (
     poly_mul,
     poly_xgcd,
     rat,
+    rational_roots,
     rational_sqrt,
     row_apply,
     row_space,
     rref,
     solve,
+    squarefree_decomposition,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
@@ -490,26 +492,6 @@ def test_commutant_matches_the_dense_oracle(shipped_and_generic):
         assert commutant(conn) == _commutant_oracle(conn), label
 
 
-def _so3_over_fields(*ds):
-    """The orthogonal sum of so(3)⊗Q(√d), one block per d, on e1..e3 and
-    f1..f3 = √d·e1..√d·e3, with the bi-invariant metric ⟨e, e⟩ = 1,
-    ⟨f, f⟩ = d on each block."""
-    names, brackets, metric = [], {}, {}
-    for k, d in enumerate(ds):
-        e = [f"e{i}_{k}" for i in (1, 2, 3)]
-        f = [f"f{i}_{k}" for i in (1, 2, 3)]
-        names += e + f
-        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            brackets[(e[i], e[j])] = {e[l]: 1}
-            brackets[(e[i], f[j])] = {f[l]: 1}
-            brackets[(f[i], e[j])] = {f[l]: 1}
-            brackets[(f[i], f[j])] = {e[l]: d}
-        for i in range(3):
-            metric[(e[i], e[i])] = 1
-            metric[(f[i], f[i])] = d
-    return AlgebraSpec.build(names, brackets=brackets, metric=metric)
-
-
 def _counting(monkeypatch, name):
     """Count the calls commutant makes to a helper of its module."""
     module = importlib.import_module("metriclie.decompose")
@@ -566,20 +548,22 @@ def test_commutant_stops_once_it_reaches_the_scalars(loaded, monkeypatch):
     assert len(rows) == 2
 
 
-def test_commutant_of_a_field_block_in_a_generic_basis(rebased):
-    spec = rebased(_so3_over_fields(2))
+def test_commutant_of_a_field_block_in_a_generic_basis(rebased,
+                                                       so3_over_fields):
+    spec = rebased(so3_over_fields(2))
     conn = connection_of(spec)
     comm = commutant(conn)
     assert comm == _commutant_oracle(conn)
     assert len(comm) == 2   # the centroid Q(√2)
 
 
-def test_commutant_of_the_twelve_dimensional_generic_sum(rebased):
+def test_commutant_of_the_twelve_dimensional_generic_sum(rebased,
+                                                         so3_over_fields):
     """so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3) in a generic basis: the centroid
     Q(√2) × Q(√3).  A guard on cost too: solved one operator at a time this
     takes about a second, and as one system of all 24 operators' conditions
     it takes minutes."""
-    spec = rebased(_so3_over_fields(2, 3))
+    spec = rebased(so3_over_fields(2, 3))
     conn = connection_of(spec)
     comm = commutant(conn)
     assert len(comm) == 4
@@ -628,6 +612,73 @@ def test_coprime_split_multiplies_back(m):
         for j in range(i + 1, len(parts)):
             g, _, _ = poly_xgcd(parts[i], parts[j])
             assert poly_deg(g) == 0
+
+
+def _rational_roots_oracle(p):
+    """Trial division: every ±a/b with a dividing the constant term and b
+    the leading coefficient of p scaled to integers, the root 0 apart."""
+    den = math.lcm(*(x.denominator for x in p))
+    ic = [int(x * den) for x in p]
+    roots = {Fraction(0)} if ic[0] == 0 else set()
+    while ic[0] == 0:
+        ic = ic[1:]
+
+    def divisors(c):
+        c = abs(c)
+        small = [d for d in range(1, math.isqrt(c) + 1) if c % d == 0]
+        return small + [c // d for d in small]
+    d = len(ic) - 1
+    if d:
+        roots |= {Fraction(a, b) for a0 in divisors(ic[0])
+                  for b in divisors(ic[-1]) for a in (a0, -a0)
+                  if sum(c * a**i * b**(d - i) for i, c in enumerate(ic)) == 0}
+    return sorted(roots)
+
+
+def _with_roots(roots, cofactor=(1,)):
+    p = poly(cofactor)
+    for r in roots:
+        p = poly_mul(p, poly([-r, 1]))
+    return p
+
+
+@given(st.lists(fractions, max_size=3), st.lists(fractions, min_size=1,
+                                                   max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_rational_roots_match_trial_division(roots, cofactor):
+    p = _with_roots(roots, cofactor)
+    assume(poly_deg(p) >= 1)
+    for part, _ in squarefree_decomposition(p):
+        assert rational_roots(part) == _rational_roots_oracle(part)
+
+
+@given(st.lists(st.fractions(min_value=-10**6, max_value=10**6,
+                             max_denominator=10**4),
+                min_size=1, max_size=4, unique=True))
+@settings(max_examples=30, deadline=None)
+def test_rational_roots_finds_planted_wide_roots(roots):
+    # x³ − 2 has no rational root, so the planted ones are all there are;
+    # their constant terms reach about 10²⁴, far beyond trial division
+    assert rational_roots(_with_roots(roots, (-2, 0, 0, 1))) == sorted(roots)
+
+
+def test_rational_roots_edge_cases():
+    cases = [
+        (poly([-2, 0, 0, 1]), []),                    # x³ − 2: none
+        (poly([1, 0, 1]), []),                        # x² + 1: none
+        (poly([7, 3]), [Fraction(-7, 3)]),            # linear, negative
+        (_with_roots([0, 1]), [Fraction(0), Fraction(1)]),
+        # 101 and 103 divide the leading coefficient: mod either prime a
+        # root with that denominator does not exist, so neither is used
+        (_with_roots([Fraction(1, 101), Fraction(2, 103)]),
+         [Fraction(1, 101), Fraction(2, 103)]),
+        # 1 ≡ 102 mod 101 and 1 ≡ 104 mod 103: a double root there, which
+        # Hensel lifting cannot follow, so both primes are skipped
+        (_with_roots([1, 102, 104]), [Fraction(1), Fraction(102),
+                                      Fraction(104)]),
+    ]
+    for p, want in cases:
+        assert rational_roots(p) == want == _rational_roots_oracle(p)
 
 
 @given(fractions)
