@@ -46,6 +46,7 @@ from .linalg import (
 
 MODE_BRACKET = "bracket"
 MODE_CONNECTION = "connection"
+_KEPT = dict(default=None, init=False, repr=False, compare=False)
 
 
 def _coerce_table(table, n):
@@ -92,8 +93,10 @@ class AlgebraSpec:
     metric: SymForm
     mode: str = MODE_BRACKET
     connection_override: tuple | None = None
-    _connection: ConnectionCoeffs | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # kept on first use: `connection_of`, `commutant_of`, `ann_report`
+    _connection: ConnectionCoeffs | None = field(**_KEPT)
+    _commutant: tuple | None = field(**_KEPT)
+    _ann_report: object = field(**_KEPT)
 
     def __post_init__(self):
         n = self.dim
@@ -341,6 +344,19 @@ def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
     return conn
 
 
+def piece_metric(spec: AlgebraSpec, h: Subspace) -> SymForm:
+    """h's metric, after checking h is a nonzero nondegenerate strong ideal."""
+    if h.dim == 0:
+        raise PreconditionError("cannot restrict to the zero subspace")
+    if not is_strong_ideal(h, connection_of(spec)):
+        raise PreconditionError("subspace is not a strong ideal; "
+                                "restriction is undefined")
+    sub_form = spec.metric.restrict(h)
+    if not sub_form.is_nondegenerate():
+        raise PreconditionError("metric restricts degenerately to the subspace")
+    return sub_form
+
+
 def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     """Restrict the structure to a strong ideal h.  Basis vectors are the
     rows of h's canonical basis, named after the original basis name at
@@ -348,15 +364,8 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     the restricted bracket table is the antisymmetrized Γ sub-table, and
     the sub-structure keeps that sub-table as its connection."""
     assert h.ambient_dim == spec.dim
-    if h.dim == 0:
-        raise PreconditionError("cannot restrict to the zero subspace")
+    sub_form = piece_metric(spec, h)
     conn = connection_of(spec)
-    if not is_strong_ideal(h, conn):
-        raise PreconditionError("subspace is not a strong ideal; "
-                                "restriction is undefined")
-    sub_form = spec.metric.restrict(h)
-    if not sub_form.is_nondegenerate():
-        raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
     gamma = tuple(tuple(h.coords(table_apply(conn.gamma, x, y)) for y in h.rows)
                   for x in h.rows)

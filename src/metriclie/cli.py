@@ -326,33 +326,43 @@ def _gather_sources(args):
 
 
 def _run_analysis(args):
+    """(payload, exit code).  With several sources, one that fails becomes
+    an error record, and the run goes on and exits with the highest code."""
     sources = _gather_sources(args)
     if not sources:
         raise InputFormatError("no inputs: pass --input FILE or --catalog NAME")
-    reports = []
+    reports, code = [], 0
     for label, entry, doc in sources:
         spec = doc.spec
-        vrep = validate(spec)
-        if not vrep.jacobi_ok:
-            print(f"warning: {label}: Jacobi identity fails on "
-                  f"{len(vrep.jacobi_failures)} basis triple(s)",
-                  file=sys.stderr)
-        if args.command != "validate" and not vrep.metric_nondegenerate_ok:
-            raise PreconditionError(f"{label}: metric is degenerate")
-        if args.command == "validate":
-            body = _report_validate(vrep)
-        elif args.command in ("compare", "isometry"):
-            body = {"compare": _report_compare,
-                    "isometry": _report_isometry}[args.command](spec, args, entry)
-        else:
-            body = _REPORTERS[args.command](spec, args)
+        try:
+            vrep = validate(spec)
+            if not vrep.jacobi_ok:
+                print(f"warning: {label}: Jacobi identity fails on "
+                      f"{len(vrep.jacobi_failures)} basis triple(s)",
+                      file=sys.stderr)
+            if args.command != "validate" and not vrep.metric_nondegenerate_ok:
+                raise PreconditionError(f"{label}: metric is degenerate")
+            if args.command == "validate":
+                body = _report_validate(vrep)
+            elif args.command in ("compare", "isometry"):
+                body = {"compare": _report_compare, "isometry":
+                        _report_isometry}[args.command](spec, args, entry)
+            else:
+                body = _REPORTERS[args.command](spec, args)
+        except MetricLieError as exc:
+            if len(sources) == 1:
+                raise
+            message = str(exc).removeprefix(f"{label}: ")
+            print(f"error: {label}: {message}", file=sys.stderr)
+            reports.append({"source": label, "error": message,
+                            "exit_code": exc.exit_code})
+            code = max(code, exc.exit_code)
+            continue
         report = {"command": args.command, "source": label, "name": doc.name,
                   "dim": spec.dim, "mode": spec.mode}
         report.update(body)
         reports.append(report)
-    if len(reports) == 1:
-        return reports[0]
-    return {"results": reports}
+    return (reports[0] if len(reports) == 1 else {"results": reports}), code
 
 
 def _run_catalog(args):
@@ -431,9 +441,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "catalog":
-            payload = _run_catalog(args)
+            payload, code = _run_catalog(args), 0
         else:
-            payload = _run_analysis(args)
+            payload, code = _run_analysis(args)
     except MetricLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -441,7 +451,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(render(payload, args.format), args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -17,18 +17,15 @@ and for r = 2 or 3 the first candidate whose minimal polynomial has an
 irreducible squarefree part of degree r shows C/rad C to be that field.
 Either way every element's minimal polynomial is a power of one
 irreducible polynomial, which no coprime split can cut, so there the
-SEARCH_EXHAUSTED detail is proven, not enumerated.  `decompose` recurses
-on the pieces of each split; `decomposition_from_factors` runs the same
-search on each supplied factor and refuses one that splits.  A piece is
-carried as a subspace of the whole space and restricted once, from the
-top structure, and that restriction is its one strong-ideal and
-nondegeneracy test (see "Pieces" below).  Both hand their pieces to one
-packager, which re-verifies every claim from scratch before a
-Decomposition is returned; `--recheck` in the CLI is the same
-verification run again.  Each function
-takes a structure alone and reads the connection it carries
-(`connection_of`), so a certificate is checked against the structure's
-own connection, and a piece keeps the Γ sub-table `restrict` built.
+SEARCH_EXHAUSTED detail is proven, not enumerated.  C is solved once per
+structure and kept on it (`commutant_of`), beside its connection and
+annihilator report.  `decompose` carries each piece with the projection
+onto it along everything outside it, and splits it while the search on
+its corner of C (`_corner`, its own commutant) finds an idempotent;
+`decomposition_from_factors` searches each supplied factor's corner and
+refuses one that splits.  Both hand their pieces to one packager, which
+re-verifies every claim from scratch against what the structure alone
+derives; `--recheck` in the CLI is that check again.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from .algebra import (
     left_images,
     left_ops,
     nabla_apply,
+    piece_metric,
     restrict,
     right_images,
     right_ops,
@@ -144,23 +142,10 @@ def _req(cond, msg):
         raise CertificateError(msg)
 
 
-# ---------------------------------------------------------------------------
-# Pieces: a piece of the structure is a subspace of the whole space (its
-# carrier), and its tables come from one `restrict` of the top structure.
-#
-# Restricting from the top gives the same tables as restricting through the
-# pieces it was cut from.  Let c have canonical (RREF) basis C and let h be
-# a subspace of Q^{dim c} with canonical basis H.  C's pivot columns are
-# identity columns, so H·C is in RREF, with pivots at C's pivots picked by
-# H's: H·C is the canonical basis of h's image in the whole space.
-# Coordinates in it are read at those pivots, which is where coordinates in
-# C and then in H are read, so restricting to h inside c and restricting to
-# the image of h give equal Γ, bracket and metric tables.
-
-
 def _to_ambient(carrier, local_sub):
     """The image in the whole space of a subspace given in the coordinates
-    of `carrier`'s canonical basis."""
+    of `carrier`'s canonical basis, whose pivot columns are identity
+    columns: the mapped canonical basis is canonical as it stands."""
     rows = [row_apply(r, carrier.basis) for r in local_sub.rows]
     return Subspace.from_vectors(carrier.ambient_dim, rows)
 
@@ -249,11 +234,44 @@ def commutant(conn: ConnectionCoeffs):
     else:   # column-major back to row-major: T[x][y] moves to x·n + y
         sol = Subspace.from_vectors(nn, [[t[j % n * n + j // n]
                                           for j in range(nn)] for t in basis])
-    mats = tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
-                 for r in sol.rows)
     flat_id = tuple(x for row in Mat.identity(n).entries for x in row)
     assert sol.contains(flat_id), "commutant must contain the identity"
-    return mats
+    return _as_mats(sol, n)
+
+
+def _as_mats(sol, n):   # rows of a subspace of flattened n×n matrices
+    return tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
+                 for r in sol.rows)
+
+
+def commutant_of(spec: AlgebraSpec):
+    """`commutant` of the structure's connection, kept on the spec."""
+    if spec._commutant is None:
+        object.__setattr__(spec, "_commutant", commutant(connection_of(spec)))
+    return spec._commutant
+
+
+def _corner(spec, e, piece):
+    """Canonical basis of e·C·e on h = im e, on h's canonical basis H, for
+    C = `commutant_of(spec)`: coordinates on h are read at its pivots, so
+    e·T·e there is A·T·Hᵀ with A the rows of e at those pivots.  When h and
+    h′ = ker e are strong ideals (h′ is a sum of pieces and g0 ⊆ Ann),
+    ∇_x y ∈ h ∩ h′ = 0 for x in one and y in the other, and this is h's
+    own commutant, so the search on it is the one on restrict(spec, h):
+    ⊇: every L_y and R_y keeps h and h′, so e ∈ C, and e·T·e ∈ C for
+       T ∈ C maps h into h, where it commutes with h's operators.
+    ⊆: extend S on h by 0 on h′.  For y ∈ h, L_y and R_y act on h as h's
+       and vanish on h′; for y ∈ h′, they kill h and keep h′.  So they
+       commute with S ⊕ 0, which is in C and is e·(S ⊕ 0)·e.
+    Skipping `restrict` weakens no check: each piece is a sum of factors,
+    which the verifier checks to be nondegenerate strong ideals that sum
+    directly with g0 ⊆ Ann to the whole space."""
+    if piece.dim == 1:   # e restricts to 1 there, spanning all of M_1 = Q
+        return (Mat.identity(1),)
+    a = Mat.from_rows([e.row(p) for p in piece.pivots], e.ncols)
+    ht, k = piece.basis.transpose(), piece.dim
+    return _as_mats(Subspace.from_vectors(k * k, [
+        sum((a @ t @ ht).entries, ()) for t in commutant_of(spec)]), k)
 
 
 def _is_scalar_mat(m):
@@ -292,8 +310,8 @@ def _trace_form(comm):
     return Mat.from_rows(t, k)
 
 
-def _search(conn, seed, budget):
-    """Search the commutant C of the connection operators of `conn` for a
+def _search(comm, seed, budget):
+    """Search the commutant C with canonical basis `comm` for a
     nontrivial idempotent.  Returns (idempotent Mat, None) on a split,
     else (None, Evidence) saying why the structure is taken as
     indecomposable.
@@ -316,7 +334,6 @@ def _search(conn, seed, budget):
     returned; its detail names the candidates the loop would have tried,
     and that none of them splits is proven, not enumerated.  Degree 4 and
     above would need a factorization over Q, and keeps the loop."""
-    comm = commutant(conn)
     if len(comm) == 1:
         return None, Evidence(EVIDENCE_COMMUTANT_TRIVIAL,
                               "commutant dimension 1")
@@ -346,50 +363,55 @@ def _search(conn, seed, budget):
         assert g == (Fraction(1),)
         e = poly_eval_mat(poly_mul(u, f), t)
         assert e @ e == e
-        if e.is_zero() or e == Mat.identity(conn.dim):
+        if e.is_zero() or e == Mat.identity(e.nrows):
             continue
         return e, None
     return None, exhausted
 
 
 # ---------------------------------------------------------------------------
-# The recursive splitter and the packager
+# The splitter and the packager
 
 
-def _split(spec, carrier, orthogonal_mode, seed, budget):
-    """(ambient factor, evidence) pairs of the indecomposable pieces of the
-    strong ideal `carrier`, splitting recursively wherever the search finds
-    an idempotent.  A proper carrier is restricted from the top structure,
-    which is its one strong-ideal and nondegeneracy test: split pieces are
-    strong ideals of the whole structure, as ∇ vanishes between
-    complementary strong ideals and on the annihilator block g0."""
-    sub_spec = restrict(spec, carrier) if carrier.dim < spec.dim else spec
-    e, ev = _search(connection_of(sub_spec), seed, budget)
-    if e is None:
-        return [(carrier, ev)]
-    h1 = column_space(e)
-    if orthogonal_mode:
-        h2 = orthogonal_complement(h1, sub_spec.metric)
-    else:
-        h2 = kernel(e)
+def _split(spec, piece, e, orthogonal_mode, seed, budget):
+    """(factor, projection, evidence) triples of the indecomposable pieces
+    of the strong ideal `piece`, which e projects onto along everything
+    outside it.  A part's projection is e, then the split's projection
+    onto the part, so a factor's is its certificate idempotent."""
+    f, ev = _search(_corner(spec, e, piece), seed, budget)
+    if f is None:
+        return [(piece, e, ev)]
+    k = piece.dim
+    h1 = column_space(f)
+    h2 = (orthogonal_complement(h1, spec.metric.restrict(piece))
+          if orthogonal_mode else kernel(f))
     _req(subspace_intersect(h1, h2).dim == 0
-         and subspace_sum(h1, h2) == Subspace.full(carrier.dim),
+         and subspace_sum(h1, h2) == Subspace.full(k),
          "split is not a direct sum")
+    a = Mat.from_rows([e.row(p) for p in piece.pivots], e.ncols)
     out = []
-    for sub in (h1, h2):
-        out.extend(_split(spec, _to_ambient(carrier, sub), orthogonal_mode,
+    for sub, qs in zip((h1, h2), _factor_projections(k, (h1, h2), None)):
+        out.extend(_split(spec, _to_ambient(piece, sub),
+                          piece.basis.transpose() @ qs @ a, orthogonal_mode,
                           seed, budget))
     return out
 
 
-def _projection_matrix(n, target: Subspace, along: Subspace) -> Mat:
-    rows = list(target.rows) + list(along.rows)
-    s = Mat.from_rows(rows, n)
-    assert s.shape == (n, n), "projection pieces do not span"
-    st = s.transpose()
-    d = Mat.from_rows([[Fraction(1 if (i == j and i < target.dim) else 0)
-                        for j in range(n)] for i in range(n)], n)
-    return st @ d @ st.inverse()
+def _factor_projections(n, factors, g0):
+    """The projection onto each factor along the others and g0: its basis
+    as columns times its block of rows of S⁻¹, for S all the bases as
+    columns; PreconditionError unless they sum directly to the space."""
+    pieces = list(factors) + ([g0] if g0 is not None else [])
+    s = Mat.from_rows([r for p in pieces for r in p.rows], n).transpose()
+    if s.shape != (n, n) or s.rank() != n:
+        raise PreconditionError("factors and g0 do not sum directly to the "
+                                "whole space")
+    sinv, out, at = s.inverse(), [], 0
+    for f in factors:
+        out.append(f.basis.transpose()
+                   @ Mat.from_rows(sinv.entries[at:at + f.dim], n))
+        at += f.dim
+    return out
 
 
 def _span_of(n, subspaces):
@@ -397,17 +419,6 @@ def _span_of(n, subspaces):
     for s in subspaces:
         out = subspace_sum(out, s)
     return out
-
-
-def _factor_projections(spec, factors, g0):
-    n = spec.dim
-    out = []
-    for i, f in enumerate(factors):
-        others = [x for j, x in enumerate(factors) if j != i]
-        if g0 is not None:
-            others.append(g0)
-        out.append(LinearMap(_projection_matrix(n, f, _span_of(n, others))))
-    return tuple(out)
 
 
 def _pairwise_orthogonal(spec, factors, g0):
@@ -422,15 +433,15 @@ def _pairwise_orthogonal(spec, factors, g0):
 
 
 def _package(spec, pieces, g0, case, note):
-    """Sort the (factor, evidence) pieces, attach the projections and the
+    """Sort the (factor, projection, evidence) pieces, attach the
     orthogonality flag, and verify the result from scratch."""
-    pieces = sorted(pieces, key=lambda fe: (fe[0].dim, fe[0].basis.entries))
-    factors = tuple(f for f, _ in pieces)
-    evidence = tuple(ev for _, ev in pieces)
+    pieces = sorted(pieces, key=lambda p: (p[0].dim, p[0].basis.entries))
+    factors = tuple(f for f, _, _ in pieces)
     dec = Decomposition(
         factors=factors,
         g0=g0,
-        certificate=Certificate(_factor_projections(spec, factors, g0), evidence),
+        certificate=Certificate(tuple(LinearMap(e) for _, e, _ in pieces),
+                                tuple(ev for _, _, ev in pieces)),
         orthogonal=_pairwise_orthogonal(spec, factors, g0),
         case=case,
         note=note,
@@ -448,26 +459,29 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
     g0 = None
     note = None
 
+    whole = Mat.identity(n)
     if report.case == CASE_ANN_R_FULL:
         # every operator vanishes; split along a diagonalizing basis
+        lines = [Subspace.from_vectors(n, [row]) for row in
+                 congruent_diagonalize(spec.metric).basis_change.entries]
         pieces = []
-        for row in congruent_diagonalize(spec.metric).basis_change.entries:
-            line = Subspace.from_vectors(n, [row])
-            pieces.extend(_split(spec, line, True, seed, budget))
+        for line, e in zip(lines, _factor_projections(n, lines, None)):
+            pieces.extend(_split(spec, line, e, True, seed, budget))
     elif report.case in (CASE_ANN_R_ZERO, CASE_ANN_R_EQ_ANN):
         g0_sub = subspace_complement(report.ann_r_radical, report.ann_r)
-        rest = Subspace.full(n)
+        rest, e = Subspace.full(n), whole
         if g0_sub.dim:
             g0 = g0_sub
             rest = orthogonal_complement(g0_sub, spec.metric)
             _req(subspace_intersect(g0_sub, rest).dim == 0,
                  "annihilator complement is degenerate")
-        pieces = _split(spec, rest, True, seed, budget)
+            e = _factor_projections(n, [rest], g0)[0]
+        pieces = _split(spec, rest, e, True, seed, budget)
     elif report.case == CASE_ISOTROPIC:
-        pieces = _split(spec, Subspace.full(n), False, seed, budget)
+        pieces = _split(spec, Subspace.full(n), whole, False, seed, budget)
     else:
         assert report.case == CASE_NON_ISOTROPIC
-        pieces = [(Subspace.full(n),
+        pieces = [(Subspace.full(n), whole,
                    Evidence(EVIDENCE_NOT_CLAIMED,
                             "Ann_R is non-isotropic and differs from Ann; no "
                             "direct-sum statement covers this case"))]
@@ -479,16 +493,21 @@ def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
                                seed=DEFAULT_SEED,
                                budget=DEFAULT_BUDGET) -> Decomposition:
     """Package externally supplied factors as a verified Decomposition
-    (used to feed alternative decompositions to the comparison tools)."""
-    report = ann_report(spec)
-    pieces = []
+    (used to feed alternative decompositions to the comparison tools); a
+    factor whose corner splits, once `_corner`'s premises hold, is refused."""
+    projections = _factor_projections(spec.dim, factors, g0)
     for f in factors:
-        # restrict refuses a factor that is not a nondegenerate strong ideal
-        e, ev = _search(connection_of(restrict(spec, f)), seed, budget)
-        if e is not None:
+        piece_metric(spec, f)
+    report = ann_report(spec)
+    _req(g0 is None or report.ann.contains_subspace(g0),
+         "g0 is not inside the two-sided annihilator")
+    pieces = []
+    for f, e in zip(factors, projections):
+        idem, ev = _search(_corner(spec, e, f), seed, budget)
+        if idem is not None:
             raise PreconditionError("factor is decomposable; not a "
                                     "decomposition into indecomposables")
-        pieces.append((f, ev))
+        pieces.append((f, e, ev))
     return _package(spec, pieces, g0, report.case, None)
 
 
@@ -680,11 +699,9 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
     projections = []
     strong_hom = []
     isometric = []
+    onto_b = _factor_projections(n, fb, dec_b.g0)
     for i, j in matching:
-        others = [p for t, p in enumerate(fb) if t != j]
-        if dec_b.g0 is not None:
-            others.append(dec_b.g0)
-        pm = _projection_matrix(n, fb[j], _span_of(n, others))
+        pm = onto_b[j]
         projections.append(LinearMap(pm))
         hom = True
         iso = True

@@ -95,6 +95,8 @@ class AnnReport:
 
 
 def ann_report(spec: AlgebraSpec) -> AnnReport:
+    if spec._ann_report is not None:   # derived once, kept on the spec
+        return spec._ann_report
     n = spec.dim
     conn = connection_of(spec)
     a_r = ann_r(conn)
@@ -117,5 +119,7 @@ def ann_report(spec: AlgebraSpec) -> AnnReport:
         case = CASE_ANN_R_EQ_ANN
     else:
         case = CASE_NON_ISOTROPIC
-    return AnnReport(ann_r=a_r, ann=a, nabla_gg=ngg, ann_r_radical=rad,
-                     isotropic=iso, ann_r_equals_ann=eq, case=case)
+    rep = AnnReport(ann_r=a_r, ann=a, nabla_gg=ngg, ann_r_radical=rad,
+                    isotropic=iso, ann_r_equals_ann=eq, case=case)
+    object.__setattr__(spec, "_ann_report", rep)
+    return rep

@@ -281,6 +281,37 @@ def test_multiple_sources_are_ordered(capsys, tmp_path):
     assert results[1]["case"] == "ANN_R_FULL"
 
 
+def test_a_failing_source_among_several_becomes_a_record(capsys, tmp_path):
+    """With several sources, one that fails is reported in place and the
+    others still run; the exit code is the highest seen.  A single source
+    keeps its stdout, stderr and exit code."""
+    names = ("abelian_2", "e2_flat", "so3_killing_neg")
+    argv = ["isometry", "--format", "json"]
+    code, out, err = run(capsys, *argv, *(a for name in names
+                                          for a in ("--catalog", name)))
+    assert code == 2
+    results = json.loads(out)["results"]
+    assert [r["source"] for r in results] == list(names)
+    code, single_out, single_err = run(capsys, *argv, "--catalog", "e2_flat")
+    assert (code, single_out) == (2, "")
+    message = single_err.removeprefix("error: ").rstrip("\n")
+    assert results[1] == {"source": "e2_flat", "error": message,
+                          "exit_code": 2}
+    assert err == f"error: e2_flat: {message}\n"
+    for i in (0, 2):
+        code, single_out, _ = run(capsys, *argv, "--catalog", names[i])
+        assert code == 0 and json.loads(single_out) == results[i]
+    degenerate = tmp_path / "degen.json"
+    degenerate.write_text(json.dumps({
+        "name": "degen", "dim": 1, "basis": ["a"], "mode": "bracket",
+        "brackets": [], "metric": []}))
+    code, out, err = run(capsys, "ann", "--input", str(degenerate),
+                         "--catalog", "abelian_3", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["results"][0]["error"] == "metric is degenerate"
+    assert err == f"error: {degenerate}: metric is degenerate\n"
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     _, out, _ = run(capsys, "ricci", "--catalog", "heisenberg3_euclid",
                     "--format", "json")

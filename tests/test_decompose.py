@@ -25,7 +25,7 @@ from metriclie import (
     right_ops,
     verify_decomposition,
 )
-from metriclie.catalog import catalog_get
+from metriclie.catalog import catalog_get, catalog_list
 from metriclie.algebra import restrict
 from metriclie.decompose import (
     DEFAULT_BUDGET,
@@ -34,7 +34,7 @@ from metriclie.decompose import (
     LinearMap,
     NotApplicable,
     _candidate_mats,
-    _projection_matrix,
+    _factor_projections,
     _to_ambient,
     _trace_form,
 )
@@ -138,7 +138,7 @@ def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
     f1, f2 = dec.factors
     skew = Subspace.from_vectors(
         spec.dim, [vec_add(v, f1.rows[0]) for v in f2.rows])
-    e = _projection_matrix(spec.dim, f1, skew)
+    (e,) = _factor_projections(spec.dim, [f1], skew)
     assert e @ e == e and column_space(e) == f1
     cert = replace(dec.certificate, splitting_idempotents=(
         LinearMap(e),) + dec.certificate.splitting_idempotents[1:])
@@ -186,6 +186,17 @@ def test_supplied_factor_that_splits_is_refused(loaded):
     spec, _ = loaded["so3_x_so3"]
     with pytest.raises(PreconditionError):
         decomposition_from_factors(spec, [Subspace.full(6)])
+
+
+def test_supplied_factors_must_sum_directly_to_the_whole_space(
+        loaded, decomposed):
+    """Overlapping factors, and factors that do not span, are refused
+    before any projection is built."""
+    spec, _ = loaded["so3_x_so3"]
+    f1, _ = decomposed["so3_x_so3"].factors
+    for factors in ([f1, f1], [f1]):
+        with pytest.raises(PreconditionError, match="sum directly"):
+            decomposition_from_factors(spec, factors)
 
 
 def test_supplied_non_ideal_is_refused(loaded):
@@ -478,27 +489,30 @@ def _direct_sum(*specs):
     return AlgebraSpec(n, tuple(names), table, SymForm(Mat.from_rows(gram, n)))
 
 
+def _triple(loaded):
+    return _direct_sum(*(loaded[name][0] for name in
+                         ("so3_killing_neg", "sl2_killing", "so3_killing_neg")))
+
+
 def test_restricting_from_the_top_equals_restricting_twice(
         shipped_and_generic, loaded, monkeypatch):
-    """Every piece `decompose` restricts, and the whole space, paired with
-    each piece inside it: one restriction from the top gives the tables and
-    metric of restricting to the outer piece and then to the inner one.
+    """Every carrier `_split` visits, and the whole space, paired with each
+    carrier inside it: one restriction from the top gives the tables and
+    metric of restricting to the outer carrier and then to the inner one.
     so3 ⊕ sl2 ⊕ so3 adds pieces of pieces, which no catalog entry has."""
     module = importlib.import_module("metriclie.decompose")
-    triple = _direct_sum(*(loaded[name][0] for name in
-                           ("so3_killing_neg", "sl2_killing",
-                            "so3_killing_neg")))
+    split = module._split
+    triple = _triple(loaded)
     cases = list(shipped_and_generic) + [
         ("so3+sl2+so3", triple, connection_of(triple))]
     proper_pairs = 0
     for label, spec, _ in cases:
         visited = [Subspace.full(spec.dim)]
 
-        def recording(s, h, spec=spec, visited=visited):
-            if s is spec:
-                visited.append(h)
-            return restrict(s, h)
-        monkeypatch.setattr(module, "restrict", recording)
+        def recording(s, piece, *rest, visited=visited):
+            visited.append(piece)
+            return split(s, piece, *rest)
+        monkeypatch.setattr(module, "_split", recording)
         decompose(spec)
         monkeypatch.undo()
         for outer in visited:
@@ -530,8 +544,87 @@ def test_pieces_of_pieces_derive_no_connection(loaded, monkeypatch):
         derived.append(spec)
         return derive(spec)
     monkeypatch.setattr(algebra, "derive_connection", counting)
-    triple = _direct_sum(*(loaded[name][0] for name in
-                           ("so3_killing_neg", "sl2_killing",
-                            "so3_killing_neg")))
+    triple = _triple(loaded)
     assert len(decompose(triple).factors) == 3
     assert len(derived) == 1 and derived[0] is triple
+
+
+def test_a_corner_of_the_commutant_is_the_pieces_own_commutant(
+        shipped_and_generic, loaded, decomposed, so3_over_fields, rebased,
+        monkeypatch):
+    """The corner e·C·e of every piece `_split` visits and of every
+    supplied factor is, matrix for matrix, the commutant of the piece
+    restricted from the top: on every catalog entry as shipped and in a
+    generic basis, nonorthogonal8 included (its factors come from
+    non-central idempotents, so C does not keep each piece), on
+    so3 ⊕ sl2 ⊕ so3, on the n = 12 block ladder rung
+    so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3), and on the catalog's alternative factors."""
+    module = importlib.import_module("metriclie.decompose")
+    corner = module._corner
+    checked = []
+
+    def checking(spec, e, piece):
+        out = corner(spec, e, piece)
+        assert out == commutant(connection_of(restrict(spec, piece)))
+        checked.append(piece)
+        return out
+    monkeypatch.setattr(module, "_corner", checking)
+    cases = [(spec, None) for _, spec, _ in shipped_and_generic]
+    cases += [(rebased(loaded["nonorthogonal8"][0]), None),
+              (_triple(loaded), None), (so3_over_fields(2, 3), None)]
+    cases += [(loaded[name][0], name) for name in catalog_list()
+              if catalog_get(name).alt_factors is not None]
+    for spec, alt in cases:
+        if alt is None:
+            decompose(spec)
+        else:
+            decomposition_from_factors(
+                spec, list(catalog_get(alt).alt_subspaces()),
+                decomposed[alt].g0)
+    assert len(checked) > len(cases)
+
+
+def test_one_commutant_and_one_annihilator_report_per_structure(
+        loaded, monkeypatch, capsys):
+    """`decompose`, `compare` and `isometry` solve the commutant at most
+    once and derive the annihilator report once per structure (a spec and
+    its re-based copy are two), and `decompose` restricts nothing."""
+    from metriclie import algebra, ideals
+    from metriclie.cli import main
+    module = importlib.import_module("metriclie.decompose")
+    solve, report_type = module.commutant, ideals.AnnReport
+    solved, reports, restricted = [], [], []
+
+    def counting_commutant(conn):
+        solved.append(conn)   # kept alive, so ids stay distinct
+        return solve(conn)
+
+    def counting_report(**kwargs):
+        reports.append(kwargs)
+        return report_type(**kwargs)
+
+    def counting_restrict(spec, h):
+        restricted.append(h)
+        return restrict(spec, h)
+    monkeypatch.setattr(module, "commutant", counting_commutant)
+    monkeypatch.setattr(ideals, "AnnReport", counting_report)
+    monkeypatch.setattr(module, "restrict", counting_restrict)
+    monkeypatch.setattr(algebra, "restrict", counting_restrict)
+    for name, (spec, _) in loaded.items():
+        entry = catalog_get(name)
+        for command in ("decompose", "compare", "isometry"):
+            if command != "decompose" and spec.dim > 5:
+                continue
+            structures = 1 if command == "decompose" or entry.alt_factors \
+                else 2
+            del solved[:], reports[:], restricted[:]
+            code = main([command, "--catalog", name, "--format", "json"])
+            capsys.readouterr()
+            assert code in (0, 2), (command, name)
+            assert len(reports) == structures, (command, name)
+            assert len(set(map(id, solved))) == len(solved) <= structures, \
+                (command, name)
+            if command == "decompose":   # lines need no commutant
+                assert restricted == [], name
+                assert len(solved) == (reports[0]["case"] not in
+                                       ("NON_ISOTROPIC", "ANN_R_FULL")), name

@@ -13,6 +13,8 @@ and says in its description which outputs changed and why.
 
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -51,6 +53,20 @@ def test_machine_output_matches_the_golden_digests():
     mismatched = [key for key, expected in golden.items()
                   if run_case(*key.split(" ")) != expected]
     assert not mismatched
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_bound():
+    """perfbench/spans.py wraps layer functions by name and fails a traced
+    run on a missing one; this catches it without running the benchmark."""
+    path = GOLDEN.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    _, search_home, search_names = spans.SEARCH
+    for home, names in [*spans.LAYERS.values(), (search_home, search_names)]:
+        module = importlib.import_module(f"metriclie.{home}")
+        for name in names:
+            assert callable(getattr(module, name, None)), (home, name)
 
 
 if __name__ == "__main__":
