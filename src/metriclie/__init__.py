@@ -45,7 +45,6 @@ from .decompose import (
     Evidence,
     FiltrationChain,
     FlatSplit,
-    LinearMap,
     NotApplicable,
     Unsupported,
     adapted_basis,
@@ -103,7 +102,7 @@ __all__ = [
     "ricci",
     "DEFAULT_BUDGET", "DEFAULT_SEED", "AdaptedBasis", "Certificate",
     "CompareReport", "Decomposition", "Evidence", "FiltrationChain",
-    "FlatSplit", "LinearMap", "NotApplicable", "Unsupported", "adapted_basis",
+    "FlatSplit", "NotApplicable", "Unsupported", "adapted_basis",
     "build_strong_isometry", "commutant", "compare_decompositions",
     "decompose", "decomposition_from_factors", "filtration",
     "flat_riemannian_structure", "nabla_span", "verify_decomposition",

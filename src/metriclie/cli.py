@@ -3,9 +3,10 @@
 Commands: validate, connection, curvature, ricci, classify, ann, decompose,
 filtration, compare, isometry, catalog.  Inputs come from files (--input,
 repeatable) and/or the built-in catalog (--catalog, repeatable); results are
-emitted in that order, files first.  Machine output (--format json) is
-deterministic: given the same inputs, seed, and budget the bytes are
-identical, and every number is a rational string.
+emitted in that order, files first.  Only decompose, compare and isometry
+search, and only they take --seed and --budget.  Machine output (--format
+json) is deterministic: given the same inputs, seed, and budget the bytes
+are identical, and every number is a rational string.
 
 Exit codes: 0 success, 1 usage or input-format error, 2 precondition
 failure (degenerate metric and similar), 3 certificate check failure.
@@ -80,13 +81,15 @@ def build_parser():
         p.add_argument("--catalog", action="append", default=[],
                        metavar="NAME", help="built-in entry (repeatable)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=_int_arg, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET)
         p.add_argument("--output", metavar="FILE", default=None)
 
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run {name}")
         add_common(p)
+        if name in ("decompose", "compare", "isometry"):   # they search
+            p.add_argument("--seed", type=_int_arg, default=DEFAULT_SEED)
+            p.add_argument("--budget", type=_budget_arg,
+                           default=DEFAULT_BUDGET)
         if name == "decompose":
             p.add_argument("--recheck", action="store_true",
                            help="re-verify the certificate from scratch")
@@ -212,7 +215,7 @@ def _decomposition_payload(dec):
         "factors": [_subspace(f) for f in dec.factors],
         "g0": None if dec.g0 is None else _subspace(dec.g0),
         "certificate": {
-            "splitting_idempotents": [_mat(e.matrix)
+            "splitting_idempotents": [_mat(e)
                                       for e in cert.splitting_idempotents],
             "indecomposability_evidence": [
                 {"kind": ev.kind, "detail": ev.detail}
@@ -289,7 +292,7 @@ def _report_compare(spec, args, entry):
         "orthogonal": list(rep.orthogonal),
         "g0_dims": None if rep.g0_dims is None else list(rep.g0_dims),
         "g0_ok": rep.g0_ok,
-        "projections": [_mat(p.matrix) for p in rep.projections],
+        "projections": [_mat(p) for p in rep.projections],
     }
 
 
@@ -300,7 +303,7 @@ def _report_isometry(spec, args, entry):
         return {"partner": partner, "status": "unsupported",
                 "reason": result.reason}
     return {"partner": partner, "status": "isometry",
-            "matrix": _mat(result.matrix)}
+            "matrix": _mat(result)}
 
 
 _REPORTERS = {
@@ -314,27 +317,20 @@ _REPORTERS = {
 }
 
 
-def _gather_sources(args):
-    sources = []
-    for path in args.input:
-        doc = load_path(path)
-        sources.append((path, None, doc))
-    for name in args.catalog:
-        entry = catalog_get(name)
-        sources.append((name, entry, entry.load()))
-    return sources
-
-
 def _run_analysis(args):
-    """(payload, exit code).  With several sources, one that fails becomes
-    an error record, and the run goes on and exits with the highest code."""
-    sources = _gather_sources(args)
+    """(payload, exit code).  With several sources, one that fails, in
+    loading or in analysis, becomes an error record, and the run goes on
+    and exits with the highest code."""
+    sources = [(path, True) for path in args.input] + \
+        [(name, False) for name in args.catalog]
     if not sources:
         raise InputFormatError("no inputs: pass --input FILE or --catalog NAME")
     reports, code = [], 0
-    for label, entry, doc in sources:
-        spec = doc.spec
+    for label, is_file in sources:
         try:
+            entry = None if is_file else catalog_get(label)
+            doc = load_path(label) if is_file else entry.load()
+            spec = doc.spec
             vrep = validate(spec)
             if not vrep.jacobi_ok:
                 print(f"warning: {label}: Jacobi identity fails on "

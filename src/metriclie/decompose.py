@@ -25,7 +25,9 @@ its corner of C (`_corner`, its own commutant) finds an idempotent;
 `decomposition_from_factors` searches each supplied factor's corner and
 refuses one that splits.  Both hand their pieces to one packager, which
 re-verifies every claim from scratch against what the structure alone
-derives; `--recheck` in the CLI is that check again.
+derives; `--recheck` in the CLI is that check again.  It pins each
+certificate idempotent to the projection onto its factor along the other
+pieces, and the comparison tools read their projections from it.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
     vec_sub,
-    zero_vec,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -103,14 +104,6 @@ EVIDENCE_KINDS = (EVIDENCE_COMMUTANT_TRIVIAL, EVIDENCE_SEARCH_EXHAUSTED,
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    matrix: Mat   # column action
-
-    def apply(self, v):
-        return self.matrix.apply(v)
-
-
-@dataclass(frozen=True)
 class Evidence:
     kind: str
     detail: str
@@ -118,7 +111,7 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Certificate:
-    splitting_idempotents: tuple   # one per factor: projection onto it
+    splitting_idempotents: tuple   # per factor: projection Mat onto it
     indecomposability_evidence: tuple   # parallel to factors
 
 
@@ -414,13 +407,6 @@ def _factor_projections(n, factors, g0):
     return out
 
 
-def _span_of(n, subspaces):
-    out = Subspace.zero(n)
-    for s in subspaces:
-        out = subspace_sum(out, s)
-    return out
-
-
 def _pairwise_orthogonal(spec, factors, g0):
     pieces = list(factors) + ([g0] if g0 is not None else [])
     for i in range(len(pieces)):
@@ -440,7 +426,7 @@ def _package(spec, pieces, g0, case, note):
     dec = Decomposition(
         factors=factors,
         g0=g0,
-        certificate=Certificate(tuple(LinearMap(e) for _, e, _ in pieces),
+        certificate=Certificate(tuple(e for _, e, _ in pieces),
                                 tuple(ev for _, _, ev in pieces)),
         orthogonal=_pairwise_orthogonal(spec, factors, g0),
         case=case,
@@ -515,21 +501,28 @@ def verify_decomposition(spec: AlgebraSpec, dec: Decomposition):
     """Re-derive every claim the Decomposition makes, on the structure's own
     connection; CertificateError on any mismatch.  The --recheck path.
 
+    The projections onto the factors along the other pieces come from one
+    inverse (`_factor_projections`), which exists exactly when the factors
+    and g0 sum directly to the whole space, and each idempotent must equal
+    its factor's.  For V = f ⊕ W that is the whole idempotent check: a map
+    e has e² = e, im e = f and ker e = W exactly when e is the projection
+    onto f along W.
+
     That each idempotent commutes with the 2n connection operators is
     implied, not multiplied out.  A projection e commutes with an operator
-    T exactly when T preserves both im e and ker e.  The image is checked
-    to be the factor, a strong ideal, which every L_i and R_j preserves.
-    The kernel is checked to be the sum of the other factors, each a
-    strong ideal, and of g0, which is checked to lie in the two-sided
+    T exactly when T preserves both im e and ker e.  The image is the
+    factor, checked to be a strong ideal, which every L_i and R_j
+    preserves.  The kernel is the sum of the other factors, each a strong
+    ideal, and of g0, which is checked to lie in the two-sided
     annihilator, so every operator sends it to zero.  So every operator
     preserves the kernel too, and no kernel needs its own strong-ideal
     test."""
-    n = spec.dim
     conn = connection_of(spec)
-    pieces = list(dec.factors) + ([dec.g0] if dec.g0 is not None else [])
-    _req(sum(p.dim for p in pieces) == n and
-         _span_of(n, pieces) == Subspace.full(n),
-         "pieces do not sum directly to the whole space")
+    try:
+        projections = _factor_projections(spec.dim, dec.factors, dec.g0)
+    except PreconditionError:
+        raise CertificateError("pieces do not sum directly to the whole "
+                               "space") from None
     for f in dec.factors:
         _req(f.dim > 0, "zero factor")
         _req(is_strong_ideal(f, conn), "factor is not a strong ideal")
@@ -551,12 +544,9 @@ def verify_decomposition(spec: AlgebraSpec, dec: Decomposition):
          "certificate evidence count mismatch")
     for ev in cert.indecomposability_evidence:
         _req(ev.kind in EVIDENCE_KINDS, f"unknown evidence kind {ev.kind!r}")
-    for lm, f in zip(cert.splitting_idempotents, dec.factors):
-        e = lm.matrix
-        _req(e @ e == e, "certificate idempotent is not idempotent")
-        _req(column_space(e) == f, "idempotent image is not its factor")
-        _req(kernel(e) == _span_of(n, [p for p in pieces if p != f]),
-             "idempotent kernel is not the complementary sum")
+    for e, p in zip(cert.splitting_idempotents, projections):
+        _req(e == p, "idempotent is not the projection onto its factor "
+             "along the other pieces")
     _req(dec.case == rep.case, "case tag does not match the structure")
 
 
@@ -616,8 +606,9 @@ def nabla_span(conn: ConnectionCoeffs, a: Subspace, b: Subspace) -> Subspace:
 def _match_factors(spec, dec_a, dec_b):
     """Pair the factors: literal equality first, then the unique partner
     with a nonzero ∇-interaction; leftovers (inert factors, ∇FF = 0) are
-    paired by dimension, preferring a partner whose diagonalized metric
-    has the same square-class multiset.  Returns (matching, matched_by)."""
+    paired by dimension, preferring a partner whose diagonal norms pair
+    off by rational squares (`_inert_pair_map`).  Returns (matching,
+    matched_by)."""
     conn = connection_of(spec)
     fa, fb = dec_a.factors, dec_b.factors
     _req(len(fa) == len(fb), "factor counts differ")
@@ -645,9 +636,8 @@ def _match_factors(spec, dec_a, dec_b):
         js = [j for j in range(len(fb)) if j not in used
               and fb[j].dim == fa[i].dim]
         _req(js, "no dimension-compatible partner for an inert factor")
-        key = _inert_class_key(spec, fa[i])
-        same = [j for j in js if _inert_class_key(spec, fb[j]) == key]
-        pick = same[0] if same else js[0]
+        pick = next((j for j in js if _inert_pair_map(spec, fa[i], fb[j])
+                     is not None), js[0])
         result[i] = (pick, "inert")
         used.add(pick)
     matching = tuple((i, result[i][0]) for i in range(len(fa)))
@@ -673,7 +663,6 @@ class CompareReport:
 def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
                            dec_b: Decomposition) -> CompareReport:
     conn = connection_of(spec)
-    n = spec.dim
     matching, matched_by = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
 
@@ -696,13 +685,13 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
                     nabla_span(conn, fb[l], fa[i]).dim > 0:
                 cross_ok = False
 
+    # the projection onto each B-factor along the rest is its idempotent
     projections = []
     strong_hom = []
     isometric = []
-    onto_b = _factor_projections(n, fb, dec_b.g0)
     for i, j in matching:
-        pm = onto_b[j]
-        projections.append(LinearMap(pm))
+        pm = dec_b.certificate.splitting_idempotents[j]
+        projections.append(pm)
         hom = True
         iso = True
         for x in fa[i].rows:
@@ -821,41 +810,6 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
                         diagonal=tuple(diag_norms), pairings=gram)
 
 
-def _components(n, v, pieces):
-    """Split v along an independent (not necessarily spanning) list of
-    subspaces; v must lie in their sum."""
-    rows = []
-    for p in pieces:
-        rows.extend(p.rows)
-    m = Mat.from_rows(rows, n)
-    assert m.rank() == m.nrows, "component pieces are not independent"
-    alpha = solve(m.transpose(), v)
-    assert alpha is not None, "vector lies outside the pieces"
-    out = []
-    at = 0
-    for p in pieces:
-        out.append(lin_comb(alpha[at:at + p.dim], p.rows, n))
-        at += p.dim
-    return out
-
-
-def _square_class_key(d):
-    s = 1 if d > 0 else -1
-    m = abs(d.numerator * d.denominator)
-    sf = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            cnt = 0
-            while m % p == 0:
-                m //= p
-                cnt += 1
-            if cnt % 2:
-                sf *= p
-        p += 1
-    return s * sf * m
-
-
 def _diag_lines(spec, factor):
     """Orthogonal line decomposition of an inert factor with norms."""
     form = spec.metric
@@ -867,24 +821,25 @@ def _diag_lines(spec, factor):
     return out
 
 
-def _inert_class_key(spec, factor):
-    return sorted(_square_class_key(d) for _, d in _diag_lines(spec, factor))
-
-
 def _inert_pair_map(spec, f_a, f_b):
-    """Source/image vector pairs for an inert factor pair, matching
-    orthogonal lines by rational square class; None if impossible."""
-    la = sorted(_diag_lines(spec, f_a), key=lambda vd: _square_class_key(vd[1]))
-    lb = sorted(_diag_lines(spec, f_b), key=lambda vd: _square_class_key(vd[1]))
-    if [_square_class_key(d) for _, d in la] != \
-            [_square_class_key(d) for _, d in lb]:
+    """Source/image vector pairs for an inert factor pair; None if
+    impossible.  Two norms are in one square class exactly when their
+    ratio is a rational square, an equivalence relation, so each line of
+    f_a takes the first unused line of f_b in its class: a pairing exists
+    exactly when the class multisets agree, and no norm is factored."""
+    lb = _diag_lines(spec, f_b)
+    if len(lb) != f_a.dim:
         return None
     sources = []
     images = []
-    for (va, da), (vb, db) in zip(la, lb):
-        lam = rational_sqrt(da / db)
-        if lam is None:
+    for va, da in _diag_lines(spec, f_a):
+        for at, (vb, db) in enumerate(lb):
+            lam = rational_sqrt(da / db)
+            if lam is not None:
+                break
+        else:
             return None
+        del lb[at]
         sources.append(va)
         images.append(vec_scale(lam, vb))
     return sources, images
@@ -897,7 +852,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     g0).  Requires the one- and two-sided annihilators to coincide and
     both decompositions to be orthogonal; when the annihilators differ the
     uniqueness statement only provides the factor-matching report, not an
-    ambient isometry.  Returns LinearMap, or Unsupported when the only
+    ambient isometry.  Returns the map's Mat, or Unsupported when the only
     obstruction is irrational norm matching between inert factors."""
     conn = connection_of(spec)
     n = spec.dim
@@ -915,11 +870,13 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
 
     matching, _ = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
+    onto_b = dec_b.certificate.splitting_idempotents
     sources = []
     images = []
 
-    b_pieces = list(fb) + ([dec_b.g0] if dec_b.g0 is not None else [])
-    rad = report.ann_r_radical
+    to_g0_b = Mat.identity(n)   # onto dec_b's g0 along its factors
+    for e in onto_b:
+        to_g0_b -= e
     failed_inert = []
     for i, j in matching:
         nff = nabla_span(conn, fa[i], fa[i])
@@ -948,20 +905,16 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
             sources.append(x)
             images.append(x)    # the shared block maps identically
         if k:
-            comps = [_components(n, ab.vectors[s + p], b_pieces)
-                     for p in range(k)]
-            if dec_b.g0 is not None:
-                p0 = [comps[p][len(fb)] for p in range(k)]
-            else:
-                p0 = [zero_vec(n) for _ in range(k)]
+            duals = ab.vectors[s:]
+            p0 = [to_g0_b.apply(v) for v in duals]
             b = [[Fraction(0)] * k for _ in range(k)]
             for p in range(k):
                 for q in range(k):
                     val = form.pair(p0[p], p0[q])
                     b[p][q] = val / 2 if p == q else val
             for p in range(k):
-                sources.append(ab.vectors[s + p])
-                images.append(vec_add(comps[p][j],
+                sources.append(duals[p])
+                images.append(vec_add(onto_b[j].apply(duals[p]),
                                       lin_comb(b[p][p:], ab.vectors[p:k], n)))
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
@@ -971,10 +924,11 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     if dec_a.g0 is not None or dec_b.g0 is not None:
         _req(dec_a.g0 is not None and dec_b.g0 is not None
              and dec_a.g0.dim == dec_b.g0.dim, "g0 blocks do not match")
-        shift_pieces = [rad, dec_b.g0] if rad.dim else [dec_b.g0]
+        # u's g0_b part along dec_b's factors is its part along rad ⊕ g0_b:
+        # rad = Ann_R ∩ ∇gg lies in the sum of those factors
         for u in dec_a.g0.rows:
             sources.append(u)
-            images.append(_components(n, u, shift_pieces)[-1])
+            images.append(to_g0_b.apply(u))
 
     sm = Mat.from_rows(sources, n)
     _req(sm.shape == (n, n) and sm.rank() == n,
@@ -996,7 +950,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     if dec_a.g0 is not None:
         img = Subspace.from_vectors(n, [m.apply(x) for x in dec_a.g0.rows])
         _req(img == dec_b.g0, "constructed map does not carry g0 to g0")
-    return LinearMap(m)
+    return m
 
 
 # ---------------------------------------------------------------------------

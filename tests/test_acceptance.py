@@ -249,8 +249,7 @@ def test_c11_certificate_soundness_and_recheck(loaded, decomposed, capsys):
         ops = list(left_ops(conn)) + list(right_ops(conn))
         assert len(ops) == 2 * spec.dim
         assert dec.certificate.splitting_idempotents, name
-        for lm in dec.certificate.splitting_idempotents:
-            e = lm.matrix
+        for e in dec.certificate.splitting_idempotents:
             assert e @ e == e, name
             for op in ops:
                 assert e @ op == op @ e, name

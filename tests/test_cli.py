@@ -312,6 +312,50 @@ def test_a_failing_source_among_several_becomes_a_record(capsys, tmp_path):
     assert err == f"error: {degenerate}: metric is degenerate\n"
 
 
+def test_a_source_that_cannot_be_loaded_among_several_becomes_a_record(
+        capsys, tmp_path):
+    """A file that does not parse, a file that cannot be read and an
+    unknown catalog name each become a record naming them, and the other
+    sources still run; alone, such a source prints its error line and
+    exits 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "x"}))
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "ann", "--input", str(bad), "--catalog",
+                         "abelian_3", "--format", "json")
+    assert code == 1
+    first, second = json.loads(out)["results"]
+    assert first == {"source": str(bad), "error": "missing key 'dim'",
+                     "exit_code": 1}
+    assert second["source"] == "abelian_3" and second["case"]
+    assert err == f"error: {bad}: missing key 'dim'\n"
+    code, out, _ = run(capsys, "ann", "--input", str(missing), "--catalog",
+                       "nosuch", "--catalog", "abelian_3", "--format", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert [r["source"] for r in results] == [str(missing), "nosuch",
+                                              "abelian_3"]
+    assert [r.get("exit_code") for r in results] == [1, 1, None]
+    assert "no catalog entry named 'nosuch'" in results[1]["error"]
+    code, out, err = run(capsys, "ann", "--input", str(bad))
+    assert (code, out, err) == (1, "", "error: missing key 'dim'\n")
+
+
+def test_only_the_searching_commands_take_seed_and_budget(capsys):
+    for command in ("validate", "connection", "curvature", "ricci",
+                    "classify", "ann", "filtration"):
+        for knob in ("--seed", "--budget"):
+            with pytest.raises(SystemExit) as e:
+                main([command, "--catalog", "abelian_3", knob, "1"])
+            assert e.value.code == 1, (command, knob)
+            assert f"unrecognized arguments: {knob} 1" in \
+                capsys.readouterr().err
+    for command in ("decompose", "compare", "isometry"):
+        code, _, _ = run(capsys, command, "--catalog", "abelian_3",
+                         "--seed", "1", "--budget", "2")
+        assert code == 0, command
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     _, out, _ = run(capsys, "ricci", "--catalog", "heisenberg3_euclid",
                     "--format", "json")

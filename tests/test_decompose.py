@@ -31,10 +31,11 @@ from metriclie.decompose import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     EVIDENCE_SEARCH_EXHAUSTED,
-    LinearMap,
     NotApplicable,
     _candidate_mats,
+    _diag_lines,
     _factor_projections,
+    _inert_pair_map,
     _to_ambient,
     _trace_form,
 )
@@ -89,8 +90,7 @@ def test_certificate_idempotents(loaded, decomposed):
         n = spec.dim
         ops = list(left_ops(conn)) + list(right_ops(conn))
         assert len(ops) == 2 * n
-        for lm in dec.certificate.splitting_idempotents:
-            e = lm.matrix
+        for e in dec.certificate.splitting_idempotents:
             assert e @ e == e, name
             for op in ops:
                 assert e @ op == op @ e, name
@@ -141,8 +141,8 @@ def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
     (e,) = _factor_projections(spec.dim, [f1], skew)
     assert e @ e == e and column_space(e) == f1
     cert = replace(dec.certificate, splitting_idempotents=(
-        LinearMap(e),) + dec.certificate.splitting_idempotents[1:])
-    with pytest.raises(CertificateError, match="kernel is not the"):
+        e,) + dec.certificate.splitting_idempotents[1:])
+    with pytest.raises(CertificateError, match="not the projection onto"):
         verify_decomposition(spec, replace(dec, certificate=cert))
     # h3_plane's g0 moved off the annihilator, still complementing the factor
     spec, _ = loaded["h3_plane"]
@@ -153,6 +153,23 @@ def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
                                   [vec_add(g, v) for g in dec.g0.rows])
     with pytest.raises(CertificateError, match="g0 is not inside"):
         verify_decomposition(spec, replace(dec, g0=moved))
+
+
+def test_the_verifier_refuses_overlapping_pieces_as_a_certificate_failure(
+        loaded, decomposed):
+    """Pieces that overlap have no projections: a tampered certificate with
+    them fails verification (exit 3), it is no precondition failure."""
+    spec, _ = loaded["so3_x_so3"]
+    dec = decomposed["so3_x_so3"]
+    f1, _ = dec.factors
+    with pytest.raises(CertificateError, match="sum directly"):
+        verify_decomposition(spec, replace(dec, factors=(f1, f1)))
+    spec, _ = loaded["h3_plane"]
+    dec = decomposed["h3_plane"]
+    (f,) = dec.factors
+    inside = Subspace.from_vectors(spec.dim, f.rows[:dec.g0.dim])
+    with pytest.raises(CertificateError, match="sum directly"):
+        verify_decomposition(spec, replace(dec, g0=inside))
 
 
 def test_commutant_contains_identity_and_has_expected_size(loaded):
@@ -252,7 +269,7 @@ def test_self_isometry_is_the_identity(loaded, decomposed):
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                assert iso.matrix.entries[i][j] == (1 if i == j else 0), name
+                assert iso.entries[i][j] == (1 if i == j else 0), name
 
 
 def test_isometry_between_line_splittings(loaded, decomposed):
@@ -261,7 +278,7 @@ def test_isometry_between_line_splittings(loaded, decomposed):
     alt = decomposition_from_factors(spec, list(entry.alt_subspaces()))
     iso = build_strong_isometry(spec, decomposed["abelian_2_lorentz"], alt)
     assert not isinstance(iso, Unsupported)
-    m = iso.matrix
+    m = iso
     g = spec.gram
     assert m.transpose() @ g @ m == g
     # factor images land on the alternative lines
@@ -281,6 +298,78 @@ def test_isometry_obstruction_is_reported_not_invented(loaded, decomposed):
     res = build_strong_isometry(spec, decomposed["abelian_2_aniso"], bad)
     assert isinstance(res, Unsupported)
     assert "square-class" in res.reason
+
+
+def _square_class(d):
+    """Trial-division oracle: the squarefree integer whose class modulo
+    rational squares is d's."""
+    m = abs(d.numerator * d.denominator)
+    sf, p = 1, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+        if m % p == 0:
+            m //= p
+            sf *= p
+        p += 1
+    return (1 if d > 0 else -1) * sf * m
+
+
+def _abelian_diagonal(norms):
+    """The abelian structure on Q^len(norms) with metric diag(norms)."""
+    names = tuple(f"e{i}" for i in range(len(norms)))
+    return AlgebraSpec.build(
+        names, metric={(a, a): d for a, d in zip(names, norms)})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_inert_lines_pair_exactly_when_their_square_classes_agree(data):
+    """Lines pair off by rational square ratios exactly when the
+    oracle's multisets of square classes of the diagonal norms agree, and
+    each source line goes to a line of the partner with its own norm."""
+    k = data.draw(st.integers(1, 3))
+    classes = st.lists(st.sampled_from((1, -1, 2, -2, 3, -6, 5, 10)),
+                       min_size=k, max_size=k)
+    ca = data.draw(classes)
+    cb = data.draw(st.one_of(st.permutations(ca), classes))
+    scales = st.lists(st.fractions(min_value=1, max_value=40,
+                                   max_denominator=12),
+                      min_size=2 * k, max_size=2 * k)
+    norms = [c * x * x for c, x in zip(ca + cb, data.draw(scales))]
+    spec = _abelian_diagonal(norms)
+    n = 2 * k
+    f_a = Subspace.from_vectors(n, [unit_vec(n, i) for i in range(k)])
+    f_b = Subspace.from_vectors(n, [unit_vec(n, i) for i in range(k, n)])
+    want = [sorted(_square_class(d) for _, d in _diag_lines(spec, f))
+            for f in (f_a, f_b)]
+    pair = _inert_pair_map(spec, f_a, f_b)
+    assert (pair is not None) == (want[0] == want[1])
+    if pair is not None:
+        sources, images = pair
+        assert Subspace.from_vectors(n, sources) == f_a
+        assert Subspace.from_vectors(n, images) == f_b
+        for x, y in zip(sources, images):
+            assert spec.metric.pair(x, x) == spec.metric.pair(y, y)
+
+
+def test_inert_pairing_of_norms_too_large_to_factor():
+    """An abelian plane with metric diag(P, P), P the product of two
+    primes near 10⁹: a pairing by trial-division square classes would not
+    finish, the pairing by rational square ratios takes milliseconds."""
+    big = 1000000007 * 998244353
+    spec = _abelian_diagonal((big, big))
+    dec = decompose(spec)
+    for lines, isometric in ((((3, 4), (4, -3)), True),
+                             (((1, 1), (1, -1)), False)):
+        start = time.perf_counter()
+        alt = decomposition_from_factors(
+            spec, [Subspace.from_vectors(2, [v]) for v in lines])
+        res = build_strong_isometry(spec, dec, alt)
+        assert time.perf_counter() - start < 1
+        assert isinstance(res, Unsupported) != isometric, lines
+        if isometric:
+            assert res.transpose() @ spec.gram @ res == spec.gram
 
 
 def test_isometry_needs_matching_annihilators(loaded, decomposed):
