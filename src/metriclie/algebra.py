@@ -289,7 +289,7 @@ def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
             if not vec_is_zero(d):
                 defects.append(("torsion", (i, j), d))
     # lowered[i][j][k] = ⟨∇_{e_i} e_j, e_k⟩ = (G·Γ_ij)_k
-    lowered = [[spec.gram.apply(v) for v in row] for row in gamma]
+    lowered = [[row_apply(v, spec.gram) for v in row] for row in gamma]
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
@@ -311,7 +311,7 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     # G⁻¹ is symmetric, so Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹):
     # one contraction of the three covectors against ½G⁻¹ stacked three times
     half = form.gram.inverse().scale(Fraction(1, 2)).entries * 3
-    c = [[form.gram.apply(v) for v in row] for row in spec.brackets]
+    c = [[row_apply(v, form.gram) for v in row] for row in spec.brackets]
     gamma = []
     for i in range(n):
         # −c_jki and c_kij as vectors over k, for each j

@@ -8,9 +8,20 @@ All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
 (index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
 Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j (one `lin_comb` call over
 the concatenated coefficients and vectors) and R(e_j,e_i) = −R(e_i,e_j);
-ric_ij = Σ_m R(e_m,e_i)e_j^m; K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric;
-bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
-steps by [e_i, v] = Σ_j v_j c_ij.
+K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric; bi-invariance is
+(G·c_ij)_k + (G·c_ik)_j = 0; the lower central series steps by
+[e_i, v] = Σ_j v_j c_ij.
+
+Ricci is read off the connection operators without the tensor.  With
+L_i: y ↦ ∇_{e_i} y, R_j: x ↦ ∇_x e_j ((R_j)^a_m = Γ_mj^a) and
+τ_a = tr R_a = Σ_m Γ_ma^m, summing the m-th coordinate of R(e_m,e_i)e_j
+over m gives ric_ij = Σ_a Γ_ij^a τ_a − tr(L_i R_j) + tr(ad_i R_j).  Every
+table `connection_of` accepts is torsion-free, so L_i − ad_i = R_i and
+ric_ij = ⟨Γ_ij, τ⟩ − tr(R_i R_j) = Σ_a Γ_ij^a τ_a − Σ_{a,m} Γ_mi^a Γ_aj^m:
+O(n⁴), and a zero entry of R_i never reads R_j.  R = 0 implies ric = 0,
+so `classify` builds the O(n⁵) tensor only for a Ricci-flat structure;
+the `curvature` command and `decompose.flat_riemannian_structure` build it
+outright.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .algebra import (
     left_images,
     table_apply,
 )
-from .linalg import Mat, Subspace, lin_comb, vec_is_zero, zero_vec
+from .linalg import Mat, Subspace, lin_comb, row_apply, vec_is_zero, zero_vec
 
 
 @dataclass(frozen=True)
@@ -43,13 +54,6 @@ class CurvatureTensor:
     def is_zero(self):
         return all(vec_is_zero(v) for plane in self.coeffs
                    for row in plane for v in row)
-
-    def ricci(self) -> Mat:
-        """ric[i][j] = trace of Z ↦ R(Z, e_i) e_j."""
-        n = self.dim
-        return Mat.from_rows(
-            [[sum((self.coeffs[m][i][j][m] for m in range(n)), Fraction(0))
-              for j in range(n)] for i in range(n)], n)
 
 
 def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
@@ -73,7 +77,18 @@ def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
 
 
 def ricci(spec: AlgebraSpec) -> Mat:
-    return curvature_tensor(spec).ricci()
+    """Row i is one `lin_comb`: ric_ij = Σ_a τ_a Γ_ij^a − Σ_{a,m} Γ_mi^a Γ_aj^m
+    over the vectors (Γ_aj^m)_j (module docstring)."""
+    n = spec.dim
+    g = connection_of(spec).gamma
+    tau = [sum((g[m][a][m] for m in range(n)), Fraction(0)) for a in range(n)]
+    # over[a][m] = (Γ_aj^m)_j, the vector over j read at coordinate m
+    over = [tuple(tuple(row[m] for row in g[a]) for m in range(n))
+            for a in range(n)]
+    flat = tuple(v for rows in over for v in rows)
+    return Mat.from_rows(
+        [lin_comb(tau + [-g[m][i][a] for a in range(n) for m in range(n)],
+                  over[i] + flat, n) for i in range(n)], n)
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:
@@ -99,7 +114,7 @@ def is_biinvariant(spec: AlgebraSpec) -> bool:
     """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples."""
     n = spec.dim
     for row in spec.brackets:
-        lowered = [spec.gram.apply(v) for v in row]   # (G·c_ij)_k
+        lowered = [row_apply(v, spec.gram) for v in row]   # (G·c_ij)_k
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
@@ -135,8 +150,7 @@ class ClassificationReport:
 
 def classify(spec: AlgebraSpec) -> ClassificationReport:
     n = spec.dim
-    r = curvature_tensor(spec)
-    ric = r.ricci()
+    ric = ricci(spec)
     ricci_flat = ric.is_zero()
 
     einstein = None
@@ -159,7 +173,7 @@ def classify(spec: AlgebraSpec) -> ClassificationReport:
         nclass = nilpotency_class(spec)
 
     return ClassificationReport(
-        flat=r.is_zero(),
+        flat=ricci_flat and curvature_tensor(spec).is_zero(),
         ricci_flat=ricci_flat,
         einstein=einstein,
         biinvariant=is_biinvariant(spec),

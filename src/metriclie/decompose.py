@@ -608,13 +608,15 @@ def _match_factors(spec, dec_a, dec_b):
     with a nonzero ∇-interaction; leftovers (inert factors, ∇FF = 0) are
     paired by dimension, preferring a partner whose diagonal norms pair
     off by rational squares (`_inert_pair_map`).  Returns (matching,
-    matched_by)."""
+    matched_by, pair_maps), with each inert factor's pair map (or None)
+    for its chosen partner."""
     conn = connection_of(spec)
     fa, fb = dec_a.factors, dec_b.factors
     _req(len(fa) == len(fb), "factor counts differ")
     used = set()
     result = {}
     deferred = []
+    pair_maps = {}
     for i, f in enumerate(fa):
         eq = [j for j in range(len(fb)) if j not in used and fb[j] == f]
         if eq:
@@ -636,13 +638,15 @@ def _match_factors(spec, dec_a, dec_b):
         js = [j for j in range(len(fb)) if j not in used
               and fb[j].dim == fa[i].dim]
         _req(js, "no dimension-compatible partner for an inert factor")
-        pick = next((j for j in js if _inert_pair_map(spec, fa[i], fb[j])
-                     is not None), js[0])
+        pick, pair_maps[i] = next(
+            ((j, pm) for j in js
+             if (pm := _inert_pair_map(spec, fa[i], fb[j])) is not None),
+            (js[0], None))
         result[i] = (pick, "inert")
         used.add(pick)
     matching = tuple((i, result[i][0]) for i in range(len(fa)))
     matched_by = tuple(result[i][1] for i in range(len(fa)))
-    return matching, matched_by
+    return matching, matched_by, pair_maps
 
 
 @dataclass(frozen=True)
@@ -663,7 +667,7 @@ class CompareReport:
 def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
                            dec_b: Decomposition) -> CompareReport:
     conn = connection_of(spec)
-    matching, matched_by = _match_factors(spec, dec_a, dec_b)
+    matching, matched_by, _ = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
 
     dims_ok = all(fa[i].dim == fb[j].dim for i, j in matching)
@@ -868,7 +872,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         raise PreconditionError(
             "strong-isometry construction needs orthogonal decompositions")
 
-    matching, _ = _match_factors(spec, dec_a, dec_b)
+    matching, _, pair_maps = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
     onto_b = dec_b.certificate.splitting_idempotents
     sources = []
@@ -886,7 +890,9 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
                 images.append(x)
             continue
         if nff.dim == 0:
-            pair = _inert_pair_map(spec, fa[i], fb[j])
+            # F meets nothing under ∇ (∇FF = 0, factors do not interact,
+            # g0 ⊆ Ann), so `_match_factors` paired it as inert
+            pair = pair_maps[i]
             if pair is None:
                 failed_inert.append((i, j))
                 continue
@@ -1011,7 +1017,7 @@ def flat_riemannian_structure(spec: AlgebraSpec):
         lu = right_images(conn.gamma, u)
         _req(lu == right_images(spec.brackets, u),
              "∇_b must act as the adjoint action")
-        lowered = [spec.gram.apply(w) for w in lu]   # (G·∇_u e_x)_y
+        lowered = [row_apply(w, spec.gram) for w in lu]   # (G·∇_u e_x)_y
         for x in range(n):
             for y in range(n):
                 _req(lowered[x][y] + lowered[y][x] == 0,

@@ -537,7 +537,7 @@ class SymForm:
         return self.gram.nrows
 
     def pair(self, x, y):
-        return dot(x, self.gram.apply(vec(y)))
+        return dot(x, row_apply(vec(y), self.gram))
 
     def is_nondegenerate(self):
         return self.gram.rank() == self.dim

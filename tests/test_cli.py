@@ -1,3 +1,4 @@
+import importlib
 import importlib.resources
 import json
 import os
@@ -201,6 +202,28 @@ def test_connection_identities_are_checked_once_per_source(capsys,
                      "--format", "json")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, pairs", [("abelian_2_lorentz", 3),
+                                         ("abelian_3", 6),
+                                         ("abelian_2_aniso", 2)])
+def test_isometry_pairs_inert_factors_once(capsys, monkeypatch, name, pairs):
+    """`isometry` reads the inert pair maps its factor matching found, so
+    it diagonalizes no more factor pairs than `compare` does."""
+    decompose = importlib.import_module("metriclie.decompose")
+    pair_map = decompose._inert_pair_map
+    calls = []
+
+    def counting(spec, f_a, f_b):
+        calls.append((f_a, f_b))
+        return pair_map(spec, f_a, f_b)
+    monkeypatch.setattr(decompose, "_inert_pair_map", counting)
+    for command in ("compare", "isometry"):
+        calls.clear()
+        code, _, _ = run(capsys, command, "--catalog", name, "--format",
+                         "json")
+        assert code == 0
+        assert len(calls) == pairs, command
 
 
 def test_a_connection_table_failing_the_identities_is_reported_and_refused(

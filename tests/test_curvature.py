@@ -1,9 +1,13 @@
 """Curvature, Ricci, and Killing data checked against independently coded
 oracles (different contraction routes than the library uses)."""
 
+import importlib
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from metriclie import (
+    AlgebraSpec,
     ad_matrix,
     classify,
     curvature_tensor,
@@ -14,7 +18,9 @@ from metriclie import (
     restrict,
     ricci,
 )
-from metriclie.linalg import Mat, unit_vec
+from metriclie.linalg import Mat, SymForm, unit_vec
+
+curvature = importlib.import_module("metriclie.curvature")
 
 
 def ricci_oracle(spec):
@@ -188,3 +194,64 @@ def test_ricci_flat_classifies_with_zero_constant(loaded):
     rep = classify(spec)
     assert rep.flat and rep.ricci_flat
     assert rep.einstein == Fraction(0)
+
+
+def test_direct_ricci_equals_the_tensor_trace_on_generic_bases(
+        shipped_and_generic):
+    for label, spec, _ in shipped_and_generic:
+        assert ricci(spec) == ricci_oracle(spec), label
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_direct_ricci_equals_the_tensor_trace_on_random_connections(data):
+    """Connection-mode tables from a random nondegenerate G and a random
+    lowered table T_ijk = ⟨∇_{e_i} e_j, e_k⟩, antisymmetric in j, k, with
+    Γ_ij = G⁻¹·T_ij: metric and torsion-free by construction, while the
+    induced brackets may fail Jacobi.  Zeros are drawn often, so sparse
+    operators are exercised too."""
+    n = data.draw(st.integers(1, 4))
+    small = st.sampled_from((0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = data.draw(small)
+    gram = Mat.from_rows(g, n)
+    assume(gram.rank() == n)
+    ginv = gram.inverse()
+    gamma = []
+    for i in range(n):
+        t = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                t[j][k] = data.draw(small)
+                t[k][j] = -t[j][k]
+        gamma.append([ginv.apply(tuple(Fraction(x) for x in row))
+                      for row in t])
+    names = [f"e{i}" for i in range(n)]
+    spec = AlgebraSpec.from_connection(names, gamma, SymForm(gram))
+    assert ricci(spec) == ricci_oracle(spec)
+
+
+def test_classify_builds_the_tensor_only_for_ricci_flat_structures(
+        loaded, so3_over_fields, monkeypatch):
+    """A nonzero Ricci form already means "not flat"; the tensor is built
+    once on a Ricci-flat structure (curved n23_quadratic, flat t_star_h3)
+    and never on so3_x_so3 or the n = 12 ladder rung."""
+    built = []
+    real = curvature.curvature_tensor
+
+    def counted(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(curvature, "curvature_tensor", counted)
+    cases = [("so3_x_so3", loaded["so3_x_so3"][0], 0, False),
+             ("ladder n = 12", so3_over_fields(2, 3), 0, False),
+             ("n23_quadratic", loaded["n23_quadratic"][0], 1, False),
+             ("t_star_h3", loaded["t_star_h3"][0], 1, True)]
+    for label, spec, tensors, flat in cases:
+        built.clear()
+        rep = classify(spec)
+        assert len(built) == tensors, label
+        assert rep.flat is flat, label

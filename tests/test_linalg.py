@@ -341,6 +341,22 @@ def test_dot_matches_the_fraction_sum(pair):
                                              if want else [])
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_lowering_equals_the_gram_matrix_product(data):
+    """For symmetric G, vᵀG read off the rows of G at v's nonzero
+    coordinates (`row_apply`) equals G·v."""
+    n = data.draw(st.integers(1, 5))
+    entries = st.one_of(st.just(Fraction(0)), fractions)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = data.draw(entries)
+    gram = Mat.from_rows(g, n)
+    v = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    assert row_apply(v, gram) == gram.apply(v)
+
+
 def _reduce_oracle(sub, v):
     """The sequential-subtraction reduction: walk the canonical rows in
     order and subtract v's entry at each pivot times the row."""
