@@ -277,9 +277,7 @@ def right_ops(conn):
 
 def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
     """Zero torsion: ∇_XY − ∇_YX = [X,Y]; compatibility:
-    ⟨∇_XY, Z⟩ + ⟨Y, ∇_XZ⟩ = 0.  Returns (ok, defects)."""
-    if isinstance(gamma, ConnectionCoeffs):
-        gamma = gamma.gamma
+    ⟨∇_XY, Z⟩ + ⟨Y, ∇_XZ⟩ = 0 on a raw table.  Returns (ok, defects)."""
     n = spec.dim
     defects = []
     for i in range(n):
@@ -320,7 +318,7 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
         gamma.append(tuple(lin_comb(c[i][j] + jki[j] + kij[j], half, n)
                            for j in range(n)))
     conn = ConnectionCoeffs(tuple(gamma))
-    ok, defects = check_torsion_and_compatibility(conn, spec)
+    ok, defects = check_torsion_and_compatibility(conn.gamma, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn
 
@@ -344,19 +342,6 @@ def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
     return conn
 
 
-def piece_metric(spec: AlgebraSpec, h: Subspace) -> SymForm:
-    """h's metric, after checking h is a nonzero nondegenerate strong ideal."""
-    if h.dim == 0:
-        raise PreconditionError("cannot restrict to the zero subspace")
-    if not is_strong_ideal(h, connection_of(spec)):
-        raise PreconditionError("subspace is not a strong ideal; "
-                                "restriction is undefined")
-    sub_form = spec.metric.restrict(h)
-    if not sub_form.is_nondegenerate():
-        raise PreconditionError("metric restricts degenerately to the subspace")
-    return sub_form
-
-
 def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     """Restrict the structure to a strong ideal h.  Basis vectors are the
     rows of h's canonical basis, named after the original basis name at
@@ -364,8 +349,15 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     the restricted bracket table is the antisymmetrized Γ sub-table, and
     the sub-structure keeps that sub-table as its connection."""
     assert h.ambient_dim == spec.dim
-    sub_form = piece_metric(spec, h)
+    if h.dim == 0:
+        raise PreconditionError("cannot restrict to the zero subspace")
     conn = connection_of(spec)
+    if not is_strong_ideal(h, conn):
+        raise PreconditionError("subspace is not a strong ideal; "
+                                "restriction is undefined")
+    sub_form = spec.metric.restrict(h)
+    if not sub_form.is_nondegenerate():
+        raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
     gamma = tuple(tuple(h.coords(table_apply(conn.gamma, x, y)) for y in h.rows)
                   for x in h.rows)

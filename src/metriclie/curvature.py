@@ -8,9 +8,9 @@ All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
 (index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
 Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j (one `lin_comb` call over
 the concatenated coefficients and vectors) and R(e_j,e_i) = −R(e_i,e_j);
-K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric; bi-invariance is
-(G·c_ij)_k + (G·c_ik)_j = 0; the lower central series steps by
-[e_i, v] = Σ_j v_j c_ij.
+K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (one `dot` per entry);
+bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
+steps by [e_i, v] = Σ_j v_j c_ij.
 
 Ricci is read off the connection operators without the tensor.  With
 L_i: y ↦ ∇_{e_i} y, R_j: x ↦ ∇_x e_j ((R_j)^a_m = Γ_mj^a) and
@@ -36,7 +36,8 @@ from .algebra import (
     left_images,
     table_apply,
 )
-from .linalg import Mat, Subspace, lin_comb, row_apply, vec_is_zero, zero_vec
+from .linalg import (Mat, Subspace, dot, lin_comb, row_apply, vec_is_zero,
+                     zero_vec)
 
 
 @dataclass(frozen=True)
@@ -99,14 +100,15 @@ def ad_matrix(spec: AlgebraSpec, i) -> Mat:
 
 
 def killing_form(spec: AlgebraSpec) -> Mat:
+    """K_ij = `dot` of (c_ia^b) and (c_jb^a), both flattened over (a, b)."""
     n = spec.dim
     c = spec.brackets
+    flat = [sum(row, ()) for row in c]             # c_ia^b at a·n + b
+    swapped = [sum(zip(*row), ()) for row in c]   # c_jb^a at a·n + b
     k = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            k[i][j] = k[j][i] = sum((x * c[j][b][a] for a in range(n)
-                                     for b, x in enumerate(c[i][a]) if x),
-                                    Fraction(0))
+            k[i][j] = k[j][i] = dot(flat[i], swapped[j])
     return Mat.from_rows(k, n)
 
 

@@ -23,11 +23,13 @@ annihilator report.  `decompose` carries each piece with the projection
 onto it along everything outside it, and splits it while the search on
 its corner of C (`_corner`, its own commutant) finds an idempotent;
 `decomposition_from_factors` searches each supplied factor's corner and
-refuses one that splits.  Both hand their pieces to one packager, which
-re-verifies every claim from scratch against what the structure alone
-derives; `--recheck` in the CLI is that check again.  It pins each
-certificate idempotent to the projection onto its factor along the other
-pieces, and the comparison tools read their projections from it.
+refuses one that splits.  Both hand their pieces to one packager, whose
+verifier (`--recheck` in the CLI) is the only test of factors and g0, as
+`_factor_projections` is the only direct-sum test.  A failure there is a
+CertificateError (exit 3), or a PreconditionError (exit 2) for supplied
+factors, which are caller input.  The verifier pins each certificate
+idempotent to the projection onto its factor along the other pieces,
+which the comparison tools read.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .algebra import (
     left_images,
     left_ops,
     nabla_apply,
-    piece_metric,
     restrict,
     right_images,
     right_ops,
@@ -139,8 +140,7 @@ def _to_ambient(carrier, local_sub):
     """The image in the whole space of a subspace given in the coordinates
     of `carrier`'s canonical basis, whose pivot columns are identity
     columns: the mapped canonical basis is canonical as it stands."""
-    rows = [row_apply(r, carrier.basis) for r in local_sub.rows]
-    return Subspace.from_vectors(carrier.ambient_dim, rows)
+    return Subspace(carrier.ambient_dim, local_sub.basis @ carrier.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +327,9 @@ def _search(comm, seed, budget):
     returned; its detail names the candidates the loop would have tried,
     and that none of them splits is proven, not enumerated.  Degree 4 and
     above would need a factorization over Q, and keeps the loop."""
-    if len(comm) == 1:
+    if len(comm) <= 1:   # 0 only for a zero factor, which the verifier refuses
         return None, Evidence(EVIDENCE_COMMUTANT_TRIVIAL,
-                              "commutant dimension 1")
+                              f"commutant dimension {len(comm)}")
     ncomm = len(comm)
     exhausted = Evidence(
         EVIDENCE_SEARCH_EXHAUSTED,
@@ -378,9 +378,6 @@ def _split(spec, piece, e, orthogonal_mode, seed, budget):
     h1 = column_space(f)
     h2 = (orthogonal_complement(h1, spec.metric.restrict(piece))
           if orthogonal_mode else kernel(f))
-    _req(subspace_intersect(h1, h2).dim == 0
-         and subspace_sum(h1, h2) == Subspace.full(k),
-         "split is not a direct sum")
     a = Mat.from_rows([e.row(p) for p in piece.pivots], e.ncols)
     out = []
     for sub, qs in zip((h1, h2), _factor_projections(k, (h1, h2), None)):
@@ -393,12 +390,12 @@ def _split(spec, piece, e, orthogonal_mode, seed, budget):
 def _factor_projections(n, factors, g0):
     """The projection onto each factor along the others and g0: its basis
     as columns times its block of rows of S⁻¹, for S all the bases as
-    columns; PreconditionError unless they sum directly to the space."""
+    columns.  The one direct-sum test: CertificateError unless they sum
+    directly to the space."""
     pieces = list(factors) + ([g0] if g0 is not None else [])
     s = Mat.from_rows([r for p in pieces for r in p.rows], n).transpose()
-    if s.shape != (n, n) or s.rank() != n:
-        raise PreconditionError("factors and g0 do not sum directly to the "
-                                "whole space")
+    _req(s.shape == (n, n) and s.rank() == n,
+         "pieces do not sum directly to the whole space")
     sinv, out, at = s.inverse(), [], 0
     for f in factors:
         out.append(f.basis.transpose()
@@ -459,8 +456,6 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
         if g0_sub.dim:
             g0 = g0_sub
             rest = orthogonal_complement(g0_sub, spec.metric)
-            _req(subspace_intersect(g0_sub, rest).dim == 0,
-                 "annihilator complement is degenerate")
             e = _factor_projections(n, [rest], g0)[0]
         pieces = _split(spec, rest, e, True, seed, budget)
     elif report.case == CASE_ISOTROPIC:
@@ -478,35 +473,35 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
 def decomposition_from_factors(spec: AlgebraSpec, factors, g0=None, *,
                                seed=DEFAULT_SEED,
                                budget=DEFAULT_BUDGET) -> Decomposition:
-    """Package externally supplied factors as a verified Decomposition
-    (used to feed alternative decompositions to the comparison tools); a
-    factor whose corner splits, once `_corner`'s premises hold, is refused."""
-    projections = _factor_projections(spec.dim, factors, g0)
-    for f in factors:
-        piece_metric(spec, f)
-    report = ann_report(spec)
-    _req(g0 is None or report.ann.contains_subspace(g0),
-         "g0 is not inside the two-sided annihilator")
-    pieces = []
-    for f, e in zip(factors, projections):
-        idem, ev = _search(_corner(spec, e, f), seed, budget)
-        if idem is not None:
-            raise PreconditionError("factor is decomposable; not a "
-                                    "decomposition into indecomposables")
-        pieces.append((f, e, ev))
-    return _package(spec, pieces, g0, report.case, None)
+    """Package externally supplied factors as a verified Decomposition for
+    the comparison tools; any defect in them is a PreconditionError.  A
+    factor that splits on its corner, or fails `_corner`'s premises so that
+    it seems to, is refused as decomposable before the verifier sees it."""
+    try:
+        projections = _factor_projections(spec.dim, factors, g0)
+        pieces = []
+        for f, e in zip(factors, projections):
+            idem, ev = _search(_corner(spec, e, f), seed, budget)
+            if idem is not None:
+                raise PreconditionError("factor is decomposable; not a "
+                                        "decomposition into indecomposables")
+            pieces.append((f, e, ev))
+        return _package(spec, pieces, g0, ann_report(spec).case, None)
+    except CertificateError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def verify_decomposition(spec: AlgebraSpec, dec: Decomposition):
     """Re-derive every claim the Decomposition makes, on the structure's own
-    connection; CertificateError on any mismatch.  The --recheck path.
+    connection; CertificateError on any mismatch.  The --recheck path and
+    the only test of the factors and g0.
 
     The projections onto the factors along the other pieces come from one
-    inverse (`_factor_projections`), which exists exactly when the factors
-    and g0 sum directly to the whole space, and each idempotent must equal
-    its factor's.  For V = f ⊕ W that is the whole idempotent check: a map
-    e has e² = e, im e = f and ker e = W exactly when e is the projection
-    onto f along W.
+    inverse (`_factor_projections`, the direct-sum test), which exists
+    exactly when the factors and g0 sum directly to the whole space, and
+    each idempotent must equal its factor's.  For V = f ⊕ W that is the
+    whole idempotent check: a map e has e² = e, im e = f and ker e = W
+    exactly when e is the projection onto f along W.
 
     That each idempotent commutes with the 2n connection operators is
     implied, not multiplied out.  A projection e commutes with an operator
@@ -518,11 +513,7 @@ def verify_decomposition(spec: AlgebraSpec, dec: Decomposition):
     preserves the kernel too, and no kernel needs its own strong-ideal
     test."""
     conn = connection_of(spec)
-    try:
-        projections = _factor_projections(spec.dim, dec.factors, dec.g0)
-    except PreconditionError:
-        raise CertificateError("pieces do not sum directly to the whole "
-                               "space") from None
+    projections = _factor_projections(spec.dim, dec.factors, dec.g0)
     for f in dec.factors:
         _req(f.dim > 0, "zero factor")
         _req(is_strong_ideal(f, conn), "factor is not a strong ideal")
@@ -748,7 +739,6 @@ class AdaptedBasis:
     s: int
     diagonal: tuple
     pairings: Mat               # Gram matrix of `vectors`
-    corrections: Mat | None = None   # b_pq, filled in by the isometry builder
 
 
 def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
@@ -770,14 +760,9 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
     ann_vecs = list(a_f.rows)
 
     w = subspace_complement(a_f, within=nff)
-    diag_vecs = []
-    diag_norms = []
-    if w.dim:
-        dg = congruent_diagonalize(form.restrict(w))
-        for row, d in zip(dg.basis_change.entries, dg.diagonal):
-            assert d != 0, "complement of the radical cannot be null"
-            diag_vecs.append(row_apply(row, w.basis))
-            diag_norms.append(d)
+    lines = _diag_lines(spec, w) if w.dim else []
+    diag_vecs = [v for v, _ in lines]
+    diag_norms = [d for _, d in lines]
 
     targets = ann_vecs + diag_vecs        # the s constraint vectors
     dual_vecs = []
@@ -815,7 +800,8 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
 
 
 def _diag_lines(spec, factor):
-    """Orthogonal line decomposition of an inert factor with norms."""
+    """Orthogonal line decomposition of a nondegenerate subspace (an inert
+    factor, or an adapted basis's diagonal block), with norms."""
     form = spec.metric
     out = []
     dg = congruent_diagonalize(form.restrict(factor))

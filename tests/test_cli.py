@@ -226,6 +226,30 @@ def test_isometry_pairs_inert_factors_once(capsys, monkeypatch, name, pairs):
         assert len(calls) == pairs, command
 
 
+@pytest.mark.parametrize("name, calls", [("abelian_2_lorentz", 4),
+                                         ("nonorthogonal8", 6)])
+def test_compare_tests_each_factor_once_per_verification(capsys, monkeypatch,
+                                                         name, calls):
+    """The verifier is the only strong-ideal test of a factor: a supplied
+    factor is not tested again before it.  Both entries have two factors;
+    abelian_2_lorentz verifies its decomposition and its alternative
+    factors, nonorthogonal8 also the decomposition on a changed basis
+    that its supplied factors are mapped back from."""
+    original = metriclie.algebra.is_strong_ideal
+    tested = []
+
+    def counting(h, conn):
+        tested.append(h)
+        return original(h, conn)
+    for module in ("algebra", "ideals", "decompose"):
+        mod = importlib.import_module("metriclie." + module)
+        if getattr(mod, "is_strong_ideal", None) is original:
+            monkeypatch.setattr(mod, "is_strong_ideal", counting)
+    code, _, _ = run(capsys, "compare", "--catalog", name, "--format", "json")
+    assert code == 0
+    assert len(tested) == calls
+
+
 def test_a_connection_table_failing_the_identities_is_reported_and_refused(
         capsys, tmp_path):
     # ∇_a a = b and ∇_b b = 2a break metric compatibility twice

@@ -216,6 +216,29 @@ def test_supplied_factors_must_sum_directly_to_the_whole_space(
             decomposition_from_factors(spec, factors)
 
 
+def test_supplied_g0_outside_the_annihilator_is_a_precondition_failure(
+        loaded, decomposed):
+    """The verifier is the one test of a supplied g0; its failure is the
+    caller's, so it surfaces as a PreconditionError (exit 2)."""
+    spec, _ = loaded["h3_plane"]
+    dec = decomposed["h3_plane"]
+    (f,) = dec.factors
+    v = next(r for r in f.rows if not ann_report(spec).ann.contains(r))
+    moved = Subspace.from_vectors(spec.dim,
+                                  [vec_add(g, v) for g in dec.g0.rows])
+    with pytest.raises(PreconditionError, match="g0 is not inside"):
+        decomposition_from_factors(spec, [f], moved)
+
+
+def test_a_supplied_zero_factor_is_refused(loaded, decomposed):
+    """A zero factor reaches the corner search before the verifier refuses
+    it; its commutant is empty, and the search must not fail on that."""
+    spec, _ = loaded["so3_x_so3"]
+    factors = list(decomposed["so3_x_so3"].factors)
+    with pytest.raises(PreconditionError, match="zero factor"):
+        decomposition_from_factors(spec, factors + [Subspace.zero(6)])
+
+
 def test_supplied_non_ideal_is_refused(loaded):
     spec, _ = loaded["heisenberg3_euclid"]
     with pytest.raises(PreconditionError):
@@ -558,6 +581,7 @@ def test_a_subspace_of_a_carrier_maps_onto_its_canonical_basis(data):
     h = data.draw(subspaces(c.dim))
     mapped = tuple(row_apply(r, c.basis) for r in h.rows)
     assert _to_ambient(c, h).rows == mapped
+    assert _to_ambient(c, h) == Subspace.from_vectors(n, mapped)
 
 
 def _direct_sum(*specs):
