@@ -11,29 +11,32 @@ identities (zero torsion and metric compatibility) before anything
 downstream is allowed to use it.
 
 Index conventions: brackets[i][j][a] = c_ij^a with [e_i,e_j] = Σ_a c_ij^a e_a,
-and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  Everything
-here contracts these tables through one loop, `linalg.lin_comb`: a table T
-gives T(x, y) = Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij
-and T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`; for T = Γ both
-together are the ∇-images of v, `nabla_images`); the Jacobi defect uses
-[[e_i,e_j],e_k] = Σ_a c_ij^a c_ak, so the cyclic sum is one call,
-lin_comb(c_ij + c_jk + c_ki, cols[k] + cols[i] + cols[j]) with
-cols[k][a] = c_ak; the Koszul formula is
-Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k = ⟨[e_i,e_j],e_k⟩,
-one call over the three covectors against ½G⁻¹ stacked three times; the
-torsion defect Γ_ij − Γ_ji − c_ij is one call too.
+and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  A table T
+applied to vectors contracts through `linalg.lin_comb`: T(x, y) =
+Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij and
+T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`; for T = Γ both
+together are the ∇-images of v, `nabla_images`).  The structure checks
+run in integer multiply-adds on `linalg.int_image`, a table over one
+common denominator D: the Jacobi defect D²·Σ_cyclic Σ_b c_ij^b c_bk
+([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the Koszul formula
+Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k; torsion
+Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the
+same lowering through G (`skew_defects`, which on c is bi-invariance).
+Fractions are built only for Γ and for the value of a nonzero defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 
 from .errors import PreconditionError
 from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    int_image,
     lin_comb,
     rat,
     row_apply,
@@ -46,6 +49,7 @@ from .linalg import (
 
 MODE_BRACKET = "bracket"
 MODE_CONNECTION = "connection"
+_ZERO = Fraction(0)
 _KEPT = dict(default=None, init=False, repr=False, compare=False)
 
 
@@ -189,18 +193,19 @@ class ValidationReport:
 
 def validate(spec: AlgebraSpec) -> ValidationReport:
     n = spec.dim
-    c = spec.brackets
-    # cols[k][a] = c_ak, so [[e_i,e_j],e_k] = Σ_a c_ij^a c_ak reads cols[k]
-    cols = tuple(tuple(row[k] for row in c) for k in range(n))
+    names = spec.basis_names
+    d, _, nz = int_image(v for row in spec.brackets for v in row)
+    # D²·[[e_i,e_j],e_k] = Σ_b C_ij^b·C_bk, with nz[i·n + j] the (b, C_ij^b)
     failures = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                d = lin_comb(c[i][j] + c[j][k] + c[k][i],
-                             cols[k] + cols[i] + cols[j], n)
-                if not vec_is_zero(d):
-                    failures.append(((spec.basis_names[i], spec.basis_names[j],
-                                      spec.basis_names[k]), d))
+    for i, j, k in combinations(range(n), 3):
+        acc = [0] * n
+        for p, q in ((i * n + j, k), (j * n + k, i), (k * n + i, j)):
+            for b, x in nz[p]:
+                for a, y in nz[b * n + q]:
+                    acc[a] += x * y
+        if any(acc):
+            failures.append(((names[i], names[j], names[k]),
+                             _fractions(acc, d * d)))
     connection_ok = None
     if spec.mode == MODE_CONNECTION:   # checked once, by the derivation
         try:
@@ -275,25 +280,50 @@ def right_ops(conn):
     return tuple(right_op(conn, j) for j in range(conn.dim))
 
 
+def _fractions(ints, d):
+    return tuple(Fraction(x, d) if x else _ZERO for x in ints)
+
+
+def _lowered(d, nz, metric: SymForm):
+    """(D, low), low[i·n + j][k] = D·⟨T_ij, e_k⟩ = D·(G·T_ij)_k in ints, for
+    T with `int_image` (d, _, nz) of its flat vectors (later rows unread)."""
+    n = metric.dim
+    dg, _, gnz = int_image(metric.gram.entries)
+    low = [[0] * n for _ in range(n * n)]
+    for r, acc in zip(nz, low):
+        for a, x in r:
+            for k, y in gnz[a]:
+                acc[k] += x * y
+    return d * dg, low
+
+
+def skew_defects(d, nz, metric: SymForm):
+    """((i, j, k), ⟨T_ij, e_k⟩ + ⟨T_ik, e_j⟩) for each j ≤ k where that is
+    nonzero, T given as in `_lowered`: none for T = Γ is metric
+    compatibility, none for T = c is bi-invariance."""
+    n = metric.dim
+    d, low = _lowered(d, nz, metric)
+    return [((i, j, k), Fraction(x, d))
+            for i in range(n) for j in range(n) for k in range(j, n)
+            if (x := low[i * n + j][k] + low[i * n + k][j])]
+
+
 def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
     """Zero torsion: ∇_XY − ∇_YX = [X,Y]; compatibility:
-    ⟨∇_XY, Z⟩ + ⟨Y, ∇_XZ⟩ = 0 on a raw table.  Returns (ok, defects)."""
+    ⟨∇_XY, Z⟩ + ⟨Y, ∇_XZ⟩ = 0 on a raw table.  Returns (ok, defects).
+    One image: g[i·n + j] = d·Γ_ij, g[n² + i·n + j] = d·c_ij."""
     n = spec.dim
+    d, g, nz = int_image([v for row in gamma for v in row]
+                         + [v for row in spec.brackets for v in row])
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = lin_comb((1, -1, -1),
-                         (gamma[i][j], gamma[j][i], spec.brackets[i][j]), n)
-            if not vec_is_zero(d):
-                defects.append(("torsion", (i, j), d))
-    # lowered[i][j][k] = ⟨∇_{e_i} e_j, e_k⟩ = (G·Γ_ij)_k
-    lowered = [[row_apply(v, spec.gram) for v in row] for row in gamma]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                d = lowered[i][j][k] + lowered[i][k][j]
-                if d != 0:
-                    defects.append(("compatibility", (i, j, k), d))
+            t = [x - y - z for x, y, z in
+                 zip(g[i * n + j], g[j * n + i], g[n * n + i * n + j])]
+            if any(t):
+                defects.append(("torsion", (i, j), _fractions(t, d)))
+    defects += [("compatibility", ijk, x)
+                for ijk, x in skew_defects(d, nz, spec.metric)]
     return (not defects), tuple(defects)
 
 
@@ -303,20 +333,24 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     ⟨∇_{e_i} e_j, e_k⟩ = ½(c_ijk − c_jki + c_kij), and Γ_ij is that
     covector times G⁻¹."""
     n = spec.dim
-    form = spec.metric
-    if not form.is_nondegenerate():
-        raise PreconditionError("metric is degenerate; connection is not determined")
-    # G⁻¹ is symmetric, so Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹):
-    # one contraction of the three covectors against ½G⁻¹ stacked three times
-    half = form.gram.inverse().scale(Fraction(1, 2)).entries * 3
-    c = [[row_apply(v, form.gram) for v in row] for row in spec.brackets]
-    gamma = []
-    for i in range(n):
-        # −c_jki and c_kij as vectors over k, for each j
-        jki = [tuple(-c[j][k][i] for k in range(n)) for j in range(n)]
-        kij = [tuple(c[k][i][j] for k in range(n)) for j in range(n)]
-        gamma.append(tuple(lin_comb(c[i][j] + jki[j] + kij[j], half, n)
-                           for j in range(n)))
+    try:
+        ginv = spec.gram.inverse()
+    except ValueError:
+        raise PreconditionError(
+            "metric is degenerate; connection is not determined") from None
+    dc, _, cnz = int_image(v for row in spec.brackets for v in row)
+    d, c = _lowered(dc, cnz, spec.metric)   # c[i·n + j][k] = d·c_ijk
+    dh, _, hnz = int_image(ginv.entries)
+    d *= 2 * dh
+    # G⁻¹ is symmetric, so Γ_ij = ½ Σ_k (c_ijk − c_jki + c_kij)·(row k of G⁻¹)
+    gamma = [[None] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        acc = [0] * n
+        for k in range(n):
+            if s := c[i * n + j][k] - c[j * n + k][i] + c[k * n + i][j]:
+                for m, y in hnz[k]:
+                    acc[m] += s * y
+        gamma[i][j] = _fractions(acc, d)
     conn = ConnectionCoeffs(tuple(gamma))
     ok, defects = check_torsion_and_compatibility(conn.gamma, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"

@@ -8,7 +8,7 @@ All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
 (index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
 Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j (one `lin_comb` call over
 the concatenated coefficients and vectors) and R(e_j,e_i) = −R(e_i,e_j);
-K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (one `dot` per entry);
+K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (`linalg.trace_form`);
 bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
 steps by [e_i, v] = Σ_j v_j c_ij.
 
@@ -34,10 +34,11 @@ from .algebra import (
     MODE_BRACKET,
     connection_of,
     left_images,
+    skew_defects,
     table_apply,
 )
-from .linalg import (Mat, Subspace, dot, lin_comb, row_apply, vec_is_zero,
-                     zero_vec)
+from .linalg import (Mat, Subspace, int_image, lin_comb, trace_form,
+                     vec_is_zero, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -100,28 +101,16 @@ def ad_matrix(spec: AlgebraSpec, i) -> Mat:
 
 
 def killing_form(spec: AlgebraSpec) -> Mat:
-    """K_ij = `dot` of (c_ia^b) and (c_jb^a), both flattened over (a, b)."""
-    n = spec.dim
-    c = spec.brackets
-    flat = [sum(row, ()) for row in c]             # c_ia^b at a·n + b
-    swapped = [sum(zip(*row), ()) for row in c]   # c_jb^a at a·n + b
-    k = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            k[i][j] = k[j][i] = dot(flat[i], swapped[j])
-    return Mat.from_rows(k, n)
+    """K_ij = Σ_{a,b} c_ia^b c_jb^a: the trace form of the matrices c_i,
+    rows c_ia (the transposes of ad e_i)."""
+    return trace_form(spec.brackets)
 
 
 def is_biinvariant(spec: AlgebraSpec) -> bool:
-    """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples."""
-    n = spec.dim
-    for row in spec.brackets:
-        lowered = [row_apply(v, spec.gram) for v in row]   # (G·c_ij)_k
-        for j in range(n):
-            for k in range(j, n):
-                if lowered[j][k] + lowered[k][j] != 0:
-                    return False
-    return True
+    """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples: the metric
+    compatibility test of `algebra.skew_defects`, applied to c."""
+    d, _, nz = int_image(v for row in spec.brackets for v in row)
+    return not skew_defects(d, nz, spec.metric)
 
 
 def nilpotency_class(spec: AlgebraSpec):

@@ -88,6 +88,7 @@ from .linalg import (
     subspace_complement,
     subspace_intersect,
     subspace_sum,
+    trace_form,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -288,21 +289,6 @@ def _candidate_mats(comm, seed, budget):
         yield t
 
 
-def _trace_form(comm):
-    """Gram matrix T_ab = tr(C_a C_b) = Σ_ij (C_a)_ij (C_b)_ji of the trace
-    form on the commutant basis, read from the entries."""
-    nonzero = [[(i, j, x) for i, row in enumerate(c.entries)
-                for j, x in enumerate(row) if x] for c in comm]
-    k = len(comm)
-    t = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            cb = comm[b].entries
-            t[a][b] = t[b][a] = sum((x * cb[j][i] for i, j, x in nonzero[a]),
-                                    Fraction(0))
-    return Mat.from_rows(t, k)
-
-
 def _search(comm, seed, budget):
     """Search the commutant C with canonical basis `comm` for a
     nontrivial idempotent.  Returns (idempotent Mat, None) on a split,
@@ -336,7 +322,7 @@ def _search(comm, seed, budget):
         f"no splitting idempotent among {ncomm} commutant basis elements, "
         f"{ncomm * (ncomm - 1)} pairwise sums/differences, and {budget} "
         f"seeded random combinations (seed {seed:#x})")
-    r = _trace_form(comm).rank()
+    r = trace_form([c.entries for c in comm]).rank()
     if r == 1:
         return None, exhausted
     for t in _candidate_mats(comm, seed, budget):

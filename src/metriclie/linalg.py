@@ -18,7 +18,11 @@ once, at the end; a term with a zero factor is never added.  Every
 elimination (RREF and its transform, inverse, rank, kernel, solve,
 subspaces) runs through the integer echelon `_echelon`, and a canonical
 basis becomes Fractions only when each entry is divided by its row's
-pivot, once.
+pivot, once.  Whole-table checks that sum products of entries (the
+Jacobi identity, the Koszul derivation, torsion, metric compatibility,
+bi-invariance) first take the table over one common denominator with
+`int_image` and then multiply and add plain ints, building a Fraction only
+for a result or a nonzero defect.
 """
 
 from __future__ import annotations
@@ -114,6 +118,20 @@ def dot(a, b):
                 num = num * (q // g) + p * (den // g)
                 den = den // g * q
     return Fraction(num, den) if num else _ZERO
+
+
+def int_image(rows):
+    """Rows of Fractions (or ints) over one common denominator D, the lcm
+    of every entry's denominator: returns (D, ints, nonzero) with
+    ints[r][k] = D·rows[r][k] as a plain int and nonzero[r] the pairs
+    (k, ints[r][k]) of row r's nonzero entries, in order.  A table of
+    vectors is passed as its flat sequence of vectors.  Sums of products
+    of entries then run as integer multiply-adds over the nonzero pairs,
+    and become Fractions only where a value is reported."""
+    rows = [[x.as_integer_ratio() for x in r] for r in rows]
+    d = math.lcm(*{q for r in rows for _, q in r})
+    ints = [[p * (d // q) if p else 0 for p, q in r] for r in rows]
+    return d, ints, [[(k, x) for k, x in enumerate(r) if x] for r in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +245,20 @@ def row_apply(v, m: Mat):
     """Row vector times matrix: Σ_k v_k·(row k of m)."""
     assert len(v) == m.nrows
     return lin_comb(v, m.entries, m.ncols)
+
+
+def trace_form(mats):
+    """Gram matrix T_ab = tr(M_a M_b) = Σ_ij (M_a)_ij (M_b)_ji of square
+    matrices given by their rows: one `dot` of M_a's entries, flattened,
+    against M_b's, flattened transposed."""
+    flat = [sum(m, ()) for m in mats]
+    swapped = [sum(zip(*m), ()) for m in mats]
+    k = len(flat)
+    t = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            t[a][b] = t[b][a] = dot(flat[a], swapped[b])
+    return Mat.from_rows(t, k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metriclie import (
     MODE_BRACKET,
@@ -20,13 +20,29 @@ from metriclie import (
     validate,
 )
 from metriclie.errors import PreconditionError
-from metriclie.linalg import Mat, SymForm, Subspace, unit_vec, vec_add, vec_is_zero
+from metriclie.linalg import (
+    Mat,
+    SymForm,
+    Subspace,
+    lin_comb,
+    row_apply,
+    unit_vec,
+    vec_add,
+    vec_is_zero,
+)
+
+
+# an integer in [-2, 2] over a denominator 1, 2 or 3
+SMALL_RATIONAL = st.builds(Fraction, st.integers(-2, 2),
+                           st.sampled_from((1, 2, 3)))
 
 
 @st.composite
 def random_spec(draw):
     """Antisymmetric bracket table (Jacobi not required — the connection
-    laws hold regardless) with a sheared +/-1 metric."""
+    laws hold regardless) with a sheared +/-1 metric.  Coefficients and
+    shears are rationals with denominators up to 3, so the tables' common
+    denominators exceed 1."""
     n = draw(st.integers(2, 4))
     names = tuple(f"e{i+1}" for i in range(n))
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -34,7 +50,7 @@ def random_spec(draw):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 1))
         k = draw(st.integers(0, n - 1))
-        c = Fraction(draw(st.integers(-2, 2)))
+        c = draw(SMALL_RATIONAL)
         if i == j:
             continue
         table[i][j][k] += c
@@ -44,7 +60,7 @@ def random_spec(draw):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 1))
         if i != j:
-            c = draw(st.integers(-2, 2))
+            c = draw(SMALL_RATIONAL)
             for t in range(n):
                 p[i][t] += c * p[j][t]
     pm = Mat.from_rows(p, n)
@@ -89,6 +105,83 @@ def test_metric_scaling_leaves_connection_alone(spec):
     conn2 = derive_connection(AlgebraSpec(spec.dim, spec.basis_names,
                                           spec.brackets, SymForm(tripled)))
     assert conn.gamma == conn2.gamma
+
+
+def koszul_oracle(spec):
+    """Γ from the Koszul formula in Fractions: c_ijk = (G·c_ij)_k by
+    `row_apply`, then Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹) as
+    one `lin_comb` over ½G⁻¹ stacked three times."""
+    n = spec.dim
+    half = spec.gram.inverse().scale(Fraction(1, 2)).entries * 3
+    c = [[row_apply(v, spec.gram) for v in row] for row in spec.brackets]
+    gamma = []
+    for i in range(n):
+        jki = [tuple(-c[j][k][i] for k in range(n)) for j in range(n)]
+        kij = [tuple(c[k][i][j] for k in range(n)) for j in range(n)]
+        gamma.append(tuple(lin_comb(c[i][j] + jki[j] + kij[j], half, n)
+                           for j in range(n)))
+    return tuple(gamma)
+
+
+def identities_oracle(gamma, spec):
+    """Torsion, then compatibility, defects of a raw table in Fractions:
+    Γ_ij − Γ_ji − c_ij by `lin_comb`, ⟨Γ_ij, e_k⟩ + ⟨Γ_ik, e_j⟩ by
+    `row_apply`."""
+    n = spec.dim
+    defects = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = lin_comb((1, -1, -1),
+                         (gamma[i][j], gamma[j][i], spec.brackets[i][j]), n)
+            if not vec_is_zero(d):
+                defects.append(("torsion", (i, j), d))
+    lowered = [[row_apply(v, spec.gram) for v in row] for row in gamma]
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                d = lowered[i][j][k] + lowered[i][k][j]
+                if d != 0:
+                    defects.append(("compatibility", (i, j, k), d))
+    return tuple(defects)
+
+
+def _bumped(gamma, bumps):
+    """gamma with each (i, j, k, delta) of bumps added to Γ_ij^k."""
+    out = [[list(v) for v in row] for row in gamma]
+    for i, j, k, delta in bumps:
+        out[i][j][k] += delta
+    return tuple(tuple(tuple(v) for v in row) for row in out)
+
+
+def _assert_matches_the_oracles(spec, gamma, bumps, label=None):
+    """The derived Γ (bracket mode) and the defects of gamma, clean and
+    bumped, equal the oracles' exactly, values and order."""
+    if spec.mode == MODE_BRACKET:
+        assert derive_connection(spec).gamma == koszul_oracle(spec), label
+    for table in (gamma, _bumped(gamma, bumps)):
+        want = identities_oracle(table, spec)
+        assert check_torsion_and_compatibility(table, spec) \
+            == (not want, want), label
+
+
+def test_structure_checks_match_the_fraction_oracles(shipped_and_generic):
+    f = Fraction
+    for label, spec, conn in shipped_and_generic:
+        n = spec.dim
+        bumps = ((0, 0, 0, f(1, 2)), (n - 1, 0, 1 % n, f(-3)),
+                 (0, n - 1, n - 1, f(2, 3)))
+        _assert_matches_the_oracles(spec, conn.gamma, bumps, label)
+
+
+@given(random_spec(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_structure_checks_match_the_fraction_oracles_on_random_tables(
+        spec, data):
+    n = spec.dim
+    index = st.integers(0, n - 1)
+    bumps = data.draw(st.lists(st.tuples(index, index, index, SMALL_RATIONAL),
+                               min_size=1, max_size=3))
+    _assert_matches_the_oracles(spec, koszul_oracle(spec), bumps)
 
 
 def test_transform_spec_moves_the_metric_by_congruence(loaded):
@@ -154,6 +247,14 @@ def test_bracket_mode_entries_validate_clean(loaded):
         rep = validate(spec)
         assert rep.jacobi_ok, name
         assert rep.metric_nondegenerate_ok, name
+
+
+def test_degenerate_metric_determines_no_connection():
+    spec = AlgebraSpec.build(("a", "b"), brackets={("a", "b"): {"a": 1}},
+                             metric={("a", "a"): 1})
+    with pytest.raises(PreconditionError) as exc:
+        derive_connection(spec)
+    assert str(exc.value) == "metric is degenerate; connection is not determined"
 
 
 def test_conflicting_connection_table_is_rejected():
@@ -240,12 +341,24 @@ def jacobi_oracle(spec):
     return tuple(failures)
 
 
-def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic):
-    for label, spec, _ in shipped_and_generic:
+def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic,
+                                                      loaded, rebased):
+    """Also on nonorthogonal8 in a generic basis: a failing table whose
+    common denominator exceeds 1."""
+    failing = rebased(loaded["nonorthogonal8"][0])
+    cases = shipped_and_generic + [("nonorthogonal8 (generic basis)",
+                                    failing, None)]
+    for label, spec, _ in cases:
         assert validate(spec).jacobi_failures == jacobi_oracle(spec), label
+    assert validate(failing).jacobi_failures
 
 
 @given(random_spec())
+# [e1,e2] = ½e1, [e1,e3] = ⅓e2: the cyclic sum on (e1, e2, e3) is ⅙e2
+@example(AlgebraSpec.build(("e1", "e2", "e3"),
+                           brackets={("e1", "e2"): {"e1": Fraction(1, 2)},
+                                     ("e1", "e3"): {"e2": Fraction(1, 3)}},
+                           metric={(e, e): 1 for e in ("e1", "e2", "e3")}))
 @settings(max_examples=25, deadline=None)
 def test_jacobi_failures_match_the_oracle_on_random_tables(spec):
     assert validate(spec).jacobi_failures == jacobi_oracle(spec)

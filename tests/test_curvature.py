@@ -18,7 +18,8 @@ from metriclie import (
     restrict,
     ricci,
 )
-from metriclie.linalg import Mat, SymForm, unit_vec
+from metriclie.linalg import Mat, SymForm, row_apply, unit_vec
+from test_algebra import random_spec
 
 curvature = importlib.import_module("metriclie.curvature")
 
@@ -110,6 +111,34 @@ def test_biinvariance_detection(loaded):
     for name, flag in expected.items():
         spec, _ = loaded[name]
         assert is_biinvariant(spec) is flag, name
+
+
+def biinvariant_oracle(spec):
+    """(G·c_ij)_k + (G·c_ik)_j = 0 on all basis triples, each c_ij lowered
+    in Fractions by `row_apply`."""
+    n = spec.dim
+    for row in spec.brackets:
+        lowered = [row_apply(v, spec.gram) for v in row]
+        for j in range(n):
+            for k in range(j, n):
+                if lowered[j][k] + lowered[k][j] != 0:
+                    return False
+    return True
+
+
+def test_biinvariance_matches_the_fraction_oracle(shipped_and_generic):
+    flags = set()
+    for label, spec, _ in shipped_and_generic:
+        flag = is_biinvariant(spec)
+        assert flag is biinvariant_oracle(spec), label
+        flags.add(flag)
+    assert flags == {True, False}
+
+
+@given(random_spec())
+@settings(max_examples=30, deadline=None)
+def test_biinvariance_matches_the_fraction_oracle_on_random_tables(spec):
+    assert is_biinvariant(spec) is biinvariant_oracle(spec)
 
 
 def test_biinvariant_connection_is_half_bracket(loaded):

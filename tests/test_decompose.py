@@ -37,7 +37,6 @@ from metriclie.decompose import (
     _factor_projections,
     _inert_pair_map,
     _to_ambient,
-    _trace_form,
 )
 from metriclie.ideals import ann_r, ann_report, is_strong_ideal
 from metriclie.linalg import (
@@ -51,6 +50,7 @@ from metriclie.linalg import (
     row_apply,
     row_space,
     subspace_intersect,
+    trace_form,
     unit_vec,
     vec_add,
 )
@@ -496,7 +496,7 @@ def test_local_commutant_leaves_have_no_splitting_candidate(
             comm = commutant(connection_of(restrict(spec, factor)))
             if len(comm) == 1:
                 continue
-            form = _trace_form(comm)
+            form = trace_form([c.entries for c in comm])
             assert form == Mat.from_rows(
                 [[(a @ b).trace() for b in comm] for a in comm], len(comm))
             if form.rank() > 1:
@@ -545,7 +545,7 @@ def test_a_field_commutant_ends_the_search(degree, generic, rebased,
         == [EVIDENCE_SEARCH_EXHAUSTED]
     assert len(calls) == 1
     comm = commutant(connection_of(spec))
-    assert len(comm) == _trace_form(comm).rank() == degree
+    assert len(comm) == trace_form([c.entries for c in comm]).rank() == degree
     for t in _candidate_mats(comm, DEFAULT_SEED, DEFAULT_BUDGET):
         if not t.is_zero():
             assert len(coprime_split(minimal_polynomial(t))) == 1
@@ -559,7 +559,8 @@ def test_products_of_fields_still_split(loaded, decomposed, so3_over_fields):
     cases = ((loaded["so3_x_so3"][0], decomposed["so3_x_so3"], 2, [3, 3]),
              (block, decompose(block), 4, [6, 6]))
     for spec, dec, rank, dims in cases:
-        assert _trace_form(commutant(connection_of(spec))).rank() == rank
+        comm = commutant(connection_of(spec))
+        assert trace_form([c.entries for c in comm]).rank() == rank
         assert [f.dim for f in dec.factors] == dims
 
 

@@ -19,6 +19,7 @@ from metriclie.linalg import (
     congruent_diagonalize,
     coprime_split,
     dot,
+    int_image,
     kernel,
     lin_comb,
     minimal_polynomial,
@@ -339,6 +340,20 @@ def test_dot_matches_the_fraction_sum(pair):
         assert dot(a, b) == want
     assert [den for _, den in rec.calls] == ([_lcm_of_terms(zip(a, b))]
                                              if want else [])
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda m: st.lists(st.lists(wide, min_size=m, max_size=m), max_size=6)))
+@example([])
+@example([[Fraction(1, 2), 0], [Fraction(0), Fraction(-2, 3)]])
+@settings(max_examples=50, deadline=None)
+def test_int_image_is_the_table_over_its_common_denominator(rows):
+    d, ints, nonzero = int_image(rows)
+    assert d == math.lcm(1, *(Fraction(x).denominator for r in rows for x in r))
+    assert all(type(x) is int for r in ints for x in r)
+    assert [[Fraction(x, d) for x in r] for r in ints] == \
+        [[Fraction(x) for x in r] for r in rows]
+    assert nonzero == [[(k, x) for k, x in enumerate(r) if x] for r in ints]
 
 
 @given(st.data())
