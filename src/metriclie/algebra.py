@@ -14,12 +14,15 @@ Index conventions: brackets[i][j][a] = c_ij^a with [e_i,e_j] = Σ_a c_ij^a e_a,
 and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  A table T
 applied to vectors contracts through `linalg.lin_comb`: T(x, y) =
 Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij and
-T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`; for T = Γ both
-together are the ∇-images of v, `nabla_images`).  The structure checks
-run in integer multiply-adds on `linalg.int_image`, a table over one
-common denominator D: the Jacobi defect D²·Σ_cyclic Σ_b c_ij^b c_bk
-([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the Koszul formula
-Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk = (G·c_ij)_k; torsion
+T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`).  For T = Γ
+these are the images of v under the 2n operators L_i = ∇_{e_i}· and
+R_i = ∇_·e_i; conditions linear in those operators are imposed on one
+basis of their span (`operator_basis`, `operator_images`).  The
+structure checks run in integer multiply-adds on `linalg.int_image`, a
+table over one common denominator D: the Jacobi defect
+D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
+Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with
+c_ijk = (G·c_ij)_k; torsion
 Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the
 same lowering through G (`skew_defects`, which on c is bi-invariance).
 Fractions are built only for Γ and for the value of a nonzero defect.
@@ -36,6 +39,7 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    independent_rows,
     int_image,
     lin_comb,
     rat,
@@ -231,6 +235,7 @@ class ConnectionCoeffs:
     one; the raw constructor checks shape only."""
 
     gamma: tuple
+    _operators: tuple | None = field(**_KEPT)   # `operator_basis`, kept
 
     def __post_init__(self):
         n = len(self.gamma)
@@ -246,16 +251,44 @@ def nabla_apply(conn: ConnectionCoeffs, x, y):
     return table_apply(conn.gamma, x, y)
 
 
-def nabla_images(conn: ConnectionCoeffs, v):
-    """∇_{e_i} v = Σ_j v_j Γ_ij, then ∇_v e_i = Σ_j v_j Γ_ji, for each i.
-    A subspace is a strong ideal when it holds these for each basis
-    vector v."""
-    return left_images(conn.gamma, v) + right_images(conn.gamma, v)
+def operator_basis(conn: ConnectionCoeffs):
+    """(left, right): a basis of the span of the 2n ∇-operators
+    L_i = ∇_{e_i}· and R_j = ∇_·e_j, each operator given by its columns
+    (L_i's are Γ_i0 … Γ_i,n−1, R_j's are Γ_0j … Γ_n−1,j).  L_0 … L_n−1 and
+    then R_0 … R_n−1 are scanned, and an operator is kept when it is not a
+    combination of those kept before it (`independent_rows` on the
+    flattened columns); the L_i come first, so `left` spans span{L_i}.
+    Found on first use and kept on conn.
+
+    Every "for all ∇-operators" condition is linear in the operator —
+    [T, Σ c_k M_k] = Σ c_k [T, M_k], and a subspace kept or killed by a
+    spanning set is kept or killed by its whole span — so the commutant,
+    the strong-ideal test and the annihilators impose these r ≤ 2n
+    operators only."""
+    if conn._operators is None:
+        n = conn.dim
+        g = conn.gamma
+        ops = list(g) + [tuple(row[j] for row in g) for j in range(n)]
+        kept = independent_rows([sum(cols, ()) for cols in ops])
+        object.__setattr__(conn, "_operators", (
+            tuple(ops[k] for k in kept if k < n),
+            tuple(ops[k] for k in kept if k >= n)))
+    return conn._operators
+
+
+def operator_images(conn: ConnectionCoeffs, v):
+    """T·v = Σ_j v_j (column j of T) for each operator T of
+    `operator_basis`, left ones first."""
+    n = conn.dim
+    left, right = operator_basis(conn)
+    return tuple(lin_comb(v, cols, n) for cols in left + right)
 
 
 def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
-    """h is closed under ∇ in both slots."""
-    return all(h.contains(w) for v in h.rows for w in nabla_images(conn, v))
+    """h is closed under ∇ in both slots: every operator of
+    `operator_basis`, which spans the L_i and R_j, maps each basis vector
+    of h into h (r ≤ 2n images per vector, not 2n)."""
+    return all(h.contains(w) for v in h.rows for w in operator_images(conn, v))
 
 
 def left_op(conn: ConnectionCoeffs, i) -> Mat:

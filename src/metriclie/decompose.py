@@ -4,11 +4,14 @@ matching, strong-isometry construction, the filtration chain for the
 uncovered case, and the flat-Riemannian splitting.
 
 The splitting engine works in the commutant of the 2n connection
-operators: a nontrivial idempotent there cuts the structure into two
-complementary strong ideals.  One search (`_search`) looks for such an
-idempotent in the coprime factorizations of minimal polynomials of
-commutant elements (basis elements first, then pairwise sums/differences,
-then seeded random combinations) and, when none turns up, returns the
+operators L_i = ∇_{e_i}· and R_j = ∇_·e_j: a nontrivial idempotent there
+cuts the structure into two complementary strong ideals.  Commuting with
+an operator is linear in it, so the commutant is that of one basis of
+span{L_i, R_j} (`operator_basis`, r ≤ 2n operators), and that basis is
+all it imposes.  One search (`_search`) looks for such an idempotent in
+the coprime factorizations of minimal polynomials of commutant elements
+(basis elements first, then pairwise sums/differences, then seeded
+random combinations) and, when none turns up, returns the
 indecomposability evidence instead.  Where C modulo its radical is Q or
 a field of degree 2 or 3, the loop is cut short: by Dickson's criterion
 (in characteristic 0, rad C is the radical of the trace form tr(xy) on
@@ -44,11 +47,10 @@ from .algebra import (
     ConnectionCoeffs,
     connection_of,
     left_images,
-    left_ops,
     nabla_apply,
+    operator_basis,
     restrict,
     right_images,
-    right_ops,
 )
 from .curvature import curvature_tensor
 from .errors import CertificateError, PreconditionError
@@ -148,17 +150,17 @@ def _to_ambient(carrier, local_sub):
 # Commutant and splitting idempotents
 
 
-def _commutator_rows(m, n):
-    """The n² conditions (TM − MT)_ab = 0 on T, for M scaled to integers by
-    the lcm of its denominators (the rows span the same space).  T is
-    flattened column-major, T[x][y] at y·n + x: on generic bases the
-    integer echelon of these rows grows far less than row-major (on the
-    first 12-dimensional system of the commutant tests it runs about 8×
-    faster).  Each row is a list of (column, integer) pairs, zeros left
-    out."""
-    d = math.lcm(*(x.denominator for row in m.entries for x in row))
+def _commutator_rows(cols, n):
+    """The n² conditions (TM − MT)_ab = 0 on T, for M given by its columns
+    and scaled to integers by the lcm of its denominators (the rows span
+    the same space).  T is flattened column-major, T[x][y] at y·n + x: on
+    generic bases the integer echelon of these rows grows far less than
+    row-major (on the first 12-dimensional system of the commutant tests
+    it runs about 8× faster).  Each row is a list of (column, integer)
+    pairs, zeros left out."""
+    d = math.lcm(*(x.denominator for col in cols for x in col))
     me = [[x.numerator * (d // x.denominator) for x in row]
-          for row in m.entries]
+          for row in zip(*cols)]
     rows = []
     for a in range(n):
         for b in range(n):
@@ -176,19 +178,23 @@ def commutant(conn: ConnectionCoeffs):
     """Basis (tuple of Mat) of {T : T commutes with every ∇-operator in
     either slot}, in canonical (RREF) order over T flattened row-major.
 
-    One operator at a time, in integers: the first operator's conditions
-    TM − MT = 0 are solved on all of M_n, and each later operator's only
-    on the solution so far, as its rows times the current basis (n² rows
-    of width dim).  Their integer kernel (`_kernel_ints`) gives the new
-    basis as combinations of the old one, and each new vector's content is
-    divided out.  An operator whose restricted system is zero is skipped,
-    and the loop stops at dimension 1: the identity meets every condition,
-    so that line is Q·I.  Fractions appear only in the one canonical form
-    at the end."""
+    [T, Σ c_k M_k] = Σ c_k [T, M_k], so T commutes with all 2n operators
+    L_i and R_j exactly when it commutes with a basis of their span, and
+    only the r ≤ 2n operators of `operator_basis` are imposed (r = n on a
+    bi-invariant structure, where R_j = −L_j).  One operator at a time, in
+    integers: the first operator's conditions TM − MT = 0 are solved on
+    all of M_n, and each later operator's only on the solution so far, as
+    its rows times the current basis (n² rows of width dim).  Their integer
+    kernel (`_kernel_ints`) gives the new basis as combinations of the old
+    one, and each new vector's content is divided out.  An operator whose
+    restricted system is zero is skipped, and the loop stops at dimension
+    1: the identity meets every condition, so that line is Q·I.  Fractions
+    appear only in the one canonical form at the end."""
     n = conn.dim
     nn = n * n
     basis = None   # integer vectors spanning the solution; None: all of M_n
-    for m in left_ops(conn) + right_ops(conn):
+    left, right = operator_basis(conn)
+    for m in left + right:
         if basis is not None and len(basis) == 1:
             break
         if basis is None:

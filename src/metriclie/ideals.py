@@ -1,9 +1,15 @@
 """Annihilator subspaces and strong ideals.
 
 Ann_R = {X : ∇_Y X = 0 for all Y} (the joint kernel of the left
-multiplication operators), Ann = Ann_R ∩ {X : ∇_X Y = 0 for all Y}.
-For a nondegenerate metric, Ann_R = (∇gg)^⊥ — compatibility moves the
-left slot across the pairing — and the report asserts that identity as a
+multiplication operators L_i = ∇_{e_i}·), Ann = Ann_R ∩ {X : ∇_X Y = 0
+for all Y} (the joint kernel of the L_i and the R_j = ∇_·e_j), and ∇gg is
+the span of all values ∇_X Y (the column span of the L_i).  A vector
+killed by some operators is killed by their span, and the column span of
+a combination lies in the sum of the column spans, so all three are read
+off one basis of span{L_i, R_j} (`operator_basis`): its left part spans
+span{L_i}.  Ann is one joint kernel, not an intersection.  For a
+nondegenerate metric, Ann_R = (∇gg)^⊥ — compatibility moves the left slot
+across the pairing — and the report asserts that identity as a
 self-check.  A strong ideal is a subspace closed under ∇ in both slots;
 strong ideals are automatically Lie ideals since the bracket is the
 antisymmetrized table.
@@ -17,10 +23,9 @@ from .algebra import (
     AlgebraSpec,
     ConnectionCoeffs,
     connection_of,
-    is_strong_ideal,  # defined next to nabla_images; re-exported here
-    left_ops,
-    nabla_images,
-    right_ops,
+    is_strong_ideal,  # defined next to operator_images; re-exported here
+    operator_basis,
+    operator_images,
 )
 from .linalg import (
     Mat,
@@ -29,7 +34,6 @@ from .linalg import (
     kernel,
     orthogonal_complement,
     radical,
-    subspace_intersect,
 )
 
 CASE_ANN_R_FULL = "ANN_R_FULL"
@@ -40,30 +44,25 @@ CASE_NON_ISOTROPIC = "NON_ISOTROPIC"
 
 
 def nabla_gg(conn: ConnectionCoeffs) -> Subspace:
-    """Span of all values ∇_X Y."""
-    n = conn.dim
-    return Subspace.from_vectors(n, [conn.gamma[i][j]
-                                     for i in range(n) for j in range(n)])
+    """Span of all values ∇_X Y: the columns Γ_ij of the left operators
+    of `operator_basis`."""
+    left, _ = operator_basis(conn)
+    return Subspace.from_vectors(conn.dim, [c for cols in left for c in cols])
 
 
 def _joint_kernel(ops, n):
-    rows = []
-    for op in ops:
-        if op.is_zero():
-            continue
-        rows.extend(op.entries)
-    if not rows:
-        return Subspace.full(n)
-    return kernel(Mat.from_rows(rows, n))
+    """{x : T·x = 0 for each T in ops}, operators given by their columns."""
+    return kernel(Mat.from_rows([r for cols in ops for r in zip(*cols)], n))
 
 
 def ann_r(conn: ConnectionCoeffs) -> Subspace:
-    return _joint_kernel(left_ops(conn), conn.dim)
+    left, _ = operator_basis(conn)
+    return _joint_kernel(left, conn.dim)
 
 
 def ann(conn: ConnectionCoeffs) -> Subspace:
-    return subspace_intersect(ann_r(conn),
-                              _joint_kernel(right_ops(conn), conn.dim))
+    left, right = operator_basis(conn)
+    return _joint_kernel(left + right, conn.dim)
 
 
 def is_isotropic(h: Subspace, form: SymForm) -> bool:
@@ -77,7 +76,7 @@ def strong_ideal_closure(s: Subspace, conn: ConnectionCoeffs) -> Subspace:
     while True:
         nxt = Subspace.from_vectors(
             n, list(current.rows)
-            + [w for v in current.rows for w in nabla_images(conn, v)])
+            + [w for v in current.rows for w in operator_images(conn, v)])
         if nxt == current:
             return current
         current = nxt
@@ -99,9 +98,7 @@ def ann_report(spec: AlgebraSpec) -> AnnReport:
         return spec._ann_report
     n = spec.dim
     conn = connection_of(spec)
-    a_r = ann_r(conn)
-    a = subspace_intersect(a_r, _joint_kernel(right_ops(conn), conn.dim))
-    ngg = nabla_gg(conn)
+    a_r, a, ngg = ann_r(conn), ann(conn), nabla_gg(conn)
     form = spec.metric
     if form.is_nondegenerate():
         assert a_r == orthogonal_complement(ngg, form), \

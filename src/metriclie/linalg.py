@@ -28,7 +28,7 @@ for a result or a nonzero defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 Rat = Fraction
@@ -326,32 +326,47 @@ def _clear(r, col, prow, nz):
     return r
 
 
+def _echelon_add(basis, row):
+    """Reduce `row` against the integer echelon `basis` (a list of
+    (pivot, int_row, nonzero columns of int_row), sorted by pivot) and insert
+    what is left in pivot order.  False when the row reduces to zero.
+
+    The row is cleared (`_clear`) at each basis pivot where it is nonzero;
+    once reduced, its content is divided out only when it is not 1."""
+    r = _int_row(row)
+    if r is None:
+        return False
+    for pivot, prow, nz in basis:
+        if r[pivot]:
+            r = _clear(r, pivot, prow, nz)
+    lead = next((i for i, x in enumerate(r) if x), None)
+    if lead is None:
+        return False
+    g = math.gcd(*r)
+    if r[lead] < 0:
+        g = -g
+    if g != 1:
+        r = [x // g for x in r]
+    basis.append((lead, r, [k for k, x in enumerate(r) if x]))
+    basis.sort(key=lambda prn: prn[0])
+    return True
+
+
 def _echelon(rows, ncols):
     """Integer echelon basis of the row space: list of (pivot, int_row),
-    sorted by pivot column.
-
-    An incoming row is cleared (`_clear`) at each basis pivot where it is
-    nonzero; once reduced, its content is divided out only when it is not
-    1."""
-    basis = []   # (pivot, int_row, nonzero columns of int_row)
+    sorted by pivot column."""
+    basis = []
     for row in rows:
-        r = _int_row(row)
-        if r is None:
-            continue
-        for pivot, prow, nz in basis:
-            if r[pivot]:
-                r = _clear(r, pivot, prow, nz)
-        lead = next((i for i, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        g = math.gcd(*r)
-        if r[lead] < 0:
-            g = -g
-        if g != 1:
-            r = [x // g for x in r]
-        basis.append((lead, r, [k for k, x in enumerate(r) if x]))
-        basis.sort(key=lambda prn: prn[0])
+        _echelon_add(basis, row)
     return [(p, r) for p, r, _ in basis]
+
+
+def independent_rows(rows):
+    """Indices of the rows that are not combinations of the rows before
+    them, in order: the first basis of the row space met in a left-to-right
+    scan, found by one incremental integer echelon."""
+    basis = []
+    return [i for i, row in enumerate(rows) if _echelon_add(basis, row)]
 
 
 def _rref_rows(rows, ncols):
@@ -394,14 +409,23 @@ class Subspace:
 
     ambient_dim: int
     basis: Mat
+    # the pivot column of each canonical row: passed in by `from_vectors`,
+    # found once for a basis given directly; equality reads the basis only
+    pivots: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.pivots is None:
+            object.__setattr__(self, "pivots", tuple(
+                next(i for i, x in enumerate(r) if x) for r in self.rows))
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         vectors = [vec(v) for v in vectors]
         for v in vectors:
             assert len(v) == ambient_dim
-        rows, _ = _rref_rows(vectors, ambient_dim)
-        return cls(ambient_dim, Mat.from_rows(rows, ambient_dim))
+        rows, pivots = _rref_rows(vectors, ambient_dim)
+        return cls(ambient_dim, Mat(tuple(rows), (len(rows), ambient_dim)),
+                   pivots)
 
     @classmethod
     def zero(cls, n):
@@ -409,7 +433,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n):
-        return cls(n, Mat.identity(n))
+        return cls(n, Mat.identity(n), tuple(range(n)))
 
     @property
     def dim(self):
@@ -418,13 +442,6 @@ class Subspace:
     @property
     def rows(self):
         return self.basis.entries
-
-    @property
-    def pivots(self):
-        out = []
-        for r in self.rows:
-            out.append(next(i for i, x in enumerate(r) if x))
-        return tuple(out)
 
     def reduce(self, v):
         """Return (coords, remainder): v - coords·basis = remainder.  The

@@ -19,6 +19,7 @@ from metriclie import (
     transform_spec,
     validate,
 )
+from metriclie.algebra import operator_basis
 from metriclie.errors import PreconditionError
 from metriclie.linalg import (
     Mat,
@@ -388,3 +389,56 @@ def test_restrict_rejects_exactly_the_coordinate_non_ideals(loaded):
                 assert rejected == (not ideal), (name, idx)
                 seen.add(rejected)
     assert seen == {True, False}
+
+
+def _greedy_operator_basis(conn):
+    """Scan L_0 … L_{n−1}, R_0 … R_{n−1} as Mats and keep each one that
+    raises the rank of the flattened operators kept so far."""
+    n = conn.dim
+    kept = []
+    for op in left_ops(conn) + right_ops(conn):
+        flat = [sum(m.entries, ()) for m in kept + [op]]
+        if Mat.from_rows(flat, n * n).rank() > len(kept):
+            kept.append(op)
+    return kept
+
+
+def _check_operator_basis(conn, label=None):
+    """The kept operators are independent, every L_i and R_j lies in their
+    span, the left ones span span{L_i}, and they are the scan's picks."""
+    n = conn.dim
+    left, right = operator_basis(conn)
+    as_mats = [Mat.from_rows(cols, n).transpose() for cols in left + right]
+    assert as_mats == _greedy_operator_basis(conn), label
+    kept = [sum(m.entries, ()) for m in as_mats]
+    span = Subspace.from_vectors(n * n, kept)
+    assert span.dim == len(kept), label
+    ls = [sum(m.entries, ()) for m in left_ops(conn)]
+    rs = [sum(m.entries, ()) for m in right_ops(conn)]
+    assert all(span.contains(v) for v in ls + rs), label
+    assert (Subspace.from_vectors(n * n, kept[:len(left)])
+            == Subspace.from_vectors(n * n, ls)), label
+    assert operator_basis(conn) is operator_basis(conn)   # kept on conn
+
+
+def test_the_operator_basis_spans_every_nabla_operator(shipped_and_generic):
+    for label, _, conn in shipped_and_generic:
+        _check_operator_basis(conn, label)
+
+
+def test_the_operator_basis_sizes_on_the_catalog(loaded):
+    # bi-invariant structures: ∇_X Y = ½[X,Y] gives R_j = −L_j
+    want = {"so3_x_so3": (6, 0), "so3_killing_neg": (3, 0),
+            "nonorthogonal8": (2, 4), "nonorthogonal8_alt": (2, 4),
+            "t_star_h3": (3, 0), "n23_quadratic": (3, 0),
+            "heisenberg3_euclid": (3, 2), "abelian_3": (0, 0)}
+    for name, sizes in want.items():
+        left, right = operator_basis(loaded[name][1])
+        assert (len(left), len(right)) == sizes, name
+
+
+@given(random_spec())
+@settings(max_examples=40, deadline=None)
+def test_the_operator_basis_spans_every_nabla_operator_on_random_tables(
+        spec):
+    _check_operator_basis(connection_of(spec))

@@ -1,14 +1,29 @@
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
 from metriclie import (
     ann_report,
+    connection_of,
     is_isotropic,
     is_strong_ideal,
+    left_ops,
     nabla_apply,
+    right_ops,
     strong_ideal_closure,
 )
 from metriclie.catalog import catalog_get
-from metriclie.ideals import ann_r, nabla_gg
-from metriclie.linalg import Subspace, orthogonal_complement, unit_vec
+from metriclie.ideals import ann, ann_r, nabla_gg
+from metriclie.linalg import (
+    Mat,
+    Subspace,
+    kernel,
+    orthogonal_complement,
+    subspace_intersect,
+    unit_vec,
+)
+from test_algebra import random_spec
 
 
 def test_right_annihilator_is_the_nabla_orthocomplement(loaded):
@@ -97,3 +112,77 @@ def test_radical_of_ann_r(loaded):
     assert rep.ann_r.dim == 1
     assert rep.ann_r_radical.dim == 0
     assert rep.ann.dim == 0
+
+
+def _strong_ideal_oracle(h, conn):
+    """Every one of the 2n operators L_i, R_j maps every basis vector of h
+    into h."""
+    ops = left_ops(conn) + right_ops(conn)
+    return all(h.contains(op.apply(v)) for op in ops for v in h.rows)
+
+
+def _annihilators_oracle(conn):
+    """(Ann_R, Ann, ∇gg) from all 2n operators: Ann_R the joint kernel of
+    the L_i, Ann its intersection with the joint kernel of the R_j, ∇gg
+    the span of every Γ_ij."""
+    n = conn.dim
+
+    def joint_kernel(ops):
+        rows = [r for op in ops for r in op.entries]
+        return kernel(Mat.from_rows(rows, n)) if rows else Subspace.full(n)
+    a_r = joint_kernel(left_ops(conn))
+    a = subspace_intersect(a_r, joint_kernel(right_ops(conn)))
+    ngg = Subspace.from_vectors(n, [conn.gamma[i][j] for i in range(n)
+                                    for j in range(n)])
+    return a_r, a, ngg
+
+
+def _test_subspaces(conn, rng, count):
+    """Spans of random small integer vectors (mostly not ideals), their
+    strong-ideal closures (ideals), and the annihilators and ∇gg."""
+    n = conn.dim
+    out = [Subspace.zero(n), Subspace.full(n), ann_r(conn), ann(conn),
+           nabla_gg(conn)]
+    for _ in range(count):
+        k = rng.randint(1, n)
+        h = Subspace.from_vectors(n, [[rng.randint(-1, 1) for _ in range(n)]
+                                      for _ in range(k)])
+        out += [h, strong_ideal_closure(h, conn)]
+    return out
+
+
+def test_is_strong_ideal_matches_the_all_operator_oracle(
+        shipped_and_generic):
+    rng = random.Random(5)
+    seen = set()
+    for label, _, conn in shipped_and_generic:
+        for h in _test_subspaces(conn, rng, 6):
+            want = _strong_ideal_oracle(h, conn)
+            assert is_strong_ideal(h, conn) == want, label
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@given(random_spec(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_is_strong_ideal_matches_the_all_operator_oracle_on_random_tables(
+        spec, rng):
+    conn = connection_of(spec)
+    for h in _test_subspaces(conn, rng, 3):
+        assert is_strong_ideal(h, conn) == _strong_ideal_oracle(h, conn)
+
+
+def test_annihilators_match_the_all_operator_oracle(shipped_and_generic):
+    for label, spec, conn in shipped_and_generic:
+        want = _annihilators_oracle(conn)
+        rep = ann_report(spec)
+        assert (rep.ann_r, rep.ann, rep.nabla_gg) == want, label
+        assert (ann_r(conn), ann(conn), nabla_gg(conn)) == want, label
+
+
+@given(random_spec())
+@settings(max_examples=40, deadline=None)
+def test_annihilators_match_the_all_operator_oracle_on_random_tables(spec):
+    conn = connection_of(spec)
+    rep = ann_report(spec)
+    assert (rep.ann_r, rep.ann, rep.nabla_gg) == _annihilators_oracle(conn)

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from metriclie import connection_of, linalg
-from metriclie.algebra import ConnectionCoeffs, left_ops, right_ops
+from metriclie.algebra import (
+    ConnectionCoeffs,
+    left_ops,
+    operator_basis,
+    right_ops,
+)
 from metriclie.decompose import commutant
 from metriclie.linalg import (
     Mat,
@@ -19,6 +24,7 @@ from metriclie.linalg import (
     congruent_diagonalize,
     coprime_split,
     dot,
+    independent_rows,
     int_image,
     kernel,
     lin_comb,
@@ -41,6 +47,7 @@ from metriclie.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from test_algebra import random_spec
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -385,6 +392,28 @@ def _reduce_oracle(sub, v):
     return tuple(coords), v
 
 
+@given(st.integers(1, 5).flatmap(subspaces))
+@settings(max_examples=80, deadline=None)
+def test_a_subspace_keeps_the_pivots_of_its_canonical_basis(sub):
+    scanned = tuple(next(i for i, x in enumerate(r) if x) for r in sub.rows)
+    assert sub.pivots == scanned
+    direct = Subspace(sub.ambient_dim, sub.basis)
+    assert direct == sub and direct.pivots == scanned
+    assert Subspace.full(sub.ambient_dim).pivots == tuple(
+        range(sub.ambient_dim))
+
+
+@given(shaped_mats())
+@settings(max_examples=80, deadline=None)
+def test_independent_rows_pick_the_first_basis_of_the_row_space(m):
+    kept = independent_rows(m.entries)
+    for i in range(m.nrows):
+        before = Mat.from_rows(m.entries[:i], m.ncols).rank()
+        with_i = Mat.from_rows(m.entries[:i + 1], m.ncols).rank()
+        assert (i in kept) == (with_i > before)
+    assert len(kept) == m.rank()
+
+
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     subspaces(n), st.lists(wide, min_size=n, max_size=n))))
 @settings(max_examples=150, deadline=None)
@@ -577,6 +606,47 @@ def test_commutant_stops_once_it_reaches_the_scalars(loaded, monkeypatch):
     rows = _counting(monkeypatch, "_commutator_rows")
     assert commutant(conn) == _commutant_oracle(conn) == (Mat.identity(3),)
     assert len(rows) == 2
+
+
+@given(random_spec())
+@settings(max_examples=30, deadline=None)
+def test_commutant_matches_the_dense_oracle_on_random_tables(spec):
+    conn = connection_of(spec)
+    assert commutant(conn) == _commutant_oracle(conn)
+
+
+@st.composite
+def raw_connections(draw):
+    """Raw Γ tables, n ≤ 4, most entries zero: no torsion or compatibility,
+    so the L_i and R_j are unrelated and often dependent."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions)
+    return ConnectionCoeffs(tuple(
+        tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+              for _ in range(n)) for _ in range(n)))
+
+
+@given(raw_connections())
+@settings(max_examples=30, deadline=None)
+def test_commutant_matches_the_dense_oracle_on_raw_tables(conn):
+    assert commutant(conn) == _commutant_oracle(conn)
+
+
+def test_the_commutant_imposes_one_operator_per_basis_element(
+        loaded, so3_over_fields, monkeypatch):
+    """On bi-invariant structures R_j = −L_j, so the operator basis has
+    r = n elements and the commutant reads at most n commutator systems,
+    not 2n: so3 ⊕ so3 and the n = 12 block ladder rung
+    so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3)."""
+    for conn in (loaded["so3_x_so3"][1],
+                 connection_of(so3_over_fields(2, 3))):
+        n = conn.dim
+        left, right = operator_basis(conn)
+        assert (len(left), len(right)) == (n, 0)
+        rows = _counting(monkeypatch, "_commutator_rows")
+        assert commutant(conn) == _commutant_oracle(conn)
+        assert 0 < len(rows) <= n
+        monkeypatch.undo()
 
 
 def test_commutant_of_a_field_block_in_a_generic_basis(rebased,
