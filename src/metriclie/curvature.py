@@ -5,9 +5,8 @@ matrix is ric[i][j] = trace of Z ↦ R(Z, e_i) e_j.  Killing form
 K(X,Y) = tr(ad X ∘ ad Y).  Everything is exact.
 
 All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
-(index conventions in `algebra`): R(e_i,e_j)e_k = Σ_a Γ_jk^a Γ_ia −
-Σ_a Γ_ik^a Γ_ja − Σ_a c_ij^a Γ_ak for i < j (one `lin_comb` call over
-the concatenated coefficients and vectors) and R(e_j,e_i) = −R(e_i,e_j);
+(index conventions in `algebra`): R(e_i,e_j)e_k = Σ_b Γ_jk^b Γ_ib −
+Σ_b Γ_ik^b Γ_jb − Σ_b c_ij^b Γ_bk for i < j and R(e_j,e_i) = −R(e_i,e_j);
 K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (`linalg.trace_form`);
 bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
 steps by [e_i, v] = Σ_j v_j c_ij.
@@ -18,7 +17,16 @@ L_i: y ↦ ∇_{e_i} y, R_j: x ↦ ∇_x e_j ((R_j)^a_m = Γ_mj^a) and
 over m gives ric_ij = Σ_a Γ_ij^a τ_a − tr(L_i R_j) + tr(ad_i R_j).  Every
 table `connection_of` accepts is torsion-free, so L_i − ad_i = R_i and
 ric_ij = ⟨Γ_ij, τ⟩ − tr(R_i R_j) = Σ_a Γ_ij^a τ_a − Σ_{a,m} Γ_mi^a Γ_aj^m:
-O(n⁴), and a zero entry of R_i never reads R_j.  R = 0 implies ric = 0,
+O(n⁴), and a zero entry of R_i never reads R_j.
+
+The tensor and the Ricci form are integer multiply-adds.  With D the
+common denominator of the table (`linalg.int_image`: Γ's n² vectors, then
+c's for the tensor),
+  D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) − (Dc_ij^b)(DΓ_bk),
+  D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m),
+  Dτ_a = Σ_m DΓ_ma^m,
+each summed over the nonzero pairs of the image, and a Fraction is built
+once per nonzero output coordinate.  R = 0 implies ric = 0,
 so `classify` builds the O(n⁵) tensor only for a Ricci-flat structure;
 the `curvature` command and `decompose.flat_riemannian_structure` build it
 outright.
@@ -32,6 +40,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSpec,
     MODE_BRACKET,
+    _fractions,
     connection_of,
     left_images,
     skew_defects,
@@ -59,38 +68,58 @@ class CurvatureTensor:
 
 
 def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
-    """R(e_i,e_j)e_k for i < j is one contraction,
-    lin_comb(Γ_jk + (−Γ_ik) + (−c_ij), Γ_i + Γ_j + cols[k]) with
-    cols[k][a] = Γ_ak, so each coordinate is normalized once."""
+    """D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) −
+    (Dc_ij^b)(DΓ_bk) for i < j, summed in ints over the nonzero pairs of
+    one `int_image` (g[i·n + j] = D·Γ_ij, g[n² + i·n + j] = D·c_ij); each
+    nonzero coordinate becomes a Fraction once, and R(e_j,e_i) is the
+    negation of the plane R(e_i,e_j)."""
     n = spec.dim
-    g = connection_of(spec).gamma
-    cols = tuple(tuple(row[k] for row in g) for k in range(n))   # cols[k][a] = Γ_ak
-    out = [[(zero_vec(n),) * n] * n for _ in range(n)]
+    d, _, nz = int_image([v for row in connection_of(spec).gamma for v in row]
+                         + [v for row in spec.brackets for v in row])
+    d *= d
+    zero = (zero_vec(n),) * n
+    out = [[zero] * n for _ in range(n)]
     for i in range(n):
-        neg = tuple(tuple(-x for x in v) for v in g[i])   # neg[k] = −Γ_ik
         for j in range(i + 1, n):
-            negc = tuple(-x for x in spec.brackets[i][j])
-            gij = g[i] + g[j]
-            plane = tuple(lin_comb(g[j][k] + neg[k] + negc, gij + cols[k], n)
-                          for k in range(n))
-            out[i][j] = plane
-            out[j][i] = tuple(tuple(-x for x in v) for v in plane)
+            c = nz[n * n + i * n + j]
+            plane = []
+            for k in range(n):
+                acc = [0] * n
+                for b, x in nz[j * n + k]:
+                    for m, y in nz[i * n + b]:
+                        acc[m] += x * y
+                for b, x in nz[i * n + k]:
+                    for m, y in nz[j * n + b]:
+                        acc[m] -= x * y
+                for b, x in c:
+                    for m, y in nz[b * n + k]:
+                        acc[m] -= x * y
+                plane.append(_fractions(acc, d))
+            out[i][j] = tuple(plane)
+            out[j][i] = tuple(tuple(-x if x else x for x in v) for v in plane)
     return CurvatureTensor(tuple(tuple(row) for row in out))
 
 
 def ricci(spec: AlgebraSpec) -> Mat:
-    """Row i is one `lin_comb`: ric_ij = Σ_a τ_a Γ_ij^a − Σ_{a,m} Γ_mi^a Γ_aj^m
-    over the vectors (Γ_aj^m)_j (module docstring)."""
+    """D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m) with
+    Dτ_a = Σ_m DΓ_ma^m (module docstring), summed in ints over the nonzero
+    pairs of one `int_image` of Γ (g[i·n + j] = D·Γ_ij); each nonzero
+    entry becomes a Fraction once."""
     n = spec.dim
-    g = connection_of(spec).gamma
-    tau = [sum((g[m][a][m] for m in range(n)), Fraction(0)) for a in range(n)]
-    # over[a][m] = (Γ_aj^m)_j, the vector over j read at coordinate m
-    over = [tuple(tuple(row[m] for row in g[a]) for m in range(n))
-            for a in range(n)]
-    flat = tuple(v for rows in over for v in rows)
-    return Mat.from_rows(
-        [lin_comb(tau + [-g[m][i][a] for a in range(n) for m in range(n)],
-                  over[i] + flat, n) for i in range(n)], n)
+    d, g, nz = int_image(v for row in connection_of(spec).gamma for v in row)
+    tau = [sum(g[m * n + a][m] for m in range(n)) for a in range(n)]
+    # over[a·n + m] = the nonzero pairs (j, D·Γ_aj^m) of the vector over j
+    over = [[(j, x) for j in range(n) if (x := g[a * n + j][m])]
+            for a in range(n) for m in range(n)]
+    rows = []
+    for i in range(n):
+        acc = [sum(x * tau[a] for a, x in nz[i * n + j]) for j in range(n)]
+        for m in range(n):
+            for a, x in nz[m * n + i]:
+                for j, y in over[a * n + m]:
+                    acc[j] -= x * y
+        rows.append(_fractions(acc, d * d))
+    return Mat(tuple(rows), (n, n))
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:

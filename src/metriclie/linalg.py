@@ -353,12 +353,12 @@ def _echelon_add(basis, row):
 
 
 def _echelon(rows, ncols):
-    """Integer echelon basis of the row space: list of (pivot, int_row),
-    sorted by pivot column."""
+    """Integer echelon basis of the row space: list of (pivot, int_row,
+    nonzero columns of int_row), sorted by pivot column."""
     basis = []
     for row in rows:
         _echelon_add(basis, row)
-    return [(p, r) for p, r, _ in basis]
+    return basis
 
 
 def independent_rows(rows):
@@ -378,8 +378,8 @@ def _rref_rows(rows, ncols):
     Each entry then becomes a Fraction once, divided by the row's
     (positive) pivot entry."""
     basis = _echelon(rows, ncols)
-    pivots = [p for p, _ in basis]
-    ints = [r for _, r in basis]
+    pivots = [p for p, _, _ in basis]
+    ints = [r for _, r, _ in basis]
     nzs = [None] * len(ints)
     for i in reversed(range(len(ints))):
         r = ints[i]
@@ -488,20 +488,21 @@ def _kernel_ints(rows, ncols):
 
     One back-substitution through the integer echelon rows per free column
     f: x_f = 1, the other free coordinates 0, and each pivot coordinate
-    solved from its row, last pivot first.  x stays integral: when the
+    solved from its row, last pivot first, as a sum over the row's nonzero
+    columns only (x_p itself is still 0 there).  x stays integral: when the
     pivot entry does not divide the sum it has to cancel, all of x is
     first multiplied by the missing factor."""
     basis = _echelon(rows, ncols)
-    pivset = {p for p, _ in basis}
+    pivset = {p for p, _, _ in basis}
     vecs = []
     for f in range(ncols):
         if f in pivset:
             continue
         x = [0] * ncols
         x[f] = 1
-        for p, row in reversed(basis):
+        for p, row, nz in reversed(basis):
             s = 0
-            for j in range(p + 1, ncols):
+            for j in nz:
                 if x[j]:
                     s += row[j] * x[j]
             if s:

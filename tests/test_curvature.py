@@ -10,6 +10,7 @@ from metriclie import (
     AlgebraSpec,
     ad_matrix,
     classify,
+    connection_of,
     curvature_tensor,
     is_biinvariant,
     killing_form,
@@ -70,20 +71,72 @@ def test_killing_form_matches_structure_constant_sum(loaded):
         assert killing_form(spec) == killing_oracle(spec), name
 
 
+def assert_operator_form(spec, label=None):
+    """R(e_i, e_j) = [L_i, L_j] - sum_m c_ij^m L_m as Mat products, with
+    L_i the matrix of y -> nabla_{e_i} y, on every ordered pair i, j."""
+    n = spec.dim
+    ls = left_ops(connection_of(spec))
+    r = curvature_tensor(spec)
+    for i in range(n):
+        for j in range(n):
+            op = ls[i] @ ls[j] - ls[j] @ ls[i]
+            for m in range(n):
+                op = op - ls[m].scale(spec.brackets[i][j][m])
+            for k in range(n):
+                assert r.coeffs[i][j][k] == op.col(k), (label, i, j, k)
+
+
+@st.composite
+def random_connection_spec(draw):
+    """Connection-mode tables from a random nondegenerate G and a random
+    lowered table T_ijk = ⟨∇_{e_i} e_j, e_k⟩, antisymmetric in j, k, with
+    Γ_ij = G⁻¹·T_ij: metric and torsion-free by construction, while the
+    induced brackets may fail Jacobi.  Zeros are drawn often, so sparse
+    operators are exercised too."""
+    n = draw(st.integers(1, 4))
+    small = st.sampled_from((0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(small)
+    gram = Mat.from_rows(g, n)
+    assume(gram.rank() == n)
+    ginv = gram.inverse()
+    gamma = []
+    for i in range(n):
+        t = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                t[j][k] = draw(small)
+                t[k][j] = -t[j][k]
+        gamma.append([ginv.apply(tuple(Fraction(x) for x in row))
+                      for row in t])
+    names = [f"e{i}" for i in range(n)]
+    return AlgebraSpec.from_connection(names, gamma, SymForm(gram))
+
+
 def test_curvature_tensor_matches_the_operator_form(shipped_and_generic):
-    # R(e_i, e_j) = [L_i, L_j] - sum_m c_ij^m L_m as Mat products, with
-    # L_i the matrix of y -> nabla_{e_i} y
-    for label, spec, conn in shipped_and_generic:
-        n = spec.dim
-        ls = left_ops(conn)
-        r = curvature_tensor(spec)
-        for i in range(n):
-            for j in range(n):
-                op = ls[i] @ ls[j] - ls[j] @ ls[i]
-                for m in range(n):
-                    op = op - ls[m].scale(spec.brackets[i][j][m])
-                for k in range(n):
-                    assert r.coeffs[i][j][k] == op.col(k), (label, i, j, k)
+    for label, spec, _ in shipped_and_generic:
+        assert_operator_form(spec, label)
+
+
+@given(random_connection_spec())
+@settings(max_examples=40, deadline=None)
+def test_curvature_tensor_matches_the_operator_form_on_random_connections(
+        spec):
+    assert_operator_form(spec)
+
+
+@given(random_spec())
+@settings(max_examples=40, deadline=None)
+def test_curvature_tensor_matches_the_operator_form_on_random_brackets(spec):
+    assert_operator_form(spec)
+
+
+@given(random_spec())
+@settings(max_examples=40, deadline=None)
+def test_ricci_matches_the_dual_basis_contraction_on_random_brackets(spec):
+    assert ricci(spec) == ricci_oracle(spec)
 
 
 def test_killing_form_matches_the_ad_matrix_traces(shipped_and_generic):
@@ -231,34 +284,9 @@ def test_direct_ricci_equals_the_tensor_trace_on_generic_bases(
         assert ricci(spec) == ricci_oracle(spec), label
 
 
-@given(st.data())
+@given(random_connection_spec())
 @settings(max_examples=40, deadline=None)
-def test_direct_ricci_equals_the_tensor_trace_on_random_connections(data):
-    """Connection-mode tables from a random nondegenerate G and a random
-    lowered table T_ijk = ⟨∇_{e_i} e_j, e_k⟩, antisymmetric in j, k, with
-    Γ_ij = G⁻¹·T_ij: metric and torsion-free by construction, while the
-    induced brackets may fail Jacobi.  Zeros are drawn often, so sparse
-    operators are exercised too."""
-    n = data.draw(st.integers(1, 4))
-    small = st.sampled_from((0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)))
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = data.draw(small)
-    gram = Mat.from_rows(g, n)
-    assume(gram.rank() == n)
-    ginv = gram.inverse()
-    gamma = []
-    for i in range(n):
-        t = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j + 1, n):
-                t[j][k] = data.draw(small)
-                t[k][j] = -t[j][k]
-        gamma.append([ginv.apply(tuple(Fraction(x) for x in row))
-                      for row in t])
-    names = [f"e{i}" for i in range(n)]
-    spec = AlgebraSpec.from_connection(names, gamma, SymForm(gram))
+def test_direct_ricci_equals_the_tensor_trace_on_random_connections(spec):
     assert ricci(spec) == ricci_oracle(spec)
 
 

@@ -689,6 +689,50 @@ def test_kernel_ints_are_integral_annihilating_and_span_the_kernel(m):
     assert span == kernel(m)
 
 
+def _kernel_ints_dense(rows, ncols):
+    """The dense back-substitution: each pivot coordinate solved from its
+    integer echelon row by a sum over every column right of the pivot."""
+    basis = linalg._echelon(rows, ncols)
+    pivset = {p for p, _, _ in basis}
+    vecs = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        for p, row, _ in reversed(basis):
+            s = sum(row[j] * x[j] for j in range(p + 1, ncols))
+            if s:
+                g = math.gcd(s, row[p])
+                if g != row[p]:
+                    x = [v * (row[p] // g) for v in x]
+                x[p] = -s // g
+        vecs.append(x)
+    return vecs
+
+
+def sparse_int_systems(nmax=7):
+    """Integer matrices up to nmax × nmax, most entries 0, so the echelon
+    rows have gaps right of their pivots."""
+    def build(draw):
+        r = draw(st.integers(0, nmax))
+        c = draw(st.integers(0, nmax))
+        entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r)), c
+    return st.composite(build)()
+
+
+@given(sparse_int_systems())
+@settings(max_examples=80, deadline=None)
+def test_kernel_ints_match_the_dense_back_substitution(system):
+    rows, ncols = system
+    vecs = linalg._kernel_ints(rows, ncols)
+    assert vecs == _kernel_ints_dense(rows, ncols)
+    for v in vecs:
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+
+
 def test_minimal_polynomial_matches_the_oracle_on_commutants(
         shipped_and_generic):
     for _, _, conn in shipped_and_generic:
