@@ -39,6 +39,7 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    _fractions,
     independent_rows,
     int_image,
     lin_comb,
@@ -53,7 +54,6 @@ from .linalg import (
 
 MODE_BRACKET = "bracket"
 MODE_CONNECTION = "connection"
-_ZERO = Fraction(0)
 _KEPT = dict(default=None, init=False, repr=False, compare=False)
 
 
@@ -251,6 +251,12 @@ def nabla_apply(conn: ConnectionCoeffs, x, y):
     return table_apply(conn.gamma, x, y)
 
 
+def _negated(u, v):
+    """u = −v, for vectors of reduced Fractions, without arithmetic."""
+    return all(x.numerator == -y.numerator and x.denominator == y.denominator
+               for x, y in zip(u, v))
+
+
 def operator_basis(conn: ConnectionCoeffs):
     """(left, right): a basis of the span of the 2n ∇-operators
     L_i = ∇_{e_i}· and R_j = ∇_·e_j, each operator given by its columns
@@ -258,7 +264,10 @@ def operator_basis(conn: ConnectionCoeffs):
     then R_0 … R_n−1 are scanned, and an operator is kept when it is not a
     combination of those kept before it (`independent_rows` on the
     flattened columns); the L_i come first, so `left` spans span{L_i}.
-    Found on first use and kept on conn.
+    An R_j with Γ_ij = −Γ_ji for every i is −L_j, which lies in that span,
+    so it is dropped by that column comparison before the echelon: on a
+    bi-invariant structure no R_j reaches it.  Found on first use and kept
+    on conn.
 
     Every "for all ∇-operators" condition is linear in the operator —
     [T, Σ c_k M_k] = Σ c_k [T, M_k], and a subspace kept or killed by a
@@ -268,7 +277,9 @@ def operator_basis(conn: ConnectionCoeffs):
     if conn._operators is None:
         n = conn.dim
         g = conn.gamma
-        ops = list(g) + [tuple(row[j] for row in g) for j in range(n)]
+        ops = list(g) + [tuple(row[j] for row in g) for j in range(n)
+                         if not all(_negated(g[i][j], g[j][i])
+                                    for i in range(n))]
         kept = independent_rows([sum(cols, ()) for cols in ops])
         object.__setattr__(conn, "_operators", (
             tuple(ops[k] for k in kept if k < n),
@@ -313,15 +324,12 @@ def right_ops(conn):
     return tuple(right_op(conn, j) for j in range(conn.dim))
 
 
-def _fractions(ints, d):
-    return tuple(Fraction(x, d) if x else _ZERO for x in ints)
-
-
 def _lowered(d, nz, metric: SymForm):
     """(D, low), low[i·n + j][k] = D·⟨T_ij, e_k⟩ = D·(G·T_ij)_k in ints, for
     T with `int_image` (d, _, nz) of its flat vectors (later rows unread)."""
     n = metric.dim
-    dg, _, gnz = int_image(metric.gram.entries)
+    dg, g = metric.gram.image()
+    _, _, gnz = int_image(g)
     low = [[0] * n for _ in range(n * n)]
     for r, acc in zip(nz, low):
         for a, x in r:
@@ -373,7 +381,8 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
             "metric is degenerate; connection is not determined") from None
     dc, _, cnz = int_image(v for row in spec.brackets for v in row)
     d, c = _lowered(dc, cnz, spec.metric)   # c[i·n + j][k] = d·c_ijk
-    dh, _, hnz = int_image(ginv.entries)
+    dh, h = ginv.image()
+    _, _, hnz = int_image(h)
     d *= 2 * dh
     # G⁻¹ is symmetric, so Γ_ij = ½ Σ_k (c_ijk − c_jki + c_kij)·(row k of G⁻¹)
     gamma = [[None] * n for _ in range(n)]

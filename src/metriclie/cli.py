@@ -42,7 +42,7 @@ from .decompose import (
 from .errors import InputFormatError, MetricLieError, PreconditionError
 from .fileformat import load_path, serialize_document
 from .ideals import ann_report
-from .linalg import Mat, Subspace, congruent_diagonalize, row_apply, vec_is_zero
+from .linalg import Mat, congruent_diagonalize, row_space, vec_is_zero
 
 COMMANDS = ("validate", "connection", "curvature", "ricci", "classify",
             "ann", "decompose", "filtration", "compare", "isometry")
@@ -263,14 +263,11 @@ def _decomposition_pair(spec, entry, args):
         g0 = dec_a.g0
         partner = "alt_factors"
     else:
-        n = spec.dim
-        p = _random_basis_change(n, random.Random(args.seed))
+        p = _random_basis_change(spec.dim, random.Random(args.seed))
         dec_t = decompose(transform_spec(spec, p), seed=args.seed,
                           budget=args.budget)
-        def back(s):
-            return Subspace.from_vectors(n, [row_apply(w, p) for w in s.rows])
-        factors = [back(f) for f in dec_t.factors]
-        g0 = None if dec_t.g0 is None else back(dec_t.g0)
+        factors = [row_space(f.basis @ p) for f in dec_t.factors]
+        g0 = None if dec_t.g0 is None else row_space(dec_t.g0.basis @ p)
         partner = "basis_change"
     dec_b = decomposition_from_factors(spec, factors, g0, seed=args.seed,
                                        budget=args.budget)

@@ -25,11 +25,11 @@ c's for the tensor),
   D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) − (Dc_ij^b)(DΓ_bk),
   D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m),
   Dτ_a = Σ_m DΓ_ma^m,
-each summed over the nonzero pairs of the image, and a Fraction is built
-once per nonzero output coordinate.  R = 0 implies ric = 0,
-so `classify` builds the O(n⁵) tensor only for a Ricci-flat structure;
-the `curvature` command and `decompose.flat_riemannian_structure` build it
-outright.
+each summed over the nonzero pairs of the image; a Fraction is built once
+per nonzero tensor coordinate, and the Ricci sums are a Mat's image.
+R = 0 implies ric = 0, so `classify` builds the O(n⁵) tensor only for a
+Ricci-flat structure; the `curvature` command and
+`decompose.flat_riemannian_structure` build it outright.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSpec,
     MODE_BRACKET,
-    _fractions,
     connection_of,
     left_images,
     skew_defects,
     table_apply,
 )
-from .linalg import (Mat, Subspace, int_image, lin_comb, trace_form,
-                     vec_is_zero, zero_vec)
+from .linalg import (Mat, Subspace, _fractions, int_image, lin_comb,
+                     trace_form, vec_is_zero, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,8 @@ def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
 def ricci(spec: AlgebraSpec) -> Mat:
     """D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m) with
     Dτ_a = Σ_m DΓ_ma^m (module docstring), summed in ints over the nonzero
-    pairs of one `int_image` of Γ (g[i·n + j] = D·Γ_ij); each nonzero
-    entry becomes a Fraction once."""
+    pairs of one `int_image` of Γ (g[i·n + j] = D·Γ_ij); the sums over D²
+    are the Mat's image, so its Fractions are built only when read."""
     n = spec.dim
     d, g, nz = int_image(v for row in connection_of(spec).gamma for v in row)
     tau = [sum(g[m * n + a][m] for m in range(n)) for a in range(n)]
@@ -118,8 +117,8 @@ def ricci(spec: AlgebraSpec) -> Mat:
             for a, x in nz[m * n + i]:
                 for j, y in over[a * n + m]:
                     acc[j] -= x * y
-        rows.append(_fractions(acc, d * d))
-    return Mat(tuple(rows), (n, n))
+        rows.append(acc)
+    return Mat.from_image(d * d, rows, (n, n))
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:

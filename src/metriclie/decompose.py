@@ -188,8 +188,9 @@ def commutant(conn: ConnectionCoeffs):
     kernel (`_kernel_ints`) gives the new basis as combinations of the old
     one, and each new vector's content is divided out.  An operator whose
     restricted system is zero is skipped, and the loop stops at dimension
-    1: the identity meets every condition, so that line is Q·I.  Fractions
-    appear only in the one canonical form at the end."""
+    1: the identity meets every condition, so that line is Q·I.  No
+    Fraction is built: the canonical basis is reduced from the integer
+    vectors, and the matrices are sliced from its image."""
     n = conn.dim
     nn = n * n
     basis = None   # integer vectors spanning the solution; None: all of M_n
@@ -234,14 +235,24 @@ def commutant(conn: ConnectionCoeffs):
     else:   # column-major back to row-major: T[x][y] moves to x·n + y
         sol = Subspace.from_vectors(nn, [[t[j % n * n + j // n]
                                           for j in range(nn)] for t in basis])
-    flat_id = tuple(x for row in Mat.identity(n).entries for x in row)
-    assert sol.contains(flat_id), "commutant must contain the identity"
+    assert sol.contains([int(k % (n + 1) == 0) for k in range(nn)]), \
+        "commutant must contain the identity"
     return _as_mats(sol, n)
 
 
-def _as_mats(sol, n):   # rows of a subspace of flattened n×n matrices
-    return tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
-                 for r in sol.rows)
+def _as_mats(sol, n):
+    """The rows of a subspace of flattened n×n matrices, sliced from its
+    basis image."""
+    d, rows = sol.basis.image()
+    return tuple(Mat.from_image(d, [r[i * n:(i + 1) * n] for i in range(n)],
+                                (n, n)) for r in rows)
+
+
+def _pivot_rows(e, piece):
+    """The rows of e at the pivots of piece, sliced from e's image."""
+    d, rows = e.image()
+    return Mat.from_image(d, [rows[p] for p in piece.pivots],
+                          (piece.dim, e.ncols))
 
 
 def commutant_of(spec: AlgebraSpec):
@@ -268,14 +279,17 @@ def _corner(spec, e, piece):
     directly with g0 ⊆ Ann to the whole space."""
     if piece.dim == 1:   # e restricts to 1 there, spanning all of M_1 = Q
         return (Mat.identity(1),)
-    a = Mat.from_rows([e.row(p) for p in piece.pivots], e.ncols)
+    a = _pivot_rows(e, piece)
     ht, k = piece.basis.transpose(), piece.dim
     return _as_mats(Subspace.from_vectors(k * k, [
-        sum((a @ t @ ht).entries, ()) for t in commutant_of(spec)]), k)
+        [x for r in (a @ t @ ht).image()[1] for x in r]
+        for t in commutant_of(spec)]), k)
 
 
 def _is_scalar_mat(m):
-    return m == Mat.identity(m.nrows).scale(m.entries[0][0])
+    _, a = m.image()
+    return all(x == (a[0][0] if i == j else 0)
+               for i, r in enumerate(a) for j, x in enumerate(r))
 
 
 def _candidate_mats(comm, seed, budget):
@@ -328,7 +342,7 @@ def _search(comm, seed, budget):
         f"no splitting idempotent among {ncomm} commutant basis elements, "
         f"{ncomm * (ncomm - 1)} pairwise sums/differences, and {budget} "
         f"seeded random combinations (seed {seed:#x})")
-    r = trace_form([c.entries for c in comm]).rank()
+    r = trace_form(comm).rank()
     if r == 1:
         return None, exhausted
     for t in _candidate_mats(comm, seed, budget):
@@ -370,7 +384,7 @@ def _split(spec, piece, e, orthogonal_mode, seed, budget):
     h1 = column_space(f)
     h2 = (orthogonal_complement(h1, spec.metric.restrict(piece))
           if orthogonal_mode else kernel(f))
-    a = Mat.from_rows([e.row(p) for p in piece.pivots], e.ncols)
+    a = _pivot_rows(e, piece)
     out = []
     for sub, qs in zip((h1, h2), _factor_projections(k, (h1, h2), None)):
         out.extend(_split(spec, _to_ambient(piece, sub),
@@ -383,28 +397,31 @@ def _factor_projections(n, factors, g0):
     """The projection onto each factor along the others and g0: its basis
     as columns times its block of rows of S⁻¹, for S all the bases as
     columns.  The one direct-sum test: CertificateError unless they sum
-    directly to the space."""
+    directly to the space.
+
+    S is built from the basis images, so it is the true S times the
+    diagonal of each piece's image denominator D_p, and the block of true
+    S⁻¹ rows for a piece is D_p times its block of the built S⁻¹."""
     pieces = list(factors) + ([g0] if g0 is not None else [])
-    s = Mat.from_rows([r for p in pieces for r in p.rows], n).transpose()
+    rows = [r for p in pieces for r in p.basis.image()[1]]
+    s = Mat.from_image(1, rows, (len(rows), n)).transpose()
     _req(s.shape == (n, n) and s.rank() == n,
          "pieces do not sum directly to the whole space")
-    sinv, out, at = s.inverse(), [], 0
+    (d, sinv), out, at = s.inverse().image(), [], 0
     for f in factors:
-        out.append(f.basis.transpose()
-                   @ Mat.from_rows(sinv.entries[at:at + f.dim], n))
+        df = f.basis.image()[0]
+        block = Mat.from_image(d, [[df * x for x in r]
+                                   for r in sinv[at:at + f.dim]], (f.dim, n))
+        out.append(f.basis.transpose() @ block)
         at += f.dim
     return out
 
 
 def _pairwise_orthogonal(spec, factors, g0):
     pieces = list(factors) + ([g0] if g0 is not None else [])
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            for x in pieces[i].rows:
-                for y in pieces[j].rows:
-                    if spec.metric.pair(x, y) != 0:
-                        return False
-    return True
+    return all((pieces[i].basis @ spec.gram @ pieces[j].basis.transpose())
+               .is_zero()
+               for i in range(len(pieces)) for j in range(i + 1, len(pieces)))
 
 
 def _package(spec, pieces, g0, case, note):

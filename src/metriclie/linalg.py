@@ -1,28 +1,39 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream runs on `fractions.Fraction` scalars: matrices,
-subspaces kept in reduced row-echelon form, symmetric bilinear forms,
-congruent diagonalization, and the minimal-polynomial / coprime-split
+Matrices, subspaces kept in reduced row-echelon form, symmetric bilinear
+forms, congruent diagonalization, and the minimal-polynomial / coprime-split
 machinery behind the splitting-idempotent search.  No floats, no
 tolerances — equality everywhere is exact, which is what lets the
 decomposition certificates re-verify with zero slack.
 
-Vectors are plain tuples of Fractions.  Subspace bases are canonical
-(RREF, no zero rows), so two equal subspaces compare equal as values.
+A `Mat` holds one canonical integer image: a denominator D > 0 and integer
+rows A with gcd(D, every entry of A) = 1, the matrix being A/D.  Equal
+matrices have equal images, so equality and hashing compare images.
+Products, sums, scaling, transposes, traces, ranks, inverses, RREF, trace
+forms and minimal polynomials run on the image in plain ints.  A Mat built
+from Fractions (the parse, table reads, user input) keeps them and computes
+its image on first arithmetic use; a Mat made by arithmetic keeps only the
+image and builds its `entries`, tuples of Fractions, on first read —
+for printing, for tables, and for code that still reads Fractions.
 
-One matrix core, in integers.  Every contraction (matrix products and
-applications, table contractions, subspace reduction) runs through
-`lin_comb` / `dot`, which accumulate each coordinate as an unreduced
-integer numerator/denominator pair and normalize it into a `Fraction`
-once, at the end; a term with a zero factor is never added.  Every
-elimination (RREF and its transform, inverse, rank, kernel, solve,
-subspaces) runs through the integer echelon `_echelon`, and a canonical
-basis becomes Fractions only when each entry is divided by its row's
-pivot, once.  Whole-table checks that sum products of entries (the
-Jacobi identity, the Koszul derivation, torsion, metric compatibility,
-bi-invariance) first take the table over one common denominator with
-`int_image` and then multiply and add plain ints, building a Fraction only
-for a result or a nonzero defect.
+Vectors are plain tuples of Fractions (integer vectors are accepted where
+only their span or direction counts).  A subspace's basis is canonical
+(RREF, no zero rows), so two equal subspaces compare equal as values; it
+is a Mat whose image is the primitive integer RREF rows, each scaled to
+the lcm of the pivot entries.  Membership, reduction and coordinates are
+one integer contraction against that image.
+
+Every elimination (RREF and its transform, inverse, rank, kernel, solve,
+subspaces) runs through the integer echelon `_echelon`, and `_rref_rows`
+returns each canonical row as a primitive integer row, positive at its
+pivot.  Table contractions run through `lin_comb` / `dot`, which
+accumulate each coordinate as an unreduced integer numerator/denominator
+pair and normalize it into a `Fraction` once, at the end.  Whole-table
+checks that sum products of entries (the Jacobi identity, the Koszul
+derivation, torsion, metric compatibility, bi-invariance, curvature) first
+take the table over one common denominator with `int_image` and then
+multiply and add plain ints, building a Fraction only for a result or a
+nonzero defect.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 Rat = Fraction
 _ZERO = Fraction(0)
@@ -120,6 +132,16 @@ def dot(a, b):
     return Fraction(num, den) if num else _ZERO
 
 
+def _common_ints(rows):
+    """(D, ints): rows of Fractions (or ints) as integer rows over the lcm
+    D of every entry's denominator.  For reduced entries gcd(D, ints) = 1:
+    a prime power dividing D fully divides some entry's denominator, and
+    that entry's scaled numerator is prime to it."""
+    rows = [[x.as_integer_ratio() for x in r] for r in rows]
+    d = math.lcm(*{q for r in rows for _, q in r})
+    return d, [[p * (d // q) if p else 0 for p, q in r] for r in rows]
+
+
 def int_image(rows):
     """Rows of Fractions (or ints) over one common denominator D, the lcm
     of every entry's denominator: returns (D, ints, nonzero) with
@@ -128,29 +150,84 @@ def int_image(rows):
     vectors is passed as its flat sequence of vectors.  Sums of products
     of entries then run as integer multiply-adds over the nonzero pairs,
     and become Fractions only where a value is reported."""
-    rows = [[x.as_integer_ratio() for x in r] for r in rows]
-    d = math.lcm(*{q for r in rows for _, q in r})
-    ints = [[p * (d // q) if p else 0 for p, q in r] for r in rows]
+    d, ints = _common_ints(rows)
     return d, ints, [[(k, x) for k, x in enumerate(r) if x] for r in ints]
+
+
+def _fractions(ints, d):
+    """The vector ints/d, one Fraction per nonzero entry."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in ints)
+
+
+def _row_times(w, rows, n):
+    """Σ_k w_k·rows[k] in Z^n; a zero w_k never touches its row."""
+    acc = [0] * n
+    for x, r in zip(w, rows):
+        if x:
+            acc = [a + x * y for a, y in zip(acc, r)]
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Matrices
 
 
-@dataclass(frozen=True)
 class Mat:
     """Immutable rational matrix; `shape` is explicit so 0-row matrices keep
-    their column count."""
+    their column count.  `Mat(entries, shape)` takes rows of Fractions and
+    keeps them; `image()` is the canonical (D, integer rows) that the
+    arithmetic runs on (module docstring).  Images are shared between
+    matrices and must not be mutated."""
 
-    entries: tuple
-    shape: tuple
+    __slots__ = ("shape", "_entries", "_den", "_ints")
 
-    def __post_init__(self):
-        r, c = self.shape
-        assert len(self.entries) == r
-        for row in self.entries:
+    def __init__(self, entries, shape):
+        r, c = shape
+        assert len(entries) == r
+        for row in entries:
             assert len(row) == c
+        self.shape = shape
+        self._entries = entries
+        self._den = self._ints = None
+
+    @classmethod
+    def from_image(cls, den, ints, shape):
+        """The matrix ints/den, for den > 0 and lists of int rows, stored on
+        its canonical image: the gcd of den and every entry is divided
+        out."""
+        assert den > 0
+        g = math.gcd(den, *(x for r in ints for x in r))
+        if g != 1:
+            den //= g
+            ints = [[x // g for x in r] for r in ints]
+        m = cls.__new__(cls)
+        m.shape, m._entries, m._den, m._ints = shape, None, den, ints
+        return m
+
+    def image(self):
+        """(D, A): the matrix is A/D, D > 0, gcd(D, entries of A) = 1."""
+        if self._ints is None:
+            self._den, self._ints = _common_ints(self._entries)
+        return self._den, self._ints
+
+    @property
+    def entries(self):
+        """Rows as tuples of Fractions, built from the image on first read."""
+        if self._entries is None:
+            self._entries = tuple(_fractions(r, self._den) for r in self._ints)
+        return self._entries
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self.shape == other.shape and self.image() == other.image()
+
+    def __hash__(self):
+        d, a = self.image()
+        return hash((self.shape, d, tuple(map(tuple, a))))
+
+    def __repr__(self):
+        return f"Mat({self.entries!r}, {self.shape!r})"
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -165,11 +242,12 @@ class Mat:
 
     @staticmethod
     def zeros(r, c):
-        return Mat(tuple(zero_vec(c) for _ in range(r)), (r, c))
+        return Mat.from_image(1, [[0] * c for _ in range(r)], (r, c))
 
     @staticmethod
     def identity(n):
-        return Mat(tuple(unit_vec(n, i) for i in range(n)), (n, n))
+        return Mat.from_image(1, [[int(i == j) for j in range(n)]
+                                  for i in range(n)], (n, n))
 
     @property
     def nrows(self):
@@ -190,48 +268,60 @@ class Mat:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self):
-        return Mat(tuple(self.col(j) for j in range(self.ncols)),
-                   (self.ncols, self.nrows))
+        d, a = self.image()
+        rows = [list(c) for c in zip(*a)] if a else [[] for _ in range(self.ncols)]
+        return Mat.from_image(d, rows, (self.ncols, self.nrows))
+
+    def _plus(self, other, sign):
+        assert self.shape == other.shape
+        (d1, a), (d2, b) = self.image(), other.image()
+        d = math.lcm(d1, d2)
+        s, t = d // d1, sign * (d // d2)
+        return Mat.from_image(d, [[s * x + t * y for x, y in zip(r, q)]
+                                  for r, q in zip(a, b)], self.shape)
 
     def __add__(self, other):
-        assert self.shape == other.shape
-        return Mat(tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)),
-                   self.shape)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        assert self.shape == other.shape
-        return Mat(tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)),
-                   self.shape)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, k):
         k = rat(k)
-        return Mat(tuple(vec_scale(k, r) for r in self.entries), self.shape)
+        d, a = self.image()
+        p = k.numerator
+        return Mat.from_image(d * k.denominator, [[p * x for x in r] for r in a],
+                              self.shape)
 
     def __matmul__(self, other):
-        """Row i of the product is Σ_k a_ik·(row k of other), so a zero
-        entry of self never touches the other matrix."""
+        """Row i of the product is Σ_k a_ik·(row k of other), in integers
+        over the product of the denominators, so a zero entry of self never
+        touches the other matrix."""
         assert self.ncols == other.nrows, (self.shape, other.shape)
+        (d1, a), (d2, b) = self.image(), other.image()
         n = other.ncols
-        out = tuple(lin_comb(r, other.entries, n) for r in self.entries)
-        return Mat(out, (self.nrows, n))
+        return Mat.from_image(d1 * d2, [_row_times(r, b, n) for r in a],
+                              (self.nrows, n))
 
     def apply(self, v):
         """Matrix times column vector."""
         assert len(v) == self.ncols
-        return tuple(dot(r, v) for r in self.entries)
+        (d, a), (dv, (w,)) = self.image(), _common_ints([v])
+        return _fractions([sum(map(mul, r, w)) for r in a], d * dv)
 
     def trace(self):
         assert self.is_square
-        return sum((self.entries[i][i] for i in range(self.nrows)), Fraction(0))
+        d, a = self.image()
+        return Fraction(sum(a[i][i] for i in range(self.nrows)), d)
 
     def is_zero(self):
-        return all(vec_is_zero(r) for r in self.entries)
+        return not any(map(any, self.image()[1]))
 
     def rank(self):
-        return len(_echelon(self.entries, self.ncols))
+        return len(_echelon(self.image()[1], self.ncols))
 
     def inverse(self):
         assert self.is_square
@@ -244,21 +334,29 @@ class Mat:
 def row_apply(v, m: Mat):
     """Row vector times matrix: Σ_k v_k·(row k of m)."""
     assert len(v) == m.nrows
-    return lin_comb(v, m.entries, m.ncols)
+    (d, a), (dv, (w,)) = m.image(), _common_ints([v])
+    return _fractions(_row_times(w, a, m.ncols), d * dv)
 
 
 def trace_form(mats):
     """Gram matrix T_ab = tr(M_a M_b) = Σ_ij (M_a)_ij (M_b)_ji of square
-    matrices given by their rows: one `dot` of M_a's entries, flattened,
-    against M_b's, flattened transposed."""
-    flat = [sum(m, ()) for m in mats]
-    swapped = [sum(zip(*m), ()) for m in mats]
-    k = len(flat)
-    t = [[None] * k for _ in range(k)]
+    matrices, given as Mats or by their rows: over the lcm D of the image
+    denominators, one integer dot product of M_a's image, flattened,
+    against M_b's, flattened transposed, and T = those sums / D²."""
+    mats = [m if isinstance(m, Mat) else Mat.from_rows(m) for m in mats]
+    d = math.lcm(*(m.image()[0] for m in mats))
+    flat, swapped = [], []
+    for m in mats:
+        dm, a = m.image()
+        s = d // dm
+        flat.append([s * x for r in a for x in r])
+        swapped.append([s * x for c in zip(*a) for x in c])
+    k = len(mats)
+    t = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            t[a][b] = t[b][a] = dot(flat[a], swapped[b])
-    return Mat.from_rows(t, k)
+            t[a][b] = t[b][a] = sum(map(mul, flat[a], swapped[b]))
+    return Mat.from_image(d * d, t, (k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +364,15 @@ def trace_form(mats):
 #
 # One path: an integer-scaled echelon pass (`_echelon`), because Fraction
 # elimination on the commutant's n²-column systems is far slower.
-# A subspace's canonical basis is the Fraction normalization of that
-# echelon (`_rref_rows`); `rref` reads the RREF and its transform off the
-# canonical rows of [m | I]; a kernel is read off the integer echelon rows
-# by back-substitution (`_kernel_ints`), so the constraint rows themselves
-# are never normalized.  The commutant solves one operator at a time on
-# these integer kernels and builds Fractions only for its final canonical
-# basis.
+# `_rref_rows` back-substitutes the echelon into the canonical rows, each a
+# primitive integer row positive at its pivot; a Mat over them
+# (`_over_pivots`) scales each to the lcm D of the pivot entries, so the
+# image of a canonical basis is D at each row's pivot.  `rref`
+# reads the RREF and its transform off the canonical rows of [A | D·I];
+# a kernel is read off the integer echelon rows by back-substitution
+# (`_kernel_ints`), so the constraint rows themselves are never
+# normalized.  The commutant solves one operator at a time on these
+# integer kernels.
 
 
 @dataclass(frozen=True)
@@ -283,33 +383,46 @@ class RrefResult:
     pivots: tuple
 
 
+def _over_pivots(rows, pivots, lo, hi):
+    """The Mat of the slices rows[i][lo:hi], each divided by its row's
+    pivot entry rows[i][pivots[i]] > 0."""
+    d = math.lcm(*(r[p] for r, p in zip(rows, pivots)))
+    return Mat.from_image(d, [[x * (d // r[p]) for x in r[lo:hi]]
+                              for r, p in zip(rows, pivots)], (len(rows), hi - lo))
+
+
 def rref(m: Mat) -> RrefResult:
-    """RREF of m read off the canonical rows of [m | I]: [m | I] has full
-    row rank, so those are nrows rows; their left halves are the RREF with
-    the zero rows last, their right halves the (invertible) transform, and
-    the pivots below ncols are m's pivots."""
+    """RREF of m = A/D read off the canonical rows of [A | D·I], the row
+    space of [m | I]: it has full row rank, so those are nrows rows; their
+    left halves are the RREF with the zero rows last, their right halves
+    the (invertible) transform, and the pivots below ncols are m's
+    pivots."""
     nr, nc = m.shape
+    d, a = m.image()
     rows, pivots = _rref_rows(
-        [r + e for r, e in zip(m.entries, Mat.identity(nr).entries)], nc + nr)
-    pivots = tuple(p for p in pivots if p < nc)
-    return RrefResult(Mat(tuple(r[:nc] for r in rows), (nr, nc)), len(pivots),
-                      Mat(tuple(r[nc:] for r in rows), (nr, nr)), pivots)
+        [r + [d if k == i else 0 for k in range(nr)] for i, r in enumerate(a)],
+        nc + nr)
+    left = tuple(p for p in pivots if p < nc)
+    return RrefResult(_over_pivots(rows, pivots, 0, nc), len(left),
+                      _over_pivots(rows, pivots, nc, nc + nr), left)
 
 
 def _int_row(row):
-    """Clear denominators and divide by the content; leading entry positive.
-    Takes Fractions or ints."""
-    nums = [x.numerator for x in row]
-    dens = [x.denominator for x in row]
-    den = math.lcm(*dens)
-    ints = nums if den == 1 else [a * (den // d) for a, d in zip(nums, dens)]
-    g = math.gcd(*ints)
+    """A new list: the row with denominators cleared and the content divided
+    out, leading entry positive; None for a zero row.  Takes Fractions or
+    ints: math.gcd refuses a Fraction, and only then are denominators
+    cleared (a float has none, and is refused there)."""
+    try:
+        ints, g = row, math.gcd(*row)
+    except TypeError:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
     if g == 0:
         return None
-    lead = next(x for x in ints if x)
-    if lead < 0:
+    if next(x for x in ints if x) < 0:
         g = -g
-    return ints if g == 1 else [x // g for x in ints]
+    return list(ints) if g == 1 else [x // g for x in ints]
 
 
 def _clear(r, col, prow, nz):
@@ -370,13 +483,13 @@ def independent_rows(rows):
 
 
 def _rref_rows(rows, ncols):
-    """Canonical RREF rows (Fractions) of the span of `rows`, plus pivots.
+    """Canonical RREF rows of the span of `rows` (ints or Fractions), each
+    as a primitive integer row positive at its pivot, plus the pivots.
 
     Back-substitution runs on the integer echelon rows, last pivot first:
     each row is cleared (`_clear`) at every later pivot, against rows that
-    are already zero at all other pivots, and its content is divided out.
-    Each entry then becomes a Fraction once, divided by the row's
-    (positive) pivot entry."""
+    are already zero at all other pivots, and its content is divided
+    out."""
     basis = _echelon(rows, ncols)
     pivots = [p for p, _, _ in basis]
     ints = [r for _, r, _ in basis]
@@ -391,11 +504,7 @@ def _rref_rows(rows, ncols):
             r = [x // g for x in r]
         ints[i] = r
         nzs[i] = [k for k, x in enumerate(r) if x]
-    out = []
-    for p, r in zip(pivots, ints):
-        d = r[p]
-        out.append(tuple(Fraction(x, d) if x else _ZERO for x in r))
-    return out, tuple(pivots)
+    return ints, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +514,9 @@ def _rref_rows(rows, ncols):
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of Q^n with a canonical (RREF) basis, so equal
-    subspaces are equal values."""
+    subspaces are equal values.  The basis image is the primitive RREF
+    rows scaled to the lcm D of their pivot entries: D at each row's pivot
+    and 0 at the others'."""
 
     ambient_dim: int
     basis: Mat
@@ -416,15 +527,17 @@ class Subspace:
     def __post_init__(self):
         if self.pivots is None:
             object.__setattr__(self, "pivots", tuple(
-                next(i for i, x in enumerate(r) if x) for r in self.rows))
+                next(i for i, x in enumerate(r) if x)
+                for r in self.basis.image()[1]))
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            assert len(v) == ambient_dim
+        """The span of vectors of Fractions or ints; integer vectors (a
+        kernel, a Mat's image rows) are reduced as they are."""
+        vectors = list(vectors)
+        assert all(len(v) == ambient_dim for v in vectors)
         rows, pivots = _rref_rows(vectors, ambient_dim)
-        return cls(ambient_dim, Mat(tuple(rows), (len(rows), ambient_dim)),
+        return cls(ambient_dim, _over_pivots(rows, pivots, 0, ambient_dim),
                    pivots)
 
     @classmethod
@@ -443,39 +556,52 @@ class Subspace:
     def rows(self):
         return self.basis.entries
 
+    def _residual(self, w):
+        """D·w − Σ_i w[p_i]·(row i of the basis image), for an integer
+        vector w: zero exactly when w lies in the subspace, and D times w's
+        remainder."""
+        d, b = self.basis.image()
+        r = [d * x for x in w]
+        for p, row in zip(self.pivots, b):
+            c = w[p]
+            if c:
+                r = [x - c * y for x, y in zip(r, row)]
+        return r
+
     def reduce(self, v):
         """Return (coords, remainder): v - coords·basis = remainder.  The
         basis is in RREF, so the coordinates are v's pivot entries and the
-        remainder is one contraction."""
+        remainder is one integer contraction (`_residual`)."""
         v = vec(v)
         assert len(v) == self.ambient_dim
-        coords = tuple(v[p] for p in self.pivots)
-        rem = lin_comb((1,) + tuple(-c for c in coords), (v,) + self.rows,
-                       self.ambient_dim)
-        return coords, rem
+        dv, (w,) = _common_ints([v])
+        return (tuple(v[p] for p in self.pivots),
+                _fractions(self._residual(w), dv * self.basis.image()[0]))
 
     def contains(self, v):
-        _, rem = self.reduce(v)
-        return vec_is_zero(rem)
+        """v (Fractions or ints) lies in the subspace; membership does not
+        see scale, so v's numerators over its common denominator are
+        tested."""
+        return not any(self._residual(_common_ints([v])[1][0]))
 
     def contains_subspace(self, other):
         assert other.ambient_dim == self.ambient_dim
-        return all(self.contains(r) for r in other.rows)
+        return not any(any(self._residual(r)) for r in other.basis.image()[1])
 
     def coords(self, v):
-        coords, rem = self.reduce(v)
-        if not vec_is_zero(rem):
+        v = vec(v)
+        if not self.contains(v):
             raise ValueError("vector is not in the subspace")
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def embed(self, coords):
         """Coordinates w.r.t. the canonical basis -> ambient vector."""
         assert len(coords) == self.dim
-        return lin_comb(vec(coords), self.rows, self.ambient_dim)
+        return row_apply(coords, self.basis)
 
 
 def row_space(m: Mat):
-    return Subspace.from_vectors(m.ncols, m.entries)
+    return Subspace.from_vectors(m.ncols, m.image()[1])
 
 
 def column_space(m: Mat):
@@ -517,39 +643,40 @@ def _kernel_ints(rows, ncols):
 
 def kernel(m: Mat):
     """{x : m·x = 0} as a Subspace of Q^ncols."""
-    return Subspace.from_vectors(m.ncols, _kernel_ints(m.entries, m.ncols))
+    return Subspace.from_vectors(m.ncols, _kernel_ints(m.image()[1], m.ncols))
 
 
 def solve(m: Mat, b):
-    """One solution x of m·x = b, or None if inconsistent."""
-    b = vec(b)
+    """One solution x of m·x = b, or None if inconsistent: for m = A/D and
+    b = β/d, the canonical rows of [d·A | D·β], whose row r reads
+    r[p]·x_p + (free terms) = r[-1], with the free coordinates 0."""
     assert len(b) == m.nrows
-    aug = Mat.from_rows([row + (bi,) for row, bi in zip(m.entries, b)],
-                        m.ncols + 1)
-    rows, pivots = _rref_rows(aug.entries, aug.ncols)
+    (d, a), (db, (beta,)) = m.image(), _common_ints([vec(b)])
+    rows, pivots = _rref_rows([[db * x for x in r] + [d * y]
+                               for r, y in zip(a, beta)], m.ncols + 1)
     if m.ncols in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
+    x = [_ZERO] * m.ncols
     for r, p in zip(rows, pivots):
-        x[p] = r[m.ncols]
+        x[p] = Fraction(r[-1], r[p])
     return tuple(x)
 
 
 def subspace_sum(a: Subspace, b: Subspace):
     assert a.ambient_dim == b.ambient_dim
-    return Subspace.from_vectors(a.ambient_dim, list(a.rows) + list(b.rows))
+    return Subspace.from_vectors(a.ambient_dim,
+                                 a.basis.image()[1] + b.basis.image()[1])
 
 
 def subspace_intersect(a: Subspace, b: Subspace):
-    """Zassenhaus: row-reduce [A | A; B | 0]; rows with zero left half carry
-    the intersection in their right half."""
+    """Zassenhaus: row-reduce [A | A; B | 0] on the basis images; rows
+    with zero left half carry the intersection in their right half."""
     n = a.ambient_dim
     assert b.ambient_dim == n
-    stacked = [list(r) + list(r) for r in a.rows] + \
-              [list(r) + [Fraction(0)] * n for r in b.rows]
+    stacked = [r + r for r in a.basis.image()[1]] + \
+              [r + [0] * n for r in b.basis.image()[1]]
     rows, _ = _rref_rows(stacked, 2 * n)
-    inter = [r[n:] for r in rows if vec_is_zero(r[:n])]
-    return Subspace.from_vectors(n, inter)
+    return Subspace.from_vectors(n, [r[n:] for r in rows if not any(r[:n])])
 
 
 def subspace_complement(a: Subspace, within: Subspace | None = None):
@@ -561,7 +688,8 @@ def subspace_complement(a: Subspace, within: Subspace | None = None):
         within = Subspace.full(a.ambient_dim)
     assert within.contains_subspace(a), "complement target does not contain the subspace"
     apiv = set(a.pivots)
-    rows = [r for r, p in zip(within.rows, within.pivots) if p not in apiv]
+    rows = [r for r, p in zip(within.basis.image()[1], within.pivots)
+            if p not in apiv]
     comp = Subspace.from_vectors(a.ambient_dim, rows)
     assert comp.dim == within.dim - a.dim
     assert subspace_sum(a, comp) == within
@@ -579,7 +707,8 @@ class SymForm:
     def __post_init__(self):
         if not self.gram.is_square:
             raise ValueError("gram matrix must be square")
-        if self.gram != self.gram.transpose():
+        e = self.gram.entries
+        if any(e[i][j] != e[j][i] for i in range(self.dim) for j in range(i)):
             raise ValueError("gram matrix must be symmetric")
 
     @property
@@ -602,8 +731,7 @@ def orthogonal_complement(h: Subspace, form: SymForm):
     assert h.ambient_dim == form.dim
     if h.dim == 0:
         return Subspace.full(form.dim)
-    constraints = Mat.from_rows([row_apply(r, form.gram) for r in h.rows], form.dim)
-    return kernel(constraints)
+    return kernel(h.basis @ form.gram)
 
 
 def radical(h: Subspace, form: SymForm):
@@ -802,64 +930,59 @@ def poly_eval_mat(a, m: Mat):
     return out
 
 
-def _reduce_into(echelon, w, q=None):
-    """Reduce w against echelon rows (pivot, row, poly) whose rows are 1 at
-    their pivot and 0 at every earlier row's pivot; q tracks w as a
-    polynomial combination and is reduced alongside.  Returns the pivot of
-    the remainder, or None when w reduces to zero."""
-    for p, row, rq in echelon:
-        c = w[p]
-        if c:
-            for k, y in enumerate(row):
-                if y:
-                    w[k] -= c * y
-            if q is not None:
-                for k, y in enumerate(rq):
-                    q[k] -= c * y
-    return next((k for k, x in enumerate(w) if x), None)
-
-
 def minimal_polynomial(op: Mat):
-    """Monic minimal polynomial of T, as the lcm of the minimal polynomials
-    of the unit vectors e_j (p(T) = 0 exactly when p(T)·e_j = 0 for every j).
+    """Monic minimal polynomial of T = A/D, from that of its integer image
+    A: p_T(x) = p_A(D·x)/D^deg p_A.
 
-    The minimal polynomial of e_j is the first linear dependence of its
-    Krylov sequence e_j, T·e_j, T²·e_j, …, found by one incremental
-    elimination that keeps each reduced vector together with the
-    polynomial q for which it equals q(T)·e_j; the next vector is T applied
-    to the last reduced one, so no power of T is ever formed.  An e_j that
-    already lies in the T-invariant span of the earlier sequences is
-    skipped: its minimal polynomial divides theirs."""
+    p_A is the lcm of the minimal polynomials of the unit vectors e_j
+    (p(A) = 0 exactly when p(A)·e_j = 0 for every j).  That of e_j is the
+    first linear dependence of its Krylov sequence e_j, A·e_j, A²·e_j, …,
+    found by one incremental fraction-free elimination that keeps each
+    reduced vector w, an integer vector positive at its pivot, with the
+    integer polynomial q for which w = q(A)·e_j; both are cleared together
+    and their joint content divided out.  The next vector is A applied to
+    the last reduced one, so no power of A is ever formed.  When w reduces
+    to zero, q(A)·e_j = 0 and q over its leading coefficient is the
+    minimal polynomial of e_j.  An e_j that already lies in the
+    A-invariant span of the earlier sequences is skipped: its minimal
+    polynomial divides theirs."""
     assert op.is_square and op.nrows >= 1
     n = op.nrows
-    cols = op.transpose().entries   # T·w = Σ_k w_k·(column k)
-    span = []    # echelon of the T-invariant span of the sequences so far
+    d, a = op.image()
+    span = []    # integer echelon of the A-invariant span of the sequences so far
     result = (Fraction(1),)
     for j in range(n):
         if len(span) == n:
             break
-        if _reduce_into(span, list(unit_vec(n, j))) is None:
+        w = [int(k == j) for k in range(n)]
+        if not _echelon_add(span, w):
             continue
-        seq = []
-        w, q = list(unit_vec(n, j)), [Fraction(1)]
+        seq, q = [], [1]
         while True:
-            lead = _reduce_into(seq, w, q)
+            for p, row, rq in seq:
+                x = w[p]
+                if x:
+                    g = math.gcd(x, row[p])
+                    mb, mx = row[p] // g, x // g
+                    w = [mb * u - mx * v for u, v in zip(w, row)]
+                    q = [mb * u for u in q]
+                    for k, v in enumerate(rq):
+                        q[k] -= mx * v
+            lead = next((k for k, x in enumerate(w) if x), None)
             if lead is None:
                 break
-            inv = 1 / w[lead]
-            w = [x * inv for x in w]
-            q = [x * inv for x in q]
+            g = math.gcd(*w, *q)
+            if w[lead] < 0:
+                g = -g
+            w, q = [x // g for x in w], [x // g for x in q]
             seq.append((lead, w, q))
-            w, q = list(lin_comb(w, cols, n)), [Fraction(0)] + q
+            w, q = [sum(map(mul, r, w)) for r in a], [0] + q
         q = poly_monic(poly(q))
         result = poly_mul(result, poly_divexact(q, poly_gcd(result, q)))
         for _, row, _ in seq:
-            row = list(row)
-            lead = _reduce_into(span, row)
-            if lead is not None:
-                inv = 1 / row[lead]
-                span.append((lead, [x * inv for x in row], ()))
-    return result
+            _echelon_add(span, row)
+    k = poly_deg(result)
+    return tuple(c / d ** (k - i) for i, c in enumerate(result))
 
 
 def squarefree_decomposition(p):

@@ -111,6 +111,18 @@ def _rref_oracle(m: Mat) -> RrefResult:
     return RrefResult(Mat.from_rows(rows, nc), r, Mat.from_rows(t, nr), tuple(pivots))
 
 
+def _check_image(m, want_rows=None):
+    """m's image is canonical (D > 0, gcd(D, entries) = 1); given the
+    Fraction rows of its value, its entries are those rows, and it equals,
+    with the same hash, the Mat built from them."""
+    d, a = m.image()
+    assert d > 0 and math.gcd(d, *(x for r in a for x in r)) == 1
+    if want_rows is not None:
+        assert m.entries == tuple(tuple(r) for r in want_rows)
+        built = Mat.from_rows(want_rows, m.ncols)
+        assert m == built and hash(m) == hash(built)
+
+
 def subspaces(n):
     vecs = st.lists(st.lists(fractions, min_size=n, max_size=n),
                     min_size=0, max_size=n + 1)
@@ -131,6 +143,8 @@ def test_rref_is_idempotent(m):
 def test_rref_matches_the_gauss_jordan_oracle(m):
     res, want = rref(m), _rref_oracle(m)
     assert res.matrix == want.matrix
+    _check_image(res.matrix, want.matrix.entries)
+    _check_image(res.transform)
     assert res.rank == want.rank == m.rank()
     assert res.pivots == want.pivots
     assert res.transform.shape == (m.nrows, m.nrows)
@@ -148,6 +162,7 @@ def test_inverse_matches_the_gauss_jordan_oracle(m):
         return
     inv = m.inverse()
     assert inv == want.transform
+    _check_image(inv, want.transform.entries)
     assert m @ inv == Mat.identity(m.nrows)
 
 
@@ -263,6 +278,7 @@ def test_matmul_matches_the_triple_sum(pair):
     prod = a @ b
     assert prod.shape == (a.nrows, b.ncols)
     assert prod.entries == want
+    _check_image(prod, want)
     # row i of a·b is (row i of a)·b; column j is a·(column j of b)
     assert tuple(row_apply(a.row(i), b) for i in range(a.nrows)) == want
     assert tuple(a.apply(b.col(j)) for j in range(b.ncols)) == \
@@ -494,8 +510,10 @@ def _int_square(n, lo=-3, hi=3):
 
 def _int_square_mats():
     """Integer matrices with n ≤ 5: general, nilpotent (strictly upper
-    triangular), scalar, and a block repeated along the diagonal."""
-    def build(draw):
+    triangular), scalar, and a block repeated along the diagonal, each
+    divided by a drawn denominator, so that the image denominator D of
+    `minimal_polynomial` exceeds 1."""
+    def integral(draw):
         kind = draw(st.sampled_from(("general", "nilpotent", "scalar",
                                      "repeated")))
         if kind == "repeated":
@@ -515,6 +533,10 @@ def _int_square_mats():
             rows = [[x if j > i else 0 for j, x in enumerate(r)]
                     for i, r in enumerate(rows)]
         return Mat.from_rows(rows, n)
+
+    def build(draw):
+        m = integral(draw)
+        return m.scale(Fraction(1, draw(st.integers(1, 4))))
     return st.composite(build)()
 
 
