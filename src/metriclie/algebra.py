@@ -11,21 +11,23 @@ identities (zero torsion and metric compatibility) before anything
 downstream is allowed to use it.
 
 Index conventions: brackets[i][j][a] = c_ij^a with [e_i,e_j] = Σ_a c_ij^a e_a,
-and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  A table T
-applied to vectors contracts through `linalg.lin_comb`: T(x, y) =
-Σ_ij x_i y_j T_ij (`table_apply`), T(e_i, v) = Σ_j v_j T_ij and
-T(v, e_i) = Σ_j v_j T_ji (`left_images`, `right_images`).  For T = Γ
-these are the images of v under the 2n operators L_i = ∇_{e_i}· and
-R_i = ∇_·e_i; conditions linear in those operators are imposed on one
-basis of their span (`operator_basis`, `operator_images`).  The
-structure checks run in integer multiply-adds on `linalg.int_image`, a
-table over one common denominator D: the Jacobi defect
-D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
-Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with
-c_ijk = (G·c_ij)_k; torsion
-Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the
-same lowering through G (`skew_defects`, which on c is bi-invariance).
-Fractions are built only for Γ and for the value of a nonzero defect.
+and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  Each table
+is held once as the Mat of its n² vectors, row i·n + j = T_ij
+(`AlgebraSpec.bracket_table`, `ConnectionCoeffs.table`), built on first
+use and kept; every contraction and check reads that one integer image.
+A table applied to vectors is `linalg.table_apply`: T(x, y) =
+Σ_ij x_i y_j T_ij; T(e_i, v) = Σ_j v_j T_ij and T(v, e_i) = Σ_j v_j T_ji
+are `left_images` and `right_images`.  Γ is sliced into the 2n operators
+L_i = ∇_{e_i}· and R_j = ∇_·e_j in one place (`left_op`, `right_op`);
+conditions linear in those operators are imposed on one basis of their
+span (`operator_basis`, `operator_images`).  The structure checks are
+integer multiply-adds on the images, each over its denominator D: the
+Jacobi defect D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] =
+Σ_b c_ij^b [e_b,e_k]); the Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki +
+c_kij) with c_ijk = (G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and
+compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the same lowering through G
+(`skew_defects`, which on c is bi-invariance).  Fractions are built only
+for Γ and for the value of a nonzero defect.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    _common_ints,
     _fractions,
+    _row_times,
     independent_rows,
     int_image,
-    lin_comb,
     rat,
-    row_apply,
+    table_apply,
     vec,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     zero_vec,
@@ -67,24 +69,37 @@ def _coerce_table(table, n):
     return t
 
 
-def table_apply(table, x, y):
-    """Σ_ij x_i y_j table[i][j]: the bilinear extension of a table."""
-    n = len(table)
-    return lin_comb(x, [lin_comb(y, row, n) if xi else None
-                        for xi, row in zip(x, table)], n)
+def _negated(u, v):
+    """u = −v, for vectors of reduced Fractions, without arithmetic."""
+    return all(x.numerator == -y.numerator and x.denominator == y.denominator
+               for x, y in zip(u, v))
 
 
-def left_images(table, v):
-    """table(e_i, v) = Σ_j v_j table[i][j], for each i."""
-    n = len(table)
-    return tuple(lin_comb(v, row, n) for row in table)
+def _kept_table(obj, name, rows):
+    """The Mat of the vectors in rows, flattened (a table's row i·n + j is
+    T_ij), built on first use and kept on obj as `name`."""
+    if getattr(obj, name) is None:
+        vectors = tuple(v for row in rows for v in row)
+        object.__setattr__(obj, name,
+                           Mat(vectors, (len(vectors), len(vectors[0]))))
+    return getattr(obj, name)
 
 
-def right_images(table, v):
-    """table(v, e_i) = Σ_j v_j table[j][i], for each i: the columns of the
-    operator y ↦ table(v, y)."""
-    n = len(table)
-    return tuple(lin_comb(v, (row[i] for row in table), n) for i in range(n))
+def left_images(t: Mat, v):
+    """t(e_i, v) = Σ_j v_j t_ij, for each i, for a table's Mat t."""
+    n = t.ncols
+    (d, rows), (dv, (w,)) = t.image(), _common_ints([v])
+    return tuple(_fractions(_row_times(w, rows[i * n:(i + 1) * n], n), d * dv)
+                 for i in range(n))
+
+
+def right_images(t: Mat, v):
+    """t(v, e_i) = Σ_j v_j t_ji, for each i, for a table's Mat t: the
+    columns of the operator y ↦ t(v, y)."""
+    n = t.ncols
+    (d, rows), (dv, (w,)) = t.image(), _common_ints([v])
+    return tuple(_fractions(_row_times(w, rows[i::n], n), d * dv)
+                 for i in range(n))
 
 
 def antisymmetrize(table):
@@ -101,7 +116,9 @@ class AlgebraSpec:
     metric: SymForm
     mode: str = MODE_BRACKET
     connection_override: tuple | None = None
-    # kept on first use: `connection_of`, `commutant_of`, `ann_report`
+    # kept on first use: `bracket_table`, `connection_of`, `commutant_of`,
+    # `ann_report`
+    _bracket_table: Mat | None = field(**_KEPT)
     _connection: ConnectionCoeffs | None = field(**_KEPT)
     _commutant: tuple | None = field(**_KEPT)
     _ann_report: object = field(**_KEPT)
@@ -127,7 +144,7 @@ class AlgebraSpec:
         c = self.brackets
         for i in range(n):
             for j in range(i, n):
-                if not vec_is_zero(lin_comb((1, 1), (c[i][j], c[j][i]), n)):
+                if not _negated(c[i][j], c[j][i]):
                     raise ValueError("bracket table is not antisymmetric")
 
     @classmethod
@@ -179,9 +196,14 @@ class AlgebraSpec:
     def gram(self):
         return self.metric.gram
 
+    @property
+    def bracket_table(self):
+        """The Mat of the n² bracket vectors, row i·n + j = c_ij."""
+        return _kept_table(self, "_bracket_table", self.brackets)
+
     def bracket_apply(self, x, y):
         """Bilinear extension of the bracket table to coordinate vectors."""
-        return table_apply(self.brackets, x, y)
+        return table_apply(self.bracket_table, x, y)
 
 
 @dataclass(frozen=True)
@@ -198,7 +220,7 @@ class ValidationReport:
 def validate(spec: AlgebraSpec) -> ValidationReport:
     n = spec.dim
     names = spec.basis_names
-    d, _, nz = int_image(v for row in spec.brackets for v in row)
+    d, _, nz = int_image(spec.bracket_table)
     # D²·[[e_i,e_j],e_k] = Σ_b C_ij^b·C_bk, with nz[i·n + j] the (b, C_ij^b)
     failures = []
     for i, j, k in combinations(range(n), 3):
@@ -235,6 +257,7 @@ class ConnectionCoeffs:
     one; the raw constructor checks shape only."""
 
     gamma: tuple
+    _table: Mat | None = field(**_KEPT)       # `table`, kept
     _operators: tuple | None = field(**_KEPT)   # `operator_basis`, kept
 
     def __post_init__(self):
@@ -245,29 +268,28 @@ class ConnectionCoeffs:
     def dim(self):
         return len(self.gamma)
 
+    @property
+    def table(self):
+        """The Mat of the n² vectors Γ_ij, row i·n + j."""
+        return _kept_table(self, "_table", self.gamma)
+
 
 def nabla_apply(conn: ConnectionCoeffs, x, y):
     """∇_x y for coordinate vectors x, y."""
-    return table_apply(conn.gamma, x, y)
-
-
-def _negated(u, v):
-    """u = −v, for vectors of reduced Fractions, without arithmetic."""
-    return all(x.numerator == -y.numerator and x.denominator == y.denominator
-               for x, y in zip(u, v))
+    return table_apply(conn.table, x, y)
 
 
 def operator_basis(conn: ConnectionCoeffs):
     """(left, right): a basis of the span of the 2n ∇-operators
-    L_i = ∇_{e_i}· and R_j = ∇_·e_j, each operator given by its columns
-    (L_i's are Γ_i0 … Γ_i,n−1, R_j's are Γ_0j … Γ_n−1,j).  L_0 … L_n−1 and
-    then R_0 … R_n−1 are scanned, and an operator is kept when it is not a
-    combination of those kept before it (`independent_rows` on the
-    flattened columns); the L_i come first, so `left` spans span{L_i}.
-    An R_j with Γ_ij = −Γ_ji for every i is −L_j, which lies in that span,
-    so it is dropped by that column comparison before the echelon: on a
-    bi-invariant structure no R_j reaches it.  Found on first use and kept
-    on conn.
+    L_i = ∇_{e_i}· and R_j = ∇_·e_j, as the Mats of `left_op` and
+    `right_op`.  L_0 … L_n−1 and then R_0 … R_n−1 are scanned, and an
+    operator is kept when it is not a combination of those kept before it
+    (`independent_rows` on the flattened images, each scaled by its own
+    denominator, which changes no dependence); the L_i come first, so
+    `left` spans span{L_i}.  An R_j equal to −L_j (Γ_ij = −Γ_ji for every
+    i) lies in that span, so it is dropped by that one Mat comparison
+    before the echelon: on a bi-invariant structure no R_j reaches it.
+    Found on first use and kept on conn.
 
     Every "for all ∇-operators" condition is linear in the operator —
     [T, Σ c_k M_k] = Σ c_k [T, M_k], and a subspace kept or killed by a
@@ -275,12 +297,12 @@ def operator_basis(conn: ConnectionCoeffs):
     the strong-ideal test and the annihilators impose these r ≤ 2n
     operators only."""
     if conn._operators is None:
+        left = left_ops(conn)
+        ops = list(left) + [r for r, m in zip(right_ops(conn), left)
+                            if r != -m]
+        kept = independent_rows([[x for r in m.image()[1] for x in r]
+                                 for m in ops])
         n = conn.dim
-        g = conn.gamma
-        ops = list(g) + [tuple(row[j] for row in g) for j in range(n)
-                         if not all(_negated(g[i][j], g[j][i])
-                                    for i in range(n))]
-        kept = independent_rows([sum(cols, ()) for cols in ops])
         object.__setattr__(conn, "_operators", (
             tuple(ops[k] for k in kept if k < n),
             tuple(ops[k] for k in kept if k >= n)))
@@ -288,11 +310,9 @@ def operator_basis(conn: ConnectionCoeffs):
 
 
 def operator_images(conn: ConnectionCoeffs, v):
-    """T·v = Σ_j v_j (column j of T) for each operator T of
-    `operator_basis`, left ones first."""
-    n = conn.dim
+    """T·v for each operator T of `operator_basis`, left ones first."""
     left, right = operator_basis(conn)
-    return tuple(lin_comb(v, cols, n) for cols in left + right)
+    return tuple(m.apply(v) for m in left + right)
 
 
 def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
@@ -302,18 +322,24 @@ def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
     return all(h.contains(w) for v in h.rows for w in operator_images(conn, v))
 
 
+def _operator(conn: ConnectionCoeffs, flat) -> Mat:
+    """The matrix whose columns are the vectors of Γ's image at the flat
+    indices `flat`: the one place Γ is sliced into operators."""
+    d, g = conn.table.image()
+    return Mat.from_image(d, [list(c) for c in zip(*(g[f] for f in flat))],
+                          (conn.dim, conn.dim))
+
+
 def left_op(conn: ConnectionCoeffs, i) -> Mat:
-    """Matrix of y ↦ ∇_{e_i} y (column action)."""
+    """Matrix of y ↦ ∇_{e_i} y (column action): columns Γ_i0 … Γ_i,n−1."""
     n = conn.dim
-    return Mat.from_rows([[conn.gamma[i][j][k] for j in range(n)]
-                          for k in range(n)], n)
+    return _operator(conn, range(i * n, (i + 1) * n))
 
 
 def right_op(conn: ConnectionCoeffs, j) -> Mat:
-    """Matrix of x ↦ ∇_x e_j (column action)."""
+    """Matrix of x ↦ ∇_x e_j (column action): columns Γ_0j … Γ_n−1,j."""
     n = conn.dim
-    return Mat.from_rows([[conn.gamma[i][j][k] for i in range(n)]
-                          for k in range(n)], n)
+    return _operator(conn, range(j, n * n, n))
 
 
 def left_ops(conn):
@@ -324,47 +350,40 @@ def right_ops(conn):
     return tuple(right_op(conn, j) for j in range(conn.dim))
 
 
-def _lowered(d, nz, metric: SymForm):
+def _lowered(t: Mat, metric: SymForm):
     """(D, low), low[i·n + j][k] = D·⟨T_ij, e_k⟩ = D·(G·T_ij)_k in ints, for
-    T with `int_image` (d, _, nz) of its flat vectors (later rows unread)."""
-    n = metric.dim
-    dg, g = metric.gram.image()
-    _, _, gnz = int_image(g)
-    low = [[0] * n for _ in range(n * n)]
-    for r, acc in zip(nz, low):
-        for a, x in r:
-            for k, y in gnz[a]:
-                acc[k] += x * y
-    return d * dg, low
+    a table's Mat t (G is symmetric, so that is row T_ij times G)."""
+    (d, ints), (dg, g) = t.image(), metric.gram.image()
+    return d * dg, [_row_times(r, g, metric.dim) for r in ints]
 
 
-def skew_defects(d, nz, metric: SymForm):
+def skew_defects(t: Mat, metric: SymForm):
     """((i, j, k), ⟨T_ij, e_k⟩ + ⟨T_ik, e_j⟩) for each j ≤ k where that is
-    nonzero, T given as in `_lowered`: none for T = Γ is metric
-    compatibility, none for T = c is bi-invariance."""
+    nonzero, for a table's Mat t: none for T = Γ is metric compatibility,
+    none for T = c is bi-invariance."""
     n = metric.dim
-    d, low = _lowered(d, nz, metric)
+    d, low = _lowered(t, metric)
     return [((i, j, k), Fraction(x, d))
             for i in range(n) for j in range(n) for k in range(j, n)
             if (x := low[i * n + j][k] + low[i * n + k][j])]
 
 
-def check_torsion_and_compatibility(gamma, spec: AlgebraSpec):
+def check_torsion_and_compatibility(conn: ConnectionCoeffs, spec: AlgebraSpec):
     """Zero torsion: ∇_XY − ∇_YX = [X,Y]; compatibility:
     ⟨∇_XY, Z⟩ + ⟨Y, ∇_XZ⟩ = 0 on a raw table.  Returns (ok, defects).
-    One image: g[i·n + j] = d·Γ_ij, g[n² + i·n + j] = d·c_ij."""
+    On images g = D·Γ, b = D′·c, Γ_ij − Γ_ji − c_ij = (D′(g_ij − g_ji) −
+    D·b_ij)/(D·D′)."""
     n = spec.dim
-    d, g, nz = int_image([v for row in gamma for v in row]
-                         + [v for row in spec.brackets for v in row])
+    (d, g), (db, b) = conn.table.image(), spec.bracket_table.image()
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
-            t = [x - y - z for x, y, z in
-                 zip(g[i * n + j], g[j * n + i], g[n * n + i * n + j])]
+            t = [db * (x - y) - d * z for x, y, z in
+                 zip(g[i * n + j], g[j * n + i], b[i * n + j])]
             if any(t):
-                defects.append(("torsion", (i, j), _fractions(t, d)))
+                defects.append(("torsion", (i, j), _fractions(t, d * db)))
     defects += [("compatibility", ijk, x)
-                for ijk, x in skew_defects(d, nz, spec.metric)]
+                for ijk, x in skew_defects(conn.table, spec.metric)]
     return (not defects), tuple(defects)
 
 
@@ -372,29 +391,25 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     """Solve the product-rule identity for the unique torsion-free metric
     connection of the bracket table: with c_ijk = ⟨[e_i,e_j], e_k⟩,
     ⟨∇_{e_i} e_j, e_k⟩ = ½(c_ijk − c_jki + c_kij), and Γ_ij is that
-    covector times G⁻¹."""
+    covector times G⁻¹, summed in ints into the image of Γ's table, which
+    the connection keeps."""
     n = spec.dim
     try:
         ginv = spec.gram.inverse()
     except ValueError:
         raise PreconditionError(
             "metric is degenerate; connection is not determined") from None
-    dc, _, cnz = int_image(v for row in spec.brackets for v in row)
-    d, c = _lowered(dc, cnz, spec.metric)   # c[i·n + j][k] = d·c_ijk
+    d, c = _lowered(spec.bracket_table, spec.metric)   # c[i·n+j][k] = d·c_ijk
     dh, h = ginv.image()
-    _, _, hnz = int_image(h)
-    d *= 2 * dh
     # G⁻¹ is symmetric, so Γ_ij = ½ Σ_k (c_ijk − c_jki + c_kij)·(row k of G⁻¹)
-    gamma = [[None] * n for _ in range(n)]
-    for i, j in product(range(n), repeat=2):
-        acc = [0] * n
-        for k in range(n):
-            if s := c[i * n + j][k] - c[j * n + k][i] + c[k * n + i][j]:
-                for m, y in hnz[k]:
-                    acc[m] += s * y
-        gamma[i][j] = _fractions(acc, d)
-    conn = ConnectionCoeffs(tuple(gamma))
-    ok, defects = check_torsion_and_compatibility(conn.gamma, spec)
+    rows = [_row_times([c[i * n + j][k] - c[j * n + k][i] + c[k * n + i][j]
+                        for k in range(n)], h, n)
+            for i, j in product(range(n), repeat=2)]
+    table = Mat.from_image(2 * d * dh, rows, (n * n, n))
+    e = table.entries
+    conn = ConnectionCoeffs(tuple(e[i * n:(i + 1) * n] for i in range(n)))
+    object.__setattr__(conn, "_table", table)
+    ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn
 
@@ -406,12 +421,12 @@ def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
     if spec._connection is not None:
         return spec._connection
     if spec.mode == MODE_CONNECTION:
-        ok, defects = check_torsion_and_compatibility(spec.connection_override, spec)
+        conn = ConnectionCoeffs(spec.connection_override)
+        ok, defects = check_torsion_and_compatibility(conn, spec)
         if not ok:
             raise PreconditionError(
                 "connection table fails the defining identities: "
                 + "; ".join(f"{kind} at {idx}" for kind, idx, _ in defects[:5]))
-        conn = ConnectionCoeffs(spec.connection_override)
     else:
         conn = derive_connection(spec)
     object.__setattr__(spec, "_connection", conn)
@@ -435,7 +450,7 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     if not sub_form.is_nondegenerate():
         raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
-    gamma = tuple(tuple(h.coords(table_apply(conn.gamma, x, y)) for y in h.rows)
+    gamma = tuple(tuple(h.coords(table_apply(conn.table, x, y)) for y in h.rows)
                   for x in h.rows)
     if spec.mode == MODE_CONNECTION:
         sub_spec = AlgebraSpec.from_connection(names, gamma, sub_form)
@@ -453,9 +468,11 @@ def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:
     pinv = p.inverse()
     gram = SymForm(p @ spec.gram @ p.transpose())
     connection = spec.mode == MODE_CONNECTION
-    old = spec.connection_override if connection else spec.brackets
-    table = tuple(tuple(row_apply(table_apply(old, x, y), pinv)
-                        for y in p.entries) for x in p.entries)
+    old = (ConnectionCoeffs(spec.connection_override).table if connection
+           else spec.bracket_table)
+    new = old @ pinv   # row i·n + j: T_ij in the new coordinates
+    table = tuple(tuple(table_apply(new, x, y) for y in p.entries)
+                  for x in p.entries)
     if connection:
         return AlgebraSpec.from_connection(spec.basis_names, table, gram)
     return AlgebraSpec(n, spec.basis_names, table, gram)

@@ -19,14 +19,16 @@ table `connection_of` accepts is torsion-free, so L_i − ad_i = R_i and
 ric_ij = ⟨Γ_ij, τ⟩ − tr(R_i R_j) = Σ_a Γ_ij^a τ_a − Σ_{a,m} Γ_mi^a Γ_aj^m:
 O(n⁴), and a zero entry of R_i never reads R_j.
 
-The tensor and the Ricci form are integer multiply-adds.  With D the
-common denominator of the table (`linalg.int_image`: Γ's n² vectors, then
-c's for the tensor),
+The tensor and the Ricci form are integer multiply-adds on the kept image
+of Γ's table (`ConnectionCoeffs.table`), D its denominator; the table is
+torsion-free, so Dc_ij = DΓ_ij − DΓ_ji comes from the same image:
   D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) − (Dc_ij^b)(DΓ_bk),
   D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m),
   Dτ_a = Σ_m DΓ_ma^m,
-each summed over the nonzero pairs of the image; a Fraction is built once
-per nonzero tensor coordinate, and the Ricci sums are a Mat's image.
+each summed over the nonzero pairs of the image (`linalg.int_image`); a
+Fraction is built once per nonzero tensor coordinate, and the Ricci sums
+are a Mat's image.  Bi-invariance and the Killing form read the bracket
+table's kept image; the tensor applied to vectors is `linalg.table_apply`.
 R = 0 implies ric = 0, so `classify` builds the O(n⁵) tensor only for a
 Ricci-flat structure; the `curvature` command and
 `decompose.flat_riemannian_structure` build it outright.
@@ -34,32 +36,34 @@ Ricci-flat structure; the `curvature` command and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec,
     MODE_BRACKET,
+    _KEPT,
+    _kept_table,
     connection_of,
     left_images,
     skew_defects,
-    table_apply,
 )
-from .linalg import (Mat, Subspace, _fractions, int_image, lin_comb,
+from .linalg import (Mat, Subspace, _fractions, int_image, table_apply,
                      trace_form, vec_is_zero, zero_vec)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
     coeffs: tuple   # coeffs[i][j][k] = coordinates of R(e_i, e_j) e_k
+    _table: Mat | None = field(**_KEPT)   # `apply`, kept
 
     @property
     def dim(self):
         return len(self.coeffs)
 
     def apply(self, x, y, z):
-        return lin_comb(x, [table_apply(plane, y, z) if xi else None
-                            for xi, plane in zip(x, self.coeffs)], self.dim)
+        rows = (row for plane in self.coeffs for row in plane)
+        return table_apply(_kept_table(self, "_table", rows), x, y, z)
 
     def is_zero(self):
         return all(vec_is_zero(v) for plane in self.coeffs
@@ -69,18 +73,18 @@ class CurvatureTensor:
 def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
     """D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) −
     (Dc_ij^b)(DΓ_bk) for i < j, summed in ints over the nonzero pairs of
-    one `int_image` (g[i·n + j] = D·Γ_ij, g[n² + i·n + j] = D·c_ij); each
-    nonzero coordinate becomes a Fraction once, and R(e_j,e_i) is the
+    Γ's image (g[i·n + j] = D·Γ_ij), with Dc_ij = g[i·n + j] − g[j·n + i];
+    each nonzero coordinate becomes a Fraction once, and R(e_j,e_i) is the
     negation of the plane R(e_i,e_j)."""
     n = spec.dim
-    d, _, nz = int_image([v for row in connection_of(spec).gamma for v in row]
-                         + [v for row in spec.brackets for v in row])
+    d, g, nz = int_image(connection_of(spec).table)
     d *= d
     zero = (zero_vec(n),) * n
     out = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            c = nz[n * n + i * n + j]
+            c = [(b, x - y) for b, (x, y) in
+                 enumerate(zip(g[i * n + j], g[j * n + i])) if x != y]
             plane = []
             for k in range(n):
                 acc = [0] * n
@@ -102,10 +106,10 @@ def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
 def ricci(spec: AlgebraSpec) -> Mat:
     """D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m) with
     Dτ_a = Σ_m DΓ_ma^m (module docstring), summed in ints over the nonzero
-    pairs of one `int_image` of Γ (g[i·n + j] = D·Γ_ij); the sums over D²
-    are the Mat's image, so its Fractions are built only when read."""
+    pairs of Γ's image (g[i·n + j] = D·Γ_ij); the sums over D² are the
+    Mat's image, so its Fractions are built only when read."""
     n = spec.dim
-    d, g, nz = int_image(v for row in connection_of(spec).gamma for v in row)
+    d, g, nz = int_image(connection_of(spec).table)
     tau = [sum(g[m * n + a][m] for m in range(n)) for a in range(n)]
     # over[a·n + m] = the nonzero pairs (j, D·Γ_aj^m) of the vector over j
     over = [[(j, x) for j in range(n) if (x := g[a * n + j][m])]
@@ -130,15 +134,18 @@ def ad_matrix(spec: AlgebraSpec, i) -> Mat:
 
 def killing_form(spec: AlgebraSpec) -> Mat:
     """K_ij = Σ_{a,b} c_ia^b c_jb^a: the trace form of the matrices c_i,
-    rows c_ia (the transposes of ad e_i)."""
-    return trace_form(spec.brackets)
+    rows c_ia (the transposes of ad e_i), sliced from the bracket table's
+    image."""
+    n = spec.dim
+    d, rows = spec.bracket_table.image()
+    return trace_form([Mat.from_image(d, rows[i * n:(i + 1) * n], (n, n))
+                       for i in range(n)])
 
 
 def is_biinvariant(spec: AlgebraSpec) -> bool:
     """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples: the metric
     compatibility test of `algebra.skew_defects`, applied to c."""
-    d, _, nz = int_image(v for row in spec.brackets for v in row)
-    return not skew_defects(d, nz, spec.metric)
+    return not skew_defects(spec.bracket_table, spec.metric)
 
 
 def nilpotency_class(spec: AlgebraSpec):
@@ -148,8 +155,8 @@ def nilpotency_class(spec: AlgebraSpec):
     current = Subspace.full(n)
     c = 0
     while current.dim > 0:
-        nxt = Subspace.from_vectors(
-            n, [w for v in current.rows for w in left_images(spec.brackets, v)])
+        nxt = Subspace.from_vectors(n, [w for v in current.rows for w in
+                                        left_images(spec.bracket_table, v)])
         if nxt == current:
             return None
         current = nxt

@@ -74,8 +74,8 @@ from .linalg import (
     congruent_diagonalize,
     coprime_split,
     _kernel_ints,
+    _row_times,
     kernel,
-    lin_comb,
     minimal_polynomial,
     orthogonal_complement,
     poly_deg,
@@ -150,17 +150,15 @@ def _to_ambient(carrier, local_sub):
 # Commutant and splitting idempotents
 
 
-def _commutator_rows(cols, n):
-    """The n² conditions (TM − MT)_ab = 0 on T, for M given by its columns
-    and scaled to integers by the lcm of its denominators (the rows span
-    the same space).  T is flattened column-major, T[x][y] at y·n + x: on
-    generic bases the integer echelon of these rows grows far less than
-    row-major (on the first 12-dimensional system of the commutant tests
-    it runs about 8× faster).  Each row is a list of (column, integer)
-    pairs, zeros left out."""
-    d = math.lcm(*(x.denominator for col in cols for x in col))
-    me = [[x.numerator * (d // x.denominator) for x in row]
-          for row in zip(*cols)]
+def _commutator_rows(m, n):
+    """The n² conditions (TM − MT)_ab = 0 on T, for the Mat M, read off its
+    integer image (D·M spans the same conditions).  T is flattened
+    column-major, T[x][y] at y·n + x: on generic bases the integer echelon
+    of these rows grows far less than row-major (on the first
+    12-dimensional system of the commutant tests it runs about 8×
+    faster).  Each row is a list of (column, integer) pairs, zeros left
+    out."""
+    me = m.image()[1]
     rows = []
     for a in range(n):
         for b in range(n):
@@ -218,14 +216,7 @@ def commutant(conn: ConnectionCoeffs):
             continue
         coeffs = _kernel_ints(system, width)
         if basis is not None:
-            combos = []
-            for y in coeffs:
-                t = [0] * nn
-                for yi, b in zip(y, basis):
-                    if yi:
-                        t = [a + yi * x for a, x in zip(t, b)]
-                combos.append(t)
-            coeffs = combos
+            coeffs = [_row_times(y, basis, nn) for y in coeffs]
         basis = []
         for t in coeffs:
             g = math.gcd(*t)
@@ -751,7 +742,6 @@ class AdaptedBasis:
 
 
 def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
-    n = spec.dim
     conn = connection_of(spec)
     form = spec.metric
     if not is_strong_ideal(factor, conn):
@@ -785,9 +775,9 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
             assert x is not None, "dual partner system must be solvable"
             raw.append(factor.embed(x))
         c = [[form.pair(raw[p], raw[q]) for q in range(k)] for p in range(k)]
-        for p in range(k):
-            dual_vecs.append(vec_sub(raw[p], lin_comb(
-                [c[p][p] / 2] + c[p][p + 1:], ann_vecs[p:], n)))
+        for p in range(k):   # weights on the rows of a_f's basis, ann_vecs
+            dual_vecs.append(vec_sub(raw[p], row_apply(
+                [0] * p + [c[p][p] / 2] + c[p][p + 1:], a_f.basis)))
 
     vectors = tuple(ann_vecs + diag_vecs + dual_vecs)
     assert len(vectors) == factor.dim
@@ -908,15 +898,15 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         if k:
             duals = ab.vectors[s:]
             p0 = [to_g0_b.apply(v) for v in duals]
-            b = [[Fraction(0)] * k for _ in range(k)]
+            ann_k = Mat.from_rows(ab.vectors[:k], n)
             for p in range(k):
-                for q in range(k):
-                    val = form.pair(p0[p], p0[q])
-                    b[p][q] = val / 2 if p == q else val
-            for p in range(k):
+                # weights on the annihilator vectors: ⟨p0_p, p0_q⟩ for q > p
+                # and half of it at q = p
+                w = [0] * p + [form.pair(p0[p], p0[q]) for q in range(p, k)]
+                w[p] /= 2
                 sources.append(duals[p])
                 images.append(vec_add(onto_b[j].apply(duals[p]),
-                                      lin_comb(b[p][p:], ab.vectors[p:k], n)))
+                                      row_apply(w, ann_k)))
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
         return Unsupported(
@@ -998,19 +988,20 @@ def flat_riemannian_structure(spec: AlgebraSpec):
             _req(vec_is_zero(spec.bracket_apply(x, y)),
                  "derived block is not abelian")
     for y in derived.rows:
-        _req(all(derived.contains(w) for w in left_images(spec.brackets, y)),
+        _req(all(derived.contains(w)
+                 for w in left_images(spec.bracket_table, y)),
              "derived block is not an ideal")
     _req(derived.dim % 2 == 0, "derived block has odd dimension")
     _req(2 * b.dim <= derived.dim,
          "skew block too large for the derived block")
-    # right_images(conn.gamma, u)[j] = ∇_u e_j: the columns of
+    # right_images(conn.table, u)[j] = ∇_u e_j: the columns of
     # L_u = Σ_a u_a L_a
     for v in core.rows:
-        _req(all(vec_is_zero(w) for w in right_images(conn.gamma, v)),
+        _req(all(vec_is_zero(w) for w in right_images(conn.table, v)),
              "∇ must vanish for left slots outside b")
     for u in b.rows:
-        lu = right_images(conn.gamma, u)
-        _req(lu == right_images(spec.brackets, u),
+        lu = right_images(conn.table, u)
+        _req(lu == right_images(spec.bracket_table, u),
              "∇_b must act as the adjoint action")
         lowered = [row_apply(w, spec.gram) for w in lu]   # (G·∇_u e_x)_y
         for x in range(n):

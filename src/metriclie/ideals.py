@@ -45,14 +45,16 @@ CASE_NON_ISOTROPIC = "NON_ISOTROPIC"
 
 def nabla_gg(conn: ConnectionCoeffs) -> Subspace:
     """Span of all values ∇_X Y: the columns Γ_ij of the left operators
-    of `operator_basis`."""
+    of `operator_basis`, read off their images (scale leaves the span)."""
     left, _ = operator_basis(conn)
-    return Subspace.from_vectors(conn.dim, [c for cols in left for c in cols])
+    return Subspace.from_vectors(
+        conn.dim, [c for m in left for c in zip(*m.image()[1])])
 
 
 def _joint_kernel(ops, n):
-    """{x : T·x = 0 for each T in ops}, operators given by their columns."""
-    return kernel(Mat.from_rows([r for cols in ops for r in zip(*cols)], n))
+    """{x : T·x = 0 for each Mat T in ops}, from their stacked images."""
+    rows = [r for m in ops for r in m.image()[1]]
+    return kernel(Mat.from_image(1, rows, (len(rows), n)))
 
 
 def ann_r(conn: ConnectionCoeffs) -> Subspace:

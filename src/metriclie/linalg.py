@@ -26,14 +26,18 @@ one integer contraction against that image.
 Every elimination (RREF and its transform, inverse, rank, kernel, solve,
 subspaces) runs through the integer echelon `_echelon`, and `_rref_rows`
 returns each canonical row as a primitive integer row, positive at its
-pivot.  Table contractions run through `lin_comb` / `dot`, which
-accumulate each coordinate as an unreduced integer numerator/denominator
-pair and normalize it into a `Fraction` once, at the end.  Whole-table
-checks that sum products of entries (the Jacobi identity, the Koszul
-derivation, torsion, metric compatibility, bi-invariance, curvature) first
-take the table over one common denominator with `int_image` and then
-multiply and add plain ints, building a Fraction only for a result or a
-nonzero defect.
+pivot.  There is one contraction kernel: a sum of rows of a Mat weighted
+by a vector (`row_apply`, `Mat.apply`, `SymForm.pair`), or by the
+products of several vectors (`table_apply`, the multilinear extension of
+a table held as the Mat of its flattened vectors), runs as integer
+multiply-adds on the images, and builds one Fraction per nonzero
+coordinate at the end.  Whole-table checks that sum products of entries
+(the Jacobi identity, the Koszul derivation, torsion, metric
+compatibility, bi-invariance, curvature) read a table's kept image
+through `int_image`, which adds each row's nonzero pairs, and multiply
+and add plain ints, building a Fraction only for a result or a nonzero
+defect.  Floats are refused wherever a value enters (`rat`, and every
+conversion to an image).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from operator import mul
 
 Rat = Fraction
 _ZERO = Fraction(0)
+_NO_FLOATS = "floating-point input is not allowed in exact arithmetic"
 
 
 def rat(x) -> Rat:
@@ -52,7 +57,7 @@ def rat(x) -> Rat:
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
-        raise TypeError("floating-point input is not allowed in exact arithmetic")
+        raise TypeError(_NO_FLOATS)
     return Fraction(x)
 
 
@@ -84,74 +89,18 @@ def vec_is_zero(a):
     return not any(a)
 
 
-def lin_comb(coeffs, vectors, n):
-    """Σ_a coeffs[a]·vectors[a] in Q^n, for Fraction or int entries.
-
-    Each coordinate is accumulated as an unreduced integer pair num/den:
-    a term's product p/q is added as is when q equals den, and otherwise
-    the two denominators are merged through their gcd, so den stays the
-    lcm of the term denominators.  Each nonzero coordinate becomes a
-    normalized Fraction once, at the end; a zero one is a shared
-    Fraction(0).  A zero coefficient's vector is never read, and a zero
-    entry is never multiplied."""
-    num = [0] * n
-    den = [1] * n
-    for c, v in zip(coeffs, vectors):
-        cn = c.numerator
-        if cn:
-            cd = c.denominator
-            for k, x in enumerate(v):
-                xn = x.numerator
-                if xn:
-                    p = cn * xn
-                    q = cd * x.denominator
-                    d = den[k]
-                    if q == d:
-                        num[k] += p
-                    else:
-                        g = math.gcd(d, q)
-                        num[k] = num[k] * (q // g) + p * (d // g)
-                        den[k] = d // g * q
-    return tuple(Fraction(a, b) if a else _ZERO for a, b in zip(num, den))
-
-
-def dot(a, b):
-    """Σ_k a_k·b_k, accumulated like one coordinate of `lin_comb`."""
-    assert len(a) == len(b)
-    num, den = 0, 1
-    for x, y in zip(a, b):
-        p = x.numerator * y.numerator
-        if p:
-            q = x.denominator * y.denominator
-            if q == den:
-                num += p
-            else:
-                g = math.gcd(den, q)
-                num = num * (q // g) + p * (den // g)
-                den = den // g * q
-    return Fraction(num, den) if num else _ZERO
-
-
 def _common_ints(rows):
     """(D, ints): rows of Fractions (or ints) as integer rows over the lcm
     D of every entry's denominator.  For reduced entries gcd(D, ints) = 1:
     a prime power dividing D fully divides some entry's denominator, and
-    that entry's scaled numerator is prime to it."""
+    that entry's scaled numerator is prime to it.  A float has a ratio
+    too, so it is refused here as `rat` refuses it."""
+    for r in rows:
+        if float in map(type, r):
+            raise TypeError(_NO_FLOATS)
     rows = [[x.as_integer_ratio() for x in r] for r in rows]
     d = math.lcm(*{q for r in rows for _, q in r})
     return d, [[p * (d // q) if p else 0 for p, q in r] for r in rows]
-
-
-def int_image(rows):
-    """Rows of Fractions (or ints) over one common denominator D, the lcm
-    of every entry's denominator: returns (D, ints, nonzero) with
-    ints[r][k] = D·rows[r][k] as a plain int and nonzero[r] the pairs
-    (k, ints[r][k]) of row r's nonzero entries, in order.  A table of
-    vectors is passed as its flat sequence of vectors.  Sums of products
-    of entries then run as integer multiply-adds over the nonzero pairs,
-    and become Fractions only where a value is reported."""
-    d, ints = _common_ints(rows)
-    return d, ints, [[(k, x) for k, x in enumerate(r) if x] for r in ints]
 
 
 def _fractions(ints, d):
@@ -338,12 +287,36 @@ def row_apply(v, m: Mat):
     return _fractions(_row_times(w, a, m.ncols), d * dv)
 
 
+def table_apply(t: Mat, *vectors):
+    """Σ x_i y_j … t[(i·n + j)·n + …]: the multilinear extension of a table
+    held as the Mat of its flattened vectors, on the vectors' integer
+    images; a table row is read once per nonzero product of weights."""
+    d, rows = t.image()
+    terms = [(0, 1)]
+    for v in vectors:
+        dv, (w,) = _common_ints([v])
+        d *= dv
+        n, nz = len(w), [(k, x) for k, x in enumerate(w) if x]
+        terms = [(i * n + k, a * x) for i, a in terms for k, x in nz]
+    acc = [0] * t.ncols
+    for i, a in terms:
+        acc = [s + a * y for s, y in zip(acc, rows[i])]
+    return _fractions(acc, d)
+
+
+def int_image(m: Mat):
+    """(D, ints, nonzero): m's kept image ints/D (`Mat.image`) and
+    nonzero[r] the pairs (k, ints[r][k]) of row r's nonzero entries, in
+    order, for integer multiply-adds over a table's Mat."""
+    d, ints = m.image()
+    return d, ints, [[(k, x) for k, x in enumerate(r) if x] for r in ints]
+
+
 def trace_form(mats):
     """Gram matrix T_ab = tr(M_a M_b) = Σ_ij (M_a)_ij (M_b)_ji of square
-    matrices, given as Mats or by their rows: over the lcm D of the image
-    denominators, one integer dot product of M_a's image, flattened,
-    against M_b's, flattened transposed, and T = those sums / D²."""
-    mats = [m if isinstance(m, Mat) else Mat.from_rows(m) for m in mats]
+    Mats: over the lcm D of the image denominators, one integer dot
+    product of M_a's image, flattened, against M_b's, flattened
+    transposed, and T = those sums / D²."""
     d = math.lcm(*(m.image()[0] for m in mats))
     flat, swapped = [], []
     for m in mats:
@@ -707,7 +680,8 @@ class SymForm:
     def __post_init__(self):
         if not self.gram.is_square:
             raise ValueError("gram matrix must be square")
-        e = self.gram.entries
+        # symmetry does not see scale: test the rows the Mat already holds
+        e = self.gram._entries or self.gram.image()[1]
         if any(e[i][j] != e[j][i] for i in range(self.dim) for j in range(i)):
             raise ValueError("gram matrix must be symmetric")
 
@@ -716,7 +690,11 @@ class SymForm:
         return self.gram.nrows
 
     def pair(self, x, y):
-        return dot(x, row_apply(vec(y), self.gram))
+        """xᵀ·G·y, one integer contraction over x and y's images."""
+        assert len(x) == len(y) == self.dim
+        (d, g), (dv, (a, b)) = self.gram.image(), _common_ints([x, y])
+        return Fraction(sum(map(mul, _row_times(a, g, self.dim), b)),
+                        d * dv * dv)
 
     def is_nondegenerate(self):
         return self.gram.rank() == self.dim

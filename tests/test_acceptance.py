@@ -26,7 +26,7 @@ from metriclie import (
     transform_spec,
 )
 from metriclie.catalog import catalog_get, catalog_list
-from metriclie.cli import main
+from metriclie.cli import _random_basis_change, main
 from metriclie.decompose import NotApplicable
 from metriclie.fileformat import dumps_document, parse_string
 from metriclie.ideals import ann_r as ann_r_of, nabla_gg
@@ -168,15 +168,6 @@ def test_c06_nonorthogonal_eight_dim_reproduction(loaded, decomposed):
     assert spec.metric.pair(x4, y4) == 1
 
 
-def _random_invertible(n, rng):
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                for _ in range(n)]
-        m = Mat.from_rows(rows, n)
-        if m.rank() == n:
-            return m
-
-
 def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
     tested = 0
     for name, (spec, _) in loaded.items():
@@ -187,7 +178,7 @@ def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
         n = spec.dim
         rng = random.Random(0xC0FFEE ^ n)
         for _ in range(20):
-            p = _random_invertible(n, rng)
+            p = _random_basis_change(n, rng)
             dec_t = decompose(transform_spec(spec, p))
             mapped = {Subspace.from_vectors(
                 n, [row_apply(w, p) for w in f.rows]) for f in dec_t.factors}

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from metriclie import (
     MODE_BRACKET,
     AlgebraSpec,
+    ConnectionCoeffs,
     check_torsion_and_compatibility,
     connection_of,
     decompose,
@@ -25,8 +26,6 @@ from metriclie.linalg import (
     Mat,
     SymForm,
     Subspace,
-    lin_comb,
-    row_apply,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -77,7 +76,7 @@ def random_spec(draw):
 @settings(max_examples=40, deadline=None)
 def test_derived_connection_satisfies_both_laws(spec):
     conn = derive_connection(spec)
-    ok, defects = check_torsion_and_compatibility(conn.gamma, spec)
+    ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, defects
 
 
@@ -92,7 +91,7 @@ def test_connection_is_the_unique_solution(spec):
     bumped[0] += 1
     gamma[0][0] = tuple(bumped)
     ok, _ = check_torsion_and_compatibility(
-        tuple(tuple(r) for r in gamma), spec)
+        ConnectionCoeffs(tuple(tuple(r) for r in gamma)), spec)
     assert not ok
 
 
@@ -108,35 +107,45 @@ def test_metric_scaling_leaves_connection_alone(spec):
     assert conn.gamma == conn2.gamma
 
 
+def _fraction_sum(coeffs, vectors, n):
+    """Σ_a coeffs[a]·vectors[a] in Q^n, one Fraction operation at a time,
+    zero terms skipped."""
+    terms = [(Fraction(c), v) for c, v in zip(coeffs, vectors) if c]
+    return tuple(sum((c * v[k] for c, v in terms if v[k]), Fraction(0))
+                 for k in range(n))
+
+
 def koszul_oracle(spec):
-    """Γ from the Koszul formula in Fractions: c_ijk = (G·c_ij)_k by
-    `row_apply`, then Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹) as
-    one `lin_comb` over ½G⁻¹ stacked three times."""
+    """Γ from the Koszul formula in Fractions: c_ijk = (G·c_ij)_k, then
+    Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹) as one plain sum
+    over ½G⁻¹ stacked three times."""
     n = spec.dim
+    gram = spec.gram.entries
     half = spec.gram.inverse().scale(Fraction(1, 2)).entries * 3
-    c = [[row_apply(v, spec.gram) for v in row] for row in spec.brackets]
+    c = [[_fraction_sum(v, gram, n) for v in row] for row in spec.brackets]
     gamma = []
     for i in range(n):
         jki = [tuple(-c[j][k][i] for k in range(n)) for j in range(n)]
         kij = [tuple(c[k][i][j] for k in range(n)) for j in range(n)]
-        gamma.append(tuple(lin_comb(c[i][j] + jki[j] + kij[j], half, n)
+        gamma.append(tuple(_fraction_sum(c[i][j] + jki[j] + kij[j], half, n)
                            for j in range(n)))
     return tuple(gamma)
 
 
 def identities_oracle(gamma, spec):
     """Torsion, then compatibility, defects of a raw table in Fractions:
-    Γ_ij − Γ_ji − c_ij by `lin_comb`, ⟨Γ_ij, e_k⟩ + ⟨Γ_ik, e_j⟩ by
-    `row_apply`."""
+    Γ_ij − Γ_ji − c_ij and ⟨Γ_ij, e_k⟩ + ⟨Γ_ik, e_j⟩ as plain sums."""
     n = spec.dim
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = lin_comb((1, -1, -1),
-                         (gamma[i][j], gamma[j][i], spec.brackets[i][j]), n)
+            d = _fraction_sum((1, -1, -1),
+                              (gamma[i][j], gamma[j][i], spec.brackets[i][j]),
+                              n)
             if not vec_is_zero(d):
                 defects.append(("torsion", (i, j), d))
-    lowered = [[row_apply(v, spec.gram) for v in row] for row in gamma]
+    gram = spec.gram.entries
+    lowered = [[_fraction_sum(v, gram, n) for v in row] for row in gamma]
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
@@ -161,7 +170,7 @@ def _assert_matches_the_oracles(spec, gamma, bumps, label=None):
         assert derive_connection(spec).gamma == koszul_oracle(spec), label
     for table in (gamma, _bumped(gamma, bumps)):
         want = identities_oracle(table, spec)
-        assert check_torsion_and_compatibility(table, spec) \
+        assert check_torsion_and_compatibility(ConnectionCoeffs(table), spec) \
             == (not want, want), label
 
 
@@ -299,8 +308,8 @@ def test_broken_connection_table_reports_every_defect():
     spec = AlgebraSpec.build(
         ("a", "b"), metric={("a", "a"): 1, ("b", "b"): 1},
         connection={("a", "a"): {"b": 1}, ("b", "b"): {"a": 2}})
-    ok, defects = check_torsion_and_compatibility(spec.connection_override,
-                                                  spec)
+    ok, defects = check_torsion_and_compatibility(
+        ConnectionCoeffs(spec.connection_override), spec)
     assert not ok
     assert defects == (("compatibility", (0, 0, 1), Fraction(1)),
                        ("compatibility", (1, 0, 1), Fraction(2)))
@@ -316,7 +325,8 @@ def test_broken_connection_table_reports_every_defect():
     f = Fraction
     bumped = (((f(0), f(1)), (f(0), f(3))),
               ((f(0), f(0)), (f(2), f(0))))
-    ok, defects = check_torsion_and_compatibility(bumped, spec)
+    ok, defects = check_torsion_and_compatibility(ConnectionCoeffs(bumped),
+                                                  spec)
     assert not ok
     assert defects == (("torsion", (0, 1), (f(0), f(3))),
                        ("compatibility", (0, 0, 1), f(1)),
@@ -405,11 +415,15 @@ def _greedy_operator_basis(conn):
 
 def _check_operator_basis(conn, label=None):
     """The kept operators are independent, every L_i and R_j lies in their
-    span, the left ones span span{L_i}, and they are the scan's picks."""
+    span, the left ones span span{L_i}, they are the scan's picks, and
+    they are the Mats of `left_op` and `right_op`."""
     n = conn.dim
     left, right = operator_basis(conn)
-    as_mats = [Mat.from_rows(cols, n).transpose() for cols in left + right]
+    as_mats = list(left + right)
     assert as_mats == _greedy_operator_basis(conn), label
+    assert all(type(m) is Mat for m in as_mats), label
+    assert all(m in left_ops(conn) for m in left), label
+    assert all(m in right_ops(conn) for m in right), label
     kept = [sum(m.entries, ()) for m in as_mats]
     span = Subspace.from_vectors(n * n, kept)
     assert span.dim == len(kept), label

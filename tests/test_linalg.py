@@ -12,6 +12,7 @@ from metriclie import connection_of, linalg
 from metriclie.algebra import (
     ConnectionCoeffs,
     left_ops,
+    nabla_apply,
     operator_basis,
     right_ops,
 )
@@ -23,11 +24,9 @@ from metriclie.linalg import (
     SymForm,
     congruent_diagonalize,
     coprime_split,
-    dot,
     independent_rows,
     int_image,
     kernel,
-    lin_comb,
     minimal_polynomial,
     orthogonal_complement,
     poly,
@@ -46,6 +45,8 @@ from metriclie.linalg import (
     subspace_complement,
     subspace_intersect,
     subspace_sum,
+    table_apply,
+    unit_vec,
 )
 from test_algebra import random_spec
 
@@ -321,31 +322,33 @@ class _Recorder:
         return Fraction(num, den)
 
 
-def _lcm_of_terms(pairs):
-    """lcm of c.denominator·x.denominator over the nonzero terms."""
-    return math.lcm(1, *(Fraction(c).denominator * Fraction(x).denominator
-                         for c, x in pairs if c and x))
-
-
 @given(contractions)
 @example((3, ([], [])))
 @example((2, ([Fraction(1, 2), Fraction(1, 4)], [[1, 0], [Fraction(1, 2), 0]])))
 @settings(max_examples=150, deadline=None)
-def test_lin_comb_matches_the_fraction_sum(case):
+def test_row_apply_and_table_apply_match_the_fraction_sum(case):
     n, (coeffs, vectors) = case
     want = tuple(sum((Fraction(c) * Fraction(v[k]) for c, v in zip(coeffs, vectors)),
                      Fraction(0)) for k in range(n))
-    got = lin_comb(coeffs, vectors, n)
-    assert got == want
-    assert all(type(x) is Fraction for x in got)
-    # each nonzero coordinate is built once, over the lcm of its terms'
-    # denominators: the merge goes through the gcd
+    m = Mat.from_rows(vectors, n)
+    for got in (row_apply(coeffs, m), table_apply(m, coeffs)):
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+    # bilinear, on the first k ≤ 3 terms: row a·k + b is vectors[(a + b) % k]
+    k = min(len(vectors), 3)
+    square = Mat.from_rows([vectors[(a + b) % k] for a in range(k)
+                            for b in range(k)], n)
+    assert table_apply(square, coeffs[:k], coeffs[:k]) == tuple(
+        sum((Fraction(coeffs[a]) * Fraction(coeffs[b])
+             * Fraction(vectors[(a + b) % k][j])
+             for a in range(k) for b in range(k)), Fraction(0))
+        for j in range(n))
+    # each nonzero coordinate is built once, from the integer sums
     rec = _Recorder()
     with mock.patch.object(linalg, "Fraction", rec):
-        assert lin_comb(coeffs, vectors, n) == want
-    assert [den for _, den in rec.calls] == [
-        _lcm_of_terms([(c, v[k]) for c, v in zip(coeffs, vectors)])
-        for k in range(n) if want[k]]
+        assert row_apply(coeffs, m) == want
+        assert table_apply(m, coeffs) == want
+    assert len(rec.calls) == 2 * sum(1 for x in want if x)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
@@ -353,16 +356,23 @@ def test_lin_comb_matches_the_fraction_sum(case):
 @example(([], []))
 @example(([Fraction(1, 2), Fraction(1, 4)], [1, 1]))
 @settings(max_examples=150, deadline=None)
-def test_dot_matches_the_fraction_sum(pair):
+def test_pair_matches_the_fraction_sum(pair):
+    """SymForm.pair is xᵀGy summed in Fractions, for the symmetric
+    G = I + x·yᵀ + y·xᵀ, and builds one Fraction."""
     a, b = pair
-    want = sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-    got = dot(a, b)
+    n = len(a)
+    x, y = [Fraction(v) for v in a], [Fraction(v) for v in b]
+    g = [[int(i == j) + x[i] * y[j] + x[j] * y[i] for j in range(n)]
+         for i in range(n)]
+    want = sum((x[i] * g[i][j] * y[j] for i in range(n) for j in range(n)),
+               Fraction(0))
+    form = SymForm(Mat.from_rows(g, n))
+    got = form.pair(a, b)
     assert got == want and type(got) is Fraction
     rec = _Recorder()
     with mock.patch.object(linalg, "Fraction", rec):
-        assert dot(a, b) == want
-    assert [den for _, den in rec.calls] == ([_lcm_of_terms(zip(a, b))]
-                                             if want else [])
+        assert form.pair(a, b) == want
+    assert len(rec.calls) == 1
 
 
 @given(st.integers(0, 5).flatmap(
@@ -371,7 +381,9 @@ def test_dot_matches_the_fraction_sum(pair):
 @example([[Fraction(1, 2), 0], [Fraction(0), Fraction(-2, 3)]])
 @settings(max_examples=50, deadline=None)
 def test_int_image_is_the_table_over_its_common_denominator(rows):
-    d, ints, nonzero = int_image(rows)
+    m = Mat.from_rows(rows, len(rows[0]) if rows else 0)
+    d, ints, nonzero = int_image(m)
+    assert ints is m.image()[1]   # the Mat's kept image, not a new one
     assert d == math.lcm(1, *(Fraction(x).denominator for r in rows for x in r))
     assert all(type(x) is int for r in ints for x in r)
     assert [[Fraction(x, d) for x in r] for r in ints] == \
@@ -705,7 +717,7 @@ def test_kernel_ints_are_integral_annihilating_and_span_the_kernel(m):
     vecs = linalg._kernel_ints(m.entries, m.ncols)
     for v in vecs:
         assert all(type(x) is int for x in v)
-        assert all(dot(r, tuple(map(Fraction, v))) == 0 for r in m.entries)
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in m.entries)
     span = Subspace.from_vectors(m.ncols, vecs)
     assert len(vecs) == span.dim == m.ncols - m.rank()
     assert span == kernel(m)
@@ -880,3 +892,32 @@ def test_rat_passes_fractions_through_and_refuses_floats():
         rat(0.5)
     with pytest.raises(TypeError):
         Mat.from_rows([[Fraction(1), 0.25]], 2)
+    # every conversion to an integer image refuses a float too
+    eye = Mat.from_rows([[1, 0], [0, 1]])
+    conn = ConnectionCoeffs(((unit_vec(2, 0), unit_vec(2, 1)),
+                             (unit_vec(2, 1), unit_vec(2, 0))))
+    for refuse in (lambda: eye.apply((0.5, 0)),
+                   lambda: row_apply((0, 0.5), eye),
+                   lambda: Subspace.full(2).contains((1, 0.5)),
+                   lambda: Mat(((Fraction(1), 0.25),), (1, 2)).image(),
+                   lambda: table_apply(conn.table, (1, 0), (0.5, 0)),
+                   lambda: nabla_apply(conn, (0.5, 0), (1, 0)),
+                   lambda: SymForm(eye).pair((1, 0), (0.5, 0))):
+        with pytest.raises(TypeError, match="floating-point"):
+            refuse()
+
+
+def test_symmetry_is_checked_on_the_rows_the_gram_holds():
+    """A restricted form's Gram b·G·bᵀ keeps only its integer image; an
+    asymmetric Gram held only as an image is still refused."""
+    form = SymForm(Mat.from_rows([[1, 2, 0], [2, Fraction(1, 3), 1],
+                                  [0, 1, 5]]))
+    h = Subspace.from_vectors(3, [[1, 1, 0], [0, Fraction(1, 2), 2]])
+    sub = form.restrict(h)
+    assert sub.gram._entries is None
+    g, b = form.gram.entries, h.rows
+    assert sub.gram.entries == tuple(
+        tuple(sum((x[i] * g[i][j] * y[j] for i in range(3) for j in range(3)),
+                  Fraction(0)) for y in b) for x in b)
+    with pytest.raises(ValueError, match="symmetric"):
+        SymForm(Mat.from_image(3, [[0, 1], [2, 0]], (2, 2)))
