@@ -15,14 +15,15 @@ and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  Each table
 is held once as the Mat of its n² vectors, row i·n + j = T_ij
 (`AlgebraSpec.bracket_table`, `ConnectionCoeffs.table`), built on first
 use and kept; every contraction and check reads that one integer image.
-A table applied to vectors is `linalg.table_apply`: T(x, y) =
-Σ_ij x_i y_j T_ij; T(e_i, v) = Σ_j v_j T_ij and T(v, e_i) = Σ_j v_j T_ji
-are `left_images` and `right_images`.  Γ is sliced into the 2n operators
-L_i = ∇_{e_i}· and R_j = ∇_·e_j in one place (`left_op`, `right_op`);
-conditions linear in those operators are imposed on one basis of their
-span (`operator_basis`, `operator_images`).  The structure checks are
-integer multiply-adds on the images, each over its denominator D: the
-Jacobi defect D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] =
+A table applied to two vectors is `linalg.table_apply` (T(x, y) =
+Σ_ij x_i y_j T_ij), and to two bases `linalg.table_pairs`, the Mat of
+T(a_p, b_q) over all pairs of rows (`restrict`, `transform_spec`).  Γ is
+sliced into the 2n operators L_i = ∇_{e_i}· and R_j = ∇_·e_j in one
+place (`left_op`, `right_op`); conditions linear in those operators are
+imposed on one basis of their span (`operator_basis`): T keeps the span
+of H when the rows of H·Tᵀ lie in it.  The structure checks are integer
+multiply-adds on the images, each over its denominator D: the Jacobi
+defect D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] =
 Σ_b c_ij^b [e_b,e_k]); the Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki +
 c_kij) with c_ijk = (G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and
 compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the same lowering through G
@@ -41,13 +42,13 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
-    _common_ints,
     _fractions,
     _row_times,
     independent_rows,
     int_image,
     rat,
     table_apply,
+    table_pairs,
     vec,
     vec_scale,
     vec_sub,
@@ -85,21 +86,10 @@ def _kept_table(obj, name, rows):
     return getattr(obj, name)
 
 
-def left_images(t: Mat, v):
-    """t(e_i, v) = Σ_j v_j t_ij, for each i, for a table's Mat t."""
-    n = t.ncols
-    (d, rows), (dv, (w,)) = t.image(), _common_ints([v])
-    return tuple(_fractions(_row_times(w, rows[i * n:(i + 1) * n], n), d * dv)
-                 for i in range(n))
-
-
-def right_images(t: Mat, v):
-    """t(v, e_i) = Σ_j v_j t_ji, for each i, for a table's Mat t: the
-    columns of the operator y ↦ t(v, y)."""
-    n = t.ncols
-    (d, rows), (dv, (w,)) = t.image(), _common_ints([v])
-    return tuple(_fractions(_row_times(w, rows[i::n], n), d * dv)
-                 for i in range(n))
+def _nested(table: Mat):
+    """T[i][j] = row i·n + j of a table's Mat, as tuples of Fractions."""
+    n, e = table.ncols, table.entries
+    return tuple(e[i * n:(i + 1) * n] for i in range(n))
 
 
 def antisymmetrize(table):
@@ -309,17 +299,12 @@ def operator_basis(conn: ConnectionCoeffs):
     return conn._operators
 
 
-def operator_images(conn: ConnectionCoeffs, v):
-    """T·v for each operator T of `operator_basis`, left ones first."""
-    left, right = operator_basis(conn)
-    return tuple(m.apply(v) for m in left + right)
-
-
 def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
-    """h is closed under ∇ in both slots: every operator of
-    `operator_basis`, which spans the L_i and R_j, maps each basis vector
-    of h into h (r ≤ 2n images per vector, not 2n)."""
-    return all(h.contains(w) for v in h.rows for w in operator_images(conn, v))
+    """h is closed under ∇ in both slots: every operator T of
+    `operator_basis`, which spans the L_i and R_j, maps h into h, so the
+    rows of H·Tᵀ lie in h, for H h's basis (r ≤ 2n products, not 2n)."""
+    left, right = operator_basis(conn)
+    return all(h.contains_rows(h.basis @ t.transpose()) for t in left + right)
 
 
 def _operator(conn: ConnectionCoeffs, flat) -> Mat:
@@ -387,6 +372,13 @@ def check_torsion_and_compatibility(conn: ConnectionCoeffs, spec: AlgebraSpec):
     return (not defects), tuple(defects)
 
 
+def _keeping(table: Mat) -> ConnectionCoeffs:
+    """The connection whose table's Mat is `table`, kept as it is."""
+    conn = ConnectionCoeffs(_nested(table))
+    object.__setattr__(conn, "_table", table)
+    return conn
+
+
 def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     """Solve the product-rule identity for the unique torsion-free metric
     connection of the bracket table: with c_ijk = ⟨[e_i,e_j], e_k⟩,
@@ -405,10 +397,7 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     rows = [_row_times([c[i * n + j][k] - c[j * n + k][i] + c[k * n + i][j]
                         for k in range(n)], h, n)
             for i, j in product(range(n), repeat=2)]
-    table = Mat.from_image(2 * d * dh, rows, (n * n, n))
-    e = table.entries
-    conn = ConnectionCoeffs(tuple(e[i * n:(i + 1) * n] for i in range(n)))
-    object.__setattr__(conn, "_table", table)
+    conn = _keeping(Mat.from_image(2 * d * dh, rows, (n * n, n)))
     ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn
@@ -436,9 +425,11 @@ def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
 def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     """Restrict the structure to a strong ideal h.  Basis vectors are the
     rows of h's canonical basis, named after the original basis name at
-    each pivot position plus a prime.  The connection is torsion-free, so
-    the restricted bracket table is the antisymmetrized Γ sub-table, and
-    the sub-structure keeps that sub-table as its connection."""
+    each pivot position plus a prime.  Γ's sub-table is read off
+    `table_pairs(Γ, H, H)` at h's pivots (the strong-ideal test has put its
+    rows in h).  The connection is torsion-free, so the restricted bracket
+    table is the antisymmetrized Γ sub-table, and the sub-structure keeps
+    that sub-table as its connection."""
     assert h.ambient_dim == spec.dim
     if h.dim == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
@@ -450,13 +441,15 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
     if not sub_form.is_nondegenerate():
         raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
-    gamma = tuple(tuple(h.coords(table_apply(conn.table, x, y)) for y in h.rows)
-                  for x in h.rows)
+    d, rows = table_pairs(conn.table, h.basis, h.basis).image()
+    sub = _keeping(Mat.from_image(d, [[r[p] for p in h.pivots] for r in rows],
+                                  (h.dim * h.dim, h.dim)))
     if spec.mode == MODE_CONNECTION:
-        sub_spec = AlgebraSpec.from_connection(names, gamma, sub_form)
+        sub_spec = AlgebraSpec.from_connection(names, sub.gamma, sub_form)
     else:
-        sub_spec = AlgebraSpec(h.dim, names, antisymmetrize(gamma), sub_form)
-    object.__setattr__(sub_spec, "_connection", ConnectionCoeffs(gamma))
+        sub_spec = AlgebraSpec(h.dim, names, antisymmetrize(sub.gamma),
+                               sub_form)
+    object.__setattr__(sub_spec, "_connection", sub)
     return sub_spec
 
 
@@ -470,9 +463,8 @@ def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:
     connection = spec.mode == MODE_CONNECTION
     old = (ConnectionCoeffs(spec.connection_override).table if connection
            else spec.bracket_table)
-    new = old @ pinv   # row i·n + j: T_ij in the new coordinates
-    table = tuple(tuple(table_apply(new, x, y) for y in p.entries)
-                  for x in p.entries)
+    # row i·n + j: T(p_i, p_j) in the new coordinates
+    table = _nested(table_pairs(old @ pinv, p, p))
     if connection:
         return AlgebraSpec.from_connection(spec.basis_names, table, gram)
     return AlgebraSpec(n, spec.basis_names, table, gram)

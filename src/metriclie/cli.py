@@ -106,12 +106,8 @@ def build_parser():
 # payload helpers (everything below builds plain str/int/bool/list/dict data)
 
 
-def _frac(x):
-    return str(Fraction(x))
-
-
 def _vec(v):
-    return [_frac(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _mat(m):
@@ -131,7 +127,7 @@ def _named_entries(spec, table):
             v = table[i][j]
             if vec_is_zero(v):
                 continue
-            value = {names[k]: _frac(c) for k, c in enumerate(v) if c != 0}
+            value = {names[k]: str(c) for k, c in enumerate(v) if c != 0}
             out.append({"x": names[i], "y": names[j], "value": value})
     return out
 
@@ -167,7 +163,7 @@ def _report_curvature(spec, args):
                 v = r.coeffs[i][j][k]
                 if vec_is_zero(v):
                     continue
-                value = {names[t]: _frac(c) for t, c in enumerate(v) if c != 0}
+                value = {names[t]: str(c) for t, c in enumerate(v) if c != 0}
                 entries.append({"x": names[i], "y": names[j], "z": names[k],
                                 "value": value})
     return {"flat": r.is_zero(), "entries": entries}
@@ -184,7 +180,7 @@ def _report_classify(spec, args):
     return {
         "flat": rep.flat,
         "ricci_flat": rep.ricci_flat,
-        "einstein": None if rep.einstein is None else _frac(rep.einstein),
+        "einstein": None if rep.einstein is None else str(rep.einstein),
         "biinvariant": rep.biinvariant,
         "nilpotency_class": rep.nilpotency_class,
         "signature": list(sig),

@@ -9,7 +9,8 @@ All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
 Σ_b Γ_ik^b Γ_jb − Σ_b c_ij^b Γ_bk for i < j and R(e_j,e_i) = −R(e_i,e_j);
 K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (`linalg.trace_form`);
 bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
-steps by [e_i, v] = Σ_j v_j c_ij.
+steps by [e_i, v] = Σ_j v_j c_ij, for every basis row v at once
+(`linalg.table_pairs(c, I, basis)`).
 
 Ricci is read off the connection operators without the tensor.  With
 L_i: y ↦ ∇_{e_i} y, R_j: x ↦ ∇_x e_j ((R_j)^a_m = Γ_mj^a) and
@@ -45,11 +46,11 @@ from .algebra import (
     _KEPT,
     _kept_table,
     connection_of,
-    left_images,
     skew_defects,
 )
-from .linalg import (Mat, Subspace, _fractions, int_image, table_apply,
-                     trace_form, vec_is_zero, zero_vec)
+from .linalg import (Mat, Subspace, _fractions, int_image, row_space,
+                     table_apply, table_pairs, trace_form, vec_is_zero,
+                     zero_vec)
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,14 @@ def is_biinvariant(spec: AlgebraSpec) -> bool:
 
 def nilpotency_class(spec: AlgebraSpec):
     """Length of the lower central series, or None if it stabilizes above
-    zero (not nilpotent).  Only meaningful for honest bracket tables."""
+    zero (not nilpotent).  Only meaningful for honest bracket tables.  The
+    next term is spanned by the rows [e_i, v] of `table_pairs(c, I, basis)`."""
     n = spec.dim
     current = Subspace.full(n)
     c = 0
     while current.dim > 0:
-        nxt = Subspace.from_vectors(n, [w for v in current.rows for w in
-                                        left_images(spec.bracket_table, v)])
+        nxt = row_space(table_pairs(spec.bracket_table, Mat.identity(n),
+                                    current.basis))
         if nxt == current:
             return None
         current = nxt

@@ -46,11 +46,8 @@ from .algebra import (
     AlgebraSpec,
     ConnectionCoeffs,
     connection_of,
-    left_images,
-    nabla_apply,
     operator_basis,
     restrict,
-    right_images,
 )
 from .curvature import curvature_tensor
 from .errors import CertificateError, PreconditionError
@@ -85,14 +82,15 @@ from .linalg import (
     radical,
     rational_sqrt,
     row_apply,
+    row_space,
     solve,
     squarefree_decomposition,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
+    table_pairs,
     trace_form,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -576,11 +574,10 @@ def filtration(spec: AlgebraSpec) -> FiltrationChain:
         h_blocks.append(_to_ambient(carrier, h_local))
         carrier = _to_ambient(carrier, next_local)
         chain.append(carrier)
-    for i in range(len(chain) - 1):
-        for x in chain[i].rows:
-            for y in chain[i].rows:
-                _req(chain[i + 1].contains(spec.bracket_apply(x, y)),
-                     "derived vectors escape the next chain member")
+    for big, small in zip(chain, chain[1:]):
+        _req(small.contains_rows(
+            table_pairs(spec.bracket_table, big.basis, big.basis)),
+             "derived vectors escape the next chain member")
     return FiltrationChain(tuple(chain), tuple(h_blocks))
 
 
@@ -589,9 +586,9 @@ def filtration(spec: AlgebraSpec) -> FiltrationChain:
 
 
 def nabla_span(conn: ConnectionCoeffs, a: Subspace, b: Subspace) -> Subspace:
-    n = conn.dim
-    return Subspace.from_vectors(
-        n, [nabla_apply(conn, x, y) for x in a.rows for y in b.rows])
+    """span{∇_x y : x ∈ a, y ∈ b}, from Γ applied to every pair of basis
+    rows."""
+    return row_space(table_pairs(conn.table, a.basis, b.basis))
 
 
 def _match_factors(spec, dec_a, dec_b):
@@ -687,18 +684,14 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
     for i, j in matching:
         pm = dec_b.certificate.splitting_idempotents[j]
         projections.append(pm)
-        hom = True
-        iso = True
-        for x in fa[i].rows:
-            for y in fa[i].rows:
-                if pm.apply(nabla_apply(conn, x, y)) != \
-                        nabla_apply(conn, pm.apply(x), pm.apply(y)):
-                    hom = False
-                if spec.metric.pair(pm.apply(x), pm.apply(y)) != \
-                        spec.metric.pair(x, y):
-                    iso = False
-        strong_hom.append(hom)
-        isometric.append(iso)
+        # on the factor's basis rows x, y: pm·∇_x y = ∇_{pm x} pm y and
+        # ⟨pm x, pm y⟩ = ⟨x, y⟩
+        f, pt = fa[i].basis, pm.transpose()
+        g = f @ pt
+        strong_hom.append(table_pairs(conn.table, f, f) @ pt
+                          == table_pairs(conn.table, g, g))
+        isometric.append(g @ spec.gram @ g.transpose()
+                         == f @ spec.gram @ f.transpose())
 
     g0_dims = None
     g0_ok = None
@@ -765,35 +758,33 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
 
     targets = ann_vecs + diag_vecs        # the s constraint vectors
     dual_vecs = []
+    dim, fb = factor.dim, factor.basis
     if k:
-        a = Mat.from_rows([[form.pair(fr, t) for fr in factor.rows]
-                           for t in targets], factor.dim)
-        raw = []
+        # a[t][r] = ⟨t, f_r⟩ for the targets t and the basis rows f_r
+        a = Mat.from_rows(targets, spec.dim) @ form.gram @ fb.transpose()
+        xs = []
         for p in range(k):
-            rhs = [Fraction(1 if q == p else 0) for q in range(s)]
-            x = solve(a, rhs)
+            x = solve(a, [Fraction(1 if q == p else 0) for q in range(s)])
             assert x is not None, "dual partner system must be solvable"
-            raw.append(factor.embed(x))
-        c = [[form.pair(raw[p], raw[q]) for q in range(k)] for p in range(k)]
+            xs.append(x)
+        raw = Mat.from_rows(xs, dim) @ fb
+        c = (raw @ form.gram @ raw.transpose()).entries
         for p in range(k):   # weights on the rows of a_f's basis, ann_vecs
-            dual_vecs.append(vec_sub(raw[p], row_apply(
-                [0] * p + [c[p][p] / 2] + c[p][p + 1:], a_f.basis)))
+            dual_vecs.append(vec_sub(raw.row(p), row_apply(
+                [0] * p + [c[p][p] / 2, *c[p][p + 1:]], a_f.basis)))
 
     vectors = tuple(ann_vecs + diag_vecs + dual_vecs)
-    assert len(vectors) == factor.dim
-    gram = Mat.from_rows([[form.pair(x, y) for y in vectors] for x in vectors],
-                         factor.dim)
-    # the adapted pattern
-    for a_i in range(len(vectors)):
-        for b_i in range(len(vectors)):
-            v = gram.entries[a_i][b_i]
-            if a_i < k:
-                expect = Fraction(1 if b_i == s + a_i else 0)
-            elif a_i < s:
-                expect = diag_norms[a_i - k] if a_i == b_i else Fraction(0)
-            else:
-                expect = Fraction(1 if b_i == a_i - s else 0)
-            assert v == expect, "adapted basis pairing pattern violated"
+    assert len(vectors) == dim
+    vm = Mat.from_rows(vectors, spec.dim)
+    gram = vm @ form.gram @ vm.transpose()
+    # the adapted pattern: X_p pairs with Y_p, the diagonal block its norms
+    expect = [[0] * dim for _ in range(dim)]
+    for p in range(k):
+        expect[p][s + p] = expect[s + p][p] = 1
+    for p, norm in enumerate(diag_norms, k):
+        expect[p][p] = norm
+    assert gram == Mat.from_rows(expect, dim), \
+        "adapted basis pairing pattern violated"
     return AdaptedBasis(vectors=vectors, k=k, s=s,
                         diagonal=tuple(diag_norms), pairings=gram)
 
@@ -927,20 +918,17 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     tm = Mat.from_rows(images, n)
     m = tm.transpose() @ sm.transpose().inverse()
     _req(m.rank() == n, "constructed map is singular")
-    _req(m.transpose() @ form.gram @ m == form.gram,
-         "constructed map is not an isometry")
-    mcols = [m.col(i) for i in range(n)]   # m·e_i
-    for i in range(n):
-        for j in range(n):
-            _req(m.apply(conn.gamma[i][j])
-                 == nabla_apply(conn, mcols[i], mcols[j]),
-                 "constructed map does not respect the connection")
+    mt = m.transpose()   # row i: m·e_i
+    _req(mt @ form.gram @ m == form.gram, "constructed map is not an isometry")
+    # row i·n + j: m·Γ_ij on the left, ∇_{m e_i} m e_j on the right
+    _req(conn.table @ mt == table_pairs(conn.table, mt, mt),
+         "constructed map does not respect the connection")
     for i, j in matching:
-        img = Subspace.from_vectors(n, [m.apply(x) for x in fa[i].rows])
-        _req(img == fb[j], "constructed map does not carry factor to factor")
+        _req(row_space(fa[i].basis @ mt) == fb[j],
+             "constructed map does not carry factor to factor")
     if dec_a.g0 is not None:
-        img = Subspace.from_vectors(n, [m.apply(x) for x in dec_a.g0.rows])
-        _req(img == dec_b.g0, "constructed map does not carry g0 to g0")
+        _req(row_space(dec_a.g0.basis @ mt) == dec_b.g0,
+             "constructed map does not carry g0 to g0")
     return m
 
 
@@ -980,32 +968,22 @@ def flat_riemannian_structure(spec: AlgebraSpec):
     b = orthogonal_complement(core, spec.metric)
     _req(subspace_sum(core, b) == Subspace.full(n)
          and core.dim + b.dim == n, "orthogonal splitting failed")
-    for x in b.rows:
-        for y in b.rows:
-            _req(vec_is_zero(spec.bracket_apply(x, y)), "b block is not abelian")
-    for x in derived.rows:
-        for y in derived.rows:
-            _req(vec_is_zero(spec.bracket_apply(x, y)),
-                 "derived block is not abelian")
-    for y in derived.rows:
-        _req(all(derived.contains(w)
-                 for w in left_images(spec.bracket_table, y)),
-             "derived block is not an ideal")
+    c, gamma, eye = spec.bracket_table, conn.table, Mat.identity(n)
+    _req(table_pairs(c, b.basis, b.basis).is_zero(), "b block is not abelian")
+    _req(table_pairs(c, derived.basis, derived.basis).is_zero(),
+         "derived block is not abelian")
+    _req(derived.contains_rows(table_pairs(c, eye, derived.basis)),
+         "derived block is not an ideal")
     _req(derived.dim % 2 == 0, "derived block has odd dimension")
     _req(2 * b.dim <= derived.dim,
          "skew block too large for the derived block")
-    # right_images(conn.table, u)[j] = ∇_u e_j: the columns of
-    # L_u = Σ_a u_a L_a
-    for v in core.rows:
-        _req(all(vec_is_zero(w) for w in right_images(conn.table, v)),
-             "∇ must vanish for left slots outside b")
-    for u in b.rows:
-        lu = right_images(conn.table, u)
-        _req(lu == right_images(spec.bracket_table, u),
-             "∇_b must act as the adjoint action")
-        lowered = [row_apply(w, spec.gram) for w in lu]   # (G·∇_u e_x)_y
-        for x in range(n):
-            for y in range(n):
-                _req(lowered[x][y] + lowered[y][x] == 0,
-                     "∇_b is not skew-adjoint")
+    # row p·n + x of table_pairs(Γ, U, I) is ∇_{u_p} e_x
+    _req(table_pairs(gamma, core.basis, eye).is_zero(),
+         "∇ must vanish for left slots outside b")
+    lu = table_pairs(gamma, b.basis, eye)
+    _req(lu == table_pairs(c, b.basis, eye),
+         "∇_b must act as the adjoint action")
+    _, low = (lu @ spec.gram).image()   # low[p·n + x][y] ∝ ⟨∇_{u_p}e_x, e_y⟩
+    _req(all(low[p + x][y] == -low[p + y][x] for p in range(0, len(low), n)
+             for x in range(n) for y in range(n)), "∇_b is not skew-adjoint")
     return FlatSplit(b=b, ann=a, derived=derived)

@@ -192,10 +192,6 @@ def load_path(path) -> InputDocument:
     return parse_string(text)
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_document(name: str, spec: AlgebraSpec) -> dict:
     n = spec.dim
     names = list(spec.basis_names)
@@ -213,7 +209,7 @@ def serialize_document(name: str, spec: AlgebraSpec) -> dict:
                 if any(x != 0 for x in v):
                     entries.append({
                         "x": names[i], "y": names[j],
-                        "value": {names[c]: _rat_str(v[c])
+                        "value": {names[c]: str(v[c])
                                   for c in range(n) if v[c] != 0},
                     })
         doc["brackets"] = entries
@@ -226,12 +222,12 @@ def serialize_document(name: str, spec: AlgebraSpec) -> dict:
                 if any(x != 0 for x in v):
                     entries.append({
                         "x": names[i], "y": names[j],
-                        "value": {names[c]: _rat_str(v[c])
+                        "value": {names[c]: str(v[c])
                                   for c in range(n) if v[c] != 0},
                     })
         doc["connection"] = entries
     doc["metric"] = [
-        {"x": names[i], "y": names[j], "value": _rat_str(spec.gram.entries[i][j])}
+        {"x": names[i], "y": names[j], "value": str(spec.gram.entries[i][j])}
         for i in range(n) for j in range(i, n)
         if spec.gram.entries[i][j] != 0
     ]

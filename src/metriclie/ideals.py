@@ -10,9 +10,10 @@ off one basis of span{L_i, R_j} (`operator_basis`): its left part spans
 span{L_i}.  Ann is one joint kernel, not an intersection.  For a
 nondegenerate metric, Ann_R = (∇gg)^⊥ — compatibility moves the left slot
 across the pairing — and the report asserts that identity as a
-self-check.  A strong ideal is a subspace closed under ∇ in both slots;
-strong ideals are automatically Lie ideals since the bracket is the
-antisymmetrized table.
+self-check.  A strong ideal is a subspace closed under ∇ in both slots,
+so kept by each operator T of that basis: the rows of H·Tᵀ lie in it,
+for its basis H.  Strong ideals are automatically Lie ideals since the
+bracket is the antisymmetrized table.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .algebra import (
     AlgebraSpec,
     ConnectionCoeffs,
     connection_of,
-    is_strong_ideal,  # defined next to operator_images; re-exported here
+    is_strong_ideal,  # defined next to operator_basis; re-exported here
     operator_basis,
-    operator_images,
 )
 from .linalg import (
     Mat,
@@ -72,13 +72,15 @@ def is_isotropic(h: Subspace, form: SymForm) -> bool:
 
 
 def strong_ideal_closure(s: Subspace, conn: ConnectionCoeffs) -> Subspace:
-    """Smallest strong ideal containing s: saturate under both ∇ slots."""
-    n = conn.dim
+    """Smallest strong ideal containing s: saturate under both ∇ slots,
+    adding the rows of H·Tᵀ for each operator T of `operator_basis`."""
+    left, right = operator_basis(conn)
+    ts = [t.transpose() for t in left + right]
     current = s
     while True:
-        nxt = Subspace.from_vectors(
-            n, list(current.rows)
-            + [w for v in current.rows for w in operator_images(conn, v)])
+        h = current.basis
+        nxt = Subspace.from_vectors(conn.dim, [
+            r for m in [h] + [h @ t for t in ts] for r in m.image()[1]])
         if nxt == current:
             return current
         current = nxt

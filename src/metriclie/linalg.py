@@ -27,17 +27,20 @@ Every elimination (RREF and its transform, inverse, rank, kernel, solve,
 subspaces) runs through the integer echelon `_echelon`, and `_rref_rows`
 returns each canonical row as a primitive integer row, positive at its
 pivot.  There is one contraction kernel: a sum of rows of a Mat weighted
-by a vector (`row_apply`, `Mat.apply`, `SymForm.pair`), or by the
-products of several vectors (`table_apply`, the multilinear extension of
-a table held as the Mat of its flattened vectors), runs as integer
-multiply-adds on the images, and builds one Fraction per nonzero
-coordinate at the end.  Whole-table checks that sum products of entries
-(the Jacobi identity, the Koszul derivation, torsion, metric
-compatibility, bi-invariance, curvature) read a table's kept image
-through `int_image`, which adds each row's nonzero pairs, and multiply
-and add plain ints, building a Fraction only for a result or a nonzero
-defect.  Floats are refused wherever a value enters (`rat`, and every
-conversion to an image).
+by a vector (`row_apply`, `Mat.apply`, `SymForm.pair`, a product's rows),
+or by the products of several vectors (`table_apply`, the multilinear
+extension of a table held as the Mat of its flattened vectors), runs as
+integer multiply-adds on the images; a vector result builds one Fraction
+per nonzero coordinate.  Bases go through a table as matrices:
+`table_pairs(t, a, b)` is the Mat of t(a_p, b_q) over all pairs of rows
+(mode-n products; Kolda & Bader, SIAM Rev. 51, 2009), and
+`Subspace.contains_rows` tests a Mat's rows at once.  Whole-table checks
+that sum products of entries (the Jacobi identity, the Koszul
+derivation, torsion, metric compatibility, bi-invariance, curvature)
+read a table's kept image through `int_image`, which adds each row's
+nonzero pairs, and multiply and add plain ints, building a Fraction only
+for a result or a nonzero defect.  Floats are refused wherever a value
+enters (`rat`, and every conversion to an image).
 """
 
 from __future__ import annotations
@@ -288,9 +291,12 @@ def row_apply(v, m: Mat):
 
 
 def table_apply(t: Mat, *vectors):
-    """Σ x_i y_j … t[(i·n + j)·n + …]: the multilinear extension of a table
-    held as the Mat of its flattened vectors, on the vectors' integer
-    images; a table row is read once per nonzero product of weights."""
+    """Σ x_i y_j … t[(i·k + j)·k + …]: the multilinear extension of a table
+    held as the Mat of its flattened vectors, for vectors of one length k
+    and a table of k^m rows, on the vectors' integer images; a table row
+    is read once per nonzero product of weights."""
+    k = len(vectors[0])
+    assert all(len(v) == k for v in vectors) and t.nrows == k ** len(vectors)
     d, rows = t.image()
     terms = [(0, 1)]
     for v in vectors:
@@ -302,6 +308,24 @@ def table_apply(t: Mat, *vectors):
     for i, a in terms:
         acc = [s + a * y for s, y in zip(acc, rows[i])]
     return _fractions(acc, d)
+
+
+def table_pairs(t: Mat, a: Mat, b: Mat) -> Mat:
+    """Row p·l + q is t(a_p, b_q) = Σ_ij (a_p)_i (b_q)_j t_ij, for the rows
+    of a, the l rows of b and a table of k² rows (a and b have k columns):
+    each row of a weights t's k-row blocks, flattened, and each row of b
+    the k rows of that sum, in ints over the three denominators."""
+    k, n, l = a.ncols, t.ncols, b.nrows
+    assert b.ncols == k and t.nrows == k * k, (t.shape, a.shape, b.shape)
+    (d, rows), (da, ra), (db, rb) = t.image(), a.image(), b.image()
+    blocks = [[x for r in rows[i * k:(i + 1) * k] for x in r]
+              for i in range(k)]
+    out = []
+    for w in ra:
+        s = _row_times(w, blocks, k * n)
+        s = [s[j * n:(j + 1) * n] for j in range(k)]
+        out.extend(_row_times(v, s, n) for v in rb)
+    return Mat.from_image(d * da * db, out, (a.nrows * l, n))
 
 
 def int_image(m: Mat):
@@ -557,9 +581,14 @@ class Subspace:
         tested."""
         return not any(self._residual(_common_ints([v])[1][0]))
 
+    def contains_rows(self, m: Mat):
+        """Every row of m lies in the subspace, tested on m's image."""
+        assert m.ncols == self.ambient_dim
+        return not any(any(self._residual(r)) for r in m.image()[1])
+
     def contains_subspace(self, other):
         assert other.ambient_dim == self.ambient_dim
-        return not any(any(self._residual(r)) for r in other.basis.image()[1])
+        return self.contains_rows(other.basis)
 
     def coords(self, v):
         v = vec(v)

@@ -1,19 +1,23 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclie import (
+    PreconditionError,
     ann_report,
     connection_of,
     is_isotropic,
     is_strong_ideal,
     left_ops,
     nabla_apply,
+    restrict,
     right_ops,
     strong_ideal_closure,
 )
 from metriclie.catalog import catalog_get
+from metriclie.decompose import nabla_span
 from metriclie.ideals import ann, ann_r, nabla_gg
 from metriclie.linalg import (
     Mat,
@@ -186,3 +190,81 @@ def test_annihilators_match_the_all_operator_oracle_on_random_tables(spec):
     conn = connection_of(spec)
     rep = ann_report(spec)
     assert (rep.ann_r, rep.ann, rep.nabla_gg) == _annihilators_oracle(conn)
+
+
+# Per-vector definitions of the whole-basis products: each vector goes
+# through `nabla_apply` on its own, and membership and coordinates are read
+# with `Subspace.contains` and `Subspace.coords`.
+
+def _nabla_images(conn, v):
+    """∇_{e_i} v and ∇_v e_i for every i."""
+    n = conn.dim
+    return [w for i in range(n) for w in (nabla_apply(conn, unit_vec(n, i), v),
+                                          nabla_apply(conn, v, unit_vec(n, i)))]
+
+
+def _per_vector_strong_ideal(h, conn):
+    return all(h.contains(w) for v in h.rows for w in _nabla_images(conn, v))
+
+
+def _per_vector_closure(s, conn):
+    current = s
+    while True:
+        nxt = Subspace.from_vectors(conn.dim, list(current.rows) + [
+            w for v in current.rows for w in _nabla_images(conn, v)])
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def _per_vector_nabla_span(conn, a, b):
+    return Subspace.from_vectors(conn.dim, [nabla_apply(conn, x, y)
+                                            for x in a.rows for y in b.rows])
+
+
+def _check_against_per_vector_definitions(spec, conn, subspaces):
+    """is_strong_ideal, strong_ideal_closure, nabla_span and the Γ table
+    of `restrict` on each subspace (ideals or not); the strong-ideal
+    verdicts seen."""
+    seen = set()
+    for h in subspaces:
+        ideal = _per_vector_strong_ideal(h, conn)
+        seen.add(ideal)
+        assert is_strong_ideal(h, conn) == ideal
+        assert strong_ideal_closure(h, conn) == _per_vector_closure(h, conn)
+        for b in (h, subspaces[-1]):
+            assert nabla_span(conn, h, b) == _per_vector_nabla_span(conn, h, b)
+        if not (ideal and h.dim and spec.metric.restrict(h).is_nondegenerate()):
+            with pytest.raises(PreconditionError):
+                restrict(spec, h)
+            continue
+        want = tuple(tuple(h.coords(nabla_apply(conn, x, y)) for y in h.rows)
+                     for x in h.rows)
+        sub = restrict(spec, h)
+        assert connection_of(sub).gamma == want
+        assert connection_of(sub).table == Mat.from_rows(
+            [v for row in want for v in row], h.dim)
+        if sub.connection_override is not None:
+            assert sub.connection_override == want
+    return seen
+
+
+def test_whole_basis_products_match_the_per_vector_definitions(
+        shipped_and_generic):
+    rng = random.Random(7)
+    seen = set()
+    for label, spec, conn in shipped_and_generic:
+        try:
+            seen |= _check_against_per_vector_definitions(
+                spec, conn, _test_subspaces(conn, rng, 2))
+        except AssertionError as exc:
+            raise AssertionError(label) from exc
+    assert seen == {True, False}
+
+
+@given(random_spec(), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_whole_basis_products_match_the_per_vector_definitions_on_random_tables(
+        spec, rng):
+    conn = connection_of(spec)
+    _check_against_per_vector_definitions(spec, conn, _test_subspaces(conn, rng, 2))

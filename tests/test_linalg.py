@@ -16,6 +16,7 @@ from metriclie.algebra import (
     operator_basis,
     right_ops,
 )
+from metriclie.catalog import catalog_get
 from metriclie.decompose import commutant
 from metriclie.linalg import (
     Mat,
@@ -46,6 +47,7 @@ from metriclie.linalg import (
     subspace_intersect,
     subspace_sum,
     table_apply,
+    table_pairs,
     unit_vec,
 )
 from test_algebra import random_spec
@@ -351,6 +353,31 @@ def test_row_apply_and_table_apply_match_the_fraction_sum(case):
     assert len(rec.calls) == 2 * sum(1 for x in want if x)
 
 
+@given(contractions)
+@example((3, ([], [])))
+@example((2, ([Fraction(1, 2), Fraction(1, 4)], [[1, 0], [Fraction(1, 2), 0]])))
+@example((2, ([1, Fraction(1, 3)], [[1, 0], [0, Fraction(-2, 7)]])))   # a or b empty
+@settings(max_examples=150, deadline=None)
+def test_table_pairs_matches_the_fraction_sum(case):
+    """Row p·l + q of table_pairs(t, a, b) is Σ_ij (a_p)_i (b_q)_j t_ij, for
+    t the k² rows vectors[(i + j) % k] and a, b the two halves of the
+    windows coeffs[p:p + k], either way round (so one of them may have no
+    rows)."""
+    n, (coeffs, vectors) = case
+    k = min(len(vectors), 3)
+    t = [vectors[(i + j) % k] for i in range(k) for j in range(k)]
+    windows = [coeffs[p:p + k] for p in range(len(coeffs) - k + 1)]
+    half = len(windows) // 2
+    for a, b in ((windows[:half], windows[half:]), (windows[half:], windows[:half])):
+        got = table_pairs(Mat.from_rows(t, n), Mat.from_rows(a, k), Mat.from_rows(b, k))
+        assert got.shape == (len(a) * len(b), n)
+        assert got.entries == tuple(tuple(
+            sum((Fraction(x[i]) * Fraction(y[j]) * Fraction(t[i * k + j][c])
+                 for i in range(k) for j in range(k)), Fraction(0))
+            for c in range(n)) for x in a for y in b)
+        assert all(type(x) is Fraction for r in got.entries for x in r)
+
+
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
     st.lists(wide, min_size=n, max_size=n), st.lists(wide, min_size=n, max_size=n))))
 @example(([], []))
@@ -451,7 +478,12 @@ def test_subspace_reduce_matches_sequential_subtraction(case):
     assert (coords, rem) == _reduce_oracle(sub, v)
     assert all(type(x) is Fraction for x in coords + rem)
     assert sub.contains(v) == all(x == 0 for x in rem)
-    assert sub.contains(sub.embed(coords))
+    inside = sub.embed(coords)
+    assert sub.contains(inside)
+    # a Mat's rows at once: v, in or out, next to a row that is in
+    for rows in ([], [inside], [inside, v], [v, inside]):
+        m = Mat.from_rows(rows, len(v))
+        assert sub.contains_rows(m) == all(sub.contains(r) for r in m.entries)
 
 
 @given(st.integers(1, 4).flatmap(lambda c: st.lists(
@@ -904,6 +936,20 @@ def test_rat_passes_fractions_through_and_refuses_floats():
                    lambda: nabla_apply(conn, (0.5, 0), (1, 0)),
                    lambda: SymForm(eye).pair((1, 0), (0.5, 0))):
         with pytest.raises(TypeError, match="floating-point"):
+            refuse()
+
+
+def test_tables_refuse_vectors_of_the_wrong_length():
+    """Every vector a table is applied to has as many entries as the
+    table's slots: these once answered, or failed with an IndexError."""
+    spec = catalog_get("so3_killing_neg").load().spec
+    conn = connection_of(spec)
+    for refuse in (lambda: nabla_apply(conn, (0, 1, 0), (1, 0)),
+                   lambda: spec.bracket_apply((0, 1, 0), (0, 0, 1, 0)),
+                   lambda: nabla_apply(conn, (0, 0, 0, 1), (0, 0, 1)),
+                   lambda: table_pairs(conn.table, Mat.identity(3), Mat.identity(2)),
+                   lambda: table_pairs(conn.table, Mat.identity(2), Mat.identity(2))):
+        with pytest.raises(AssertionError):
             refuse()
 
 
