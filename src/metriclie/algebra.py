@@ -1,34 +1,38 @@
 """Lie algebra structures carrying a nondegenerate symmetric bilinear form.
 
-An `AlgebraSpec` holds the structure constants, the Gram matrix, and the
-mode.  In "bracket" mode the metric connection is derived from the product
-rule ⟨∇_X Y, Z⟩ = ½(⟨[X,Y],Z⟩ − ⟨[Y,Z],X⟩ + ⟨[Z,X],Y⟩); in "connection"
-mode the coefficient table is given directly (the induced bracket is its
+An `AlgebraSpec` holds the bracket table, the Gram matrix, and the mode.
+In "bracket" mode the metric connection is derived from the product rule
+⟨∇_X Y, Z⟩ = ½(⟨[X,Y],Z⟩ − ⟨[Y,Z],X⟩ + ⟨[Z,X],Y⟩); in "connection" mode
+the connection table is given directly (the induced bracket is its
 antisymmetrization) — this is how structures whose bracket table fails the
 Jacobi identity are carried around without pretending they are Lie
 algebras.  Either way the table is checked against the two defining
 identities (zero torsion and metric compatibility) before anything
 downstream is allowed to use it.
 
-Index conventions: brackets[i][j][a] = c_ij^a with [e_i,e_j] = Σ_a c_ij^a e_a,
-and gamma[i][j][a] = Γ_ij^a with ∇_{e_i} e_j = Σ_a Γ_ij^a e_a.  Each table
-is held once as the Mat of its n² vectors, row i·n + j = T_ij
-(`AlgebraSpec.bracket_table`, `ConnectionCoeffs.table`), built on first
-use and kept; every contraction and check reads that one integer image.
-A table applied to two vectors is `linalg.table_apply` (T(x, y) =
-Σ_ij x_i y_j T_ij), and to two bases `linalg.table_pairs`, the Mat of
-T(a_p, b_q) over all pairs of rows (`restrict`, `transform_spec`).  Γ is
-sliced into the 2n operators L_i = ∇_{e_i}· and R_j = ∇_·e_j in one
-place (`left_op`, `right_op`); conditions linear in those operators are
-imposed on one basis of their span (`operator_basis`): T keeps the span
-of H when the rows of H·Tᵀ lie in it.  The structure checks are integer
-multiply-adds on the images, each over its denominator D: the Jacobi
-defect D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] =
-Σ_b c_ij^b [e_b,e_k]); the Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki +
-c_kij) with c_ijk = (G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and
-compatibility ⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the same lowering through G
-(`skew_defects`, which on c is bi-invariance).  Fractions are built only
-for Γ and for the value of a nonzero defect.
+Every table is stored once, as the Mat of its n² vectors, row i·n + j =
+T_ij (the mode-3 unfolding of Kolda & Bader, SIAM Rev. 51, 2009): the
+bracket c (`AlgebraSpec.bracket_table`, [e_i,e_j] = Σ_a c_ij^a e_a), a
+given Γ (`AlgebraSpec.connection_table`) and the connection's Γ
+(`ConnectionCoeffs.table`, ∇_{e_i} e_j = Σ_a Γ_ij^a e_a).  The parse and
+`build` hand over Mats of their Fractions; every table computed here
+(`derive_connection`, `restrict`, `transform_spec`, c = Γ_ij − Γ_ji in
+connection mode) is an integer image, passed on as it is.  Construction
+tests antisymmetry on the rows the Mat holds, without arithmetic.  A table
+applied to two vectors is `linalg.table_apply` (T(x, y) = Σ_ij x_i y_j
+T_ij), and to two bases `linalg.table_pairs`, the Mat of T(a_p, b_q) over
+all pairs of rows (`restrict`, `transform_spec`).  Γ is sliced into the
+2n operators L_i = ∇_{e_i}· and R_j = ∇_·e_j in one place (`left_op`,
+`right_op`); conditions linear in those operators are imposed on one
+basis of their span (`operator_basis`): T keeps the span of H when the
+rows of H·Tᵀ lie in it.  The structure checks are integer multiply-adds
+on the images, each over its denominator D: the Jacobi defect
+D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
+Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk =
+(G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ +
+⟨Γ_ik,e_j⟩ = 0 by the same lowering through G (`skew_defects`, which on c
+is bi-invariance).  Fractions are built only for the value of a nonzero
+defect, and for a table's entries when they are read.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from itertools import combinations, product
 
 from .errors import PreconditionError
 from .linalg import (
+    _NO_FLOATS,
     Mat,
     Subspace,
     SymForm,
@@ -49,10 +54,6 @@ from .linalg import (
     rat,
     table_apply,
     table_pairs,
-    vec,
-    vec_scale,
-    vec_sub,
-    zero_vec,
 )
 
 MODE_BRACKET = "bracket"
@@ -60,55 +61,30 @@ MODE_CONNECTION = "connection"
 _KEPT = dict(default=None, init=False, repr=False, compare=False)
 
 
-def _coerce_table(table, n):
-    t = tuple(tuple(vec(v) for v in row) for row in table)
-    assert len(t) == n
-    for row in t:
-        assert len(row) == n
-        for v in row:
-            assert len(v) == n
-    return t
-
-
 def _negated(u, v):
-    """u = −v, for vectors of reduced Fractions, without arithmetic."""
+    """u = −v, for vectors of reduced Fractions or of ints, without
+    arithmetic."""
     return all(x.numerator == -y.numerator and x.denominator == y.denominator
                for x, y in zip(u, v))
 
 
-def _kept_table(obj, name, rows):
-    """The Mat of the vectors in rows, flattened (a table's row i·n + j is
-    T_ij), built on first use and kept on obj as `name`."""
-    if getattr(obj, name) is None:
-        vectors = tuple(v for row in rows for v in row)
-        object.__setattr__(obj, name,
-                           Mat(vectors, (len(vectors), len(vectors[0]))))
-    return getattr(obj, name)
-
-
-def _nested(table: Mat):
-    """T[i][j] = row i·n + j of a table's Mat, as tuples of Fractions."""
-    n, e = table.ncols, table.entries
-    return tuple(e[i * n:(i + 1) * n] for i in range(n))
-
-
-def antisymmetrize(table):
-    n = len(table)
-    return tuple(tuple(vec_sub(table[i][j], table[j][i]) for j in range(n))
-                 for i in range(n))
+def _antisymmetrized(t: Mat) -> Mat:
+    """The table T_ij − T_ji of a table's Mat, on its image."""
+    n = t.ncols
+    d, g = t.image()
+    return Mat.from_image(d, [[x - y for x, y in zip(g[i * n + j], g[j * n + i])]
+                              for i, j in product(range(n), repeat=2)], t.shape)
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
     dim: int
     basis_names: tuple
-    brackets: tuple          # brackets[i][j] = coordinates of [e_i, e_j]
+    bracket_table: Mat       # row i·n + j = coordinates of [e_i, e_j]
     metric: SymForm
     mode: str = MODE_BRACKET
-    connection_override: tuple | None = None
-    # kept on first use: `bracket_table`, `connection_of`, `commutant_of`,
-    # `ann_report`
-    _bracket_table: Mat | None = field(**_KEPT)
+    connection_table: Mat | None = None   # row i·n + j = ∇_{e_i} e_j
+    # kept on first use: `connection_of`, `commutant_of`, `ann_report`
     _connection: ConnectionCoeffs | None = field(**_KEPT)
     _commutant: tuple | None = field(**_KEPT)
     _ann_report: object = field(**_KEPT)
@@ -118,24 +94,29 @@ class AlgebraSpec:
         assert n >= 1
         assert len(self.basis_names) == n
         assert len(set(self.basis_names)) == n, "basis names must be distinct"
-        object.__setattr__(self, "brackets", _coerce_table(self.brackets, n))
+        assert self.bracket_table.shape == (n * n, n)
         assert self.metric.dim == n
         if self.mode == MODE_BRACKET:
-            assert self.connection_override is None
+            assert self.connection_table is None
+            # the rows the Mat holds: its Fractions (a float refused, as
+            # `rat` refuses it), or else its image
+            c = self.bracket_table._entries
+            if c is None:
+                c = self.bracket_table.image()[1]
+            elif any(float in map(type, r) for r in c):
+                raise TypeError(_NO_FLOATS)
+            for i in range(n):
+                for j in range(i, n):
+                    if not _negated(c[i * n + j], c[j * n + i]):
+                        raise ValueError("bracket table is not antisymmetric")
         elif self.mode == MODE_CONNECTION:
-            assert self.connection_override is not None
-            object.__setattr__(self, "connection_override",
-                               _coerce_table(self.connection_override, n))
-            if antisymmetrize(self.connection_override) != self.brackets:
+            # an antisymmetrization is antisymmetric; the images refuse floats
+            assert self.connection_table.shape == (n * n, n)
+            if _antisymmetrized(self.connection_table) != self.bracket_table:
                 raise ValueError("bracket table must be the antisymmetrization "
                                  "of the connection table")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        c = self.brackets
-        for i in range(n):
-            for j in range(i, n):
-                if not _negated(c[i][j], c[j][i]):
-                    raise ValueError("bracket table is not antisymmetric")
 
     @classmethod
     def build(cls, names, brackets=None, metric=None, connection=None):
@@ -148,48 +129,41 @@ class AlgebraSpec:
         n = len(names)
         idx = {name: i for i, name in enumerate(names)}
 
-        def entry_vec(d):
-            v = [Fraction(0)] * n
-            for name, value in d.items():
-                v[idx[name]] = rat(value)
-            return tuple(v)
+        def table(entries, antisymmetric):
+            """The Mat whose row idx[a]·n + idx[b] is the vector of
+            entries[(a, b)], and in an antisymmetric table row
+            idx[b]·n + idx[a] its negation."""
+            rows = [(Fraction(0),) * n] * (n * n)
+            for (a, b), d in entries.items():
+                v = [Fraction(0)] * n
+                for name, value in d.items():
+                    v[idx[name]] = rat(value)
+                rows[idx[a] * n + idx[b]] = tuple(v)
+                if antisymmetric:
+                    rows[idx[b] * n + idx[a]] = tuple(-x for x in v)
+            return Mat(tuple(rows), (n * n, n))
 
         gram = [[Fraction(0)] * n for _ in range(n)]
         for (a, b), value in (metric or {}).items():
             gram[idx[a]][idx[b]] = rat(value)
             gram[idx[b]][idx[a]] = rat(value)
         form = SymForm(Mat.from_rows(gram, n))
-
         if connection is not None:
-            gamma = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-            for (a, b), d in connection.items():
-                gamma[idx[a]][idx[b]] = entry_vec(d)
-            gamma = tuple(tuple(row) for row in gamma)
-            return cls.from_connection(names, gamma, form)
-
-        table = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-        for (a, b), d in (brackets or {}).items():
-            v = entry_vec(d)
-            table[idx[a]][idx[b]] = v
-            table[idx[b]][idx[a]] = vec_scale(Fraction(-1), v)
-        return cls(n, names, tuple(tuple(row) for row in table), form)
+            return cls.from_connection(names, table(connection, False), form)
+        return cls(n, names, table(brackets or {}, True), form)
 
     @classmethod
-    def from_connection(cls, names, gamma, metric):
+    def from_connection(cls, names, connection_table: Mat, metric):
+        """The connection-mode structure with this table; its bracket is
+        the table's antisymmetrization, one integer pass."""
         names = tuple(names)
-        n = len(names)
-        gamma = _coerce_table(gamma, n)
-        return cls(n, names, antisymmetrize(gamma), metric,
-                   mode=MODE_CONNECTION, connection_override=gamma)
+        return cls(len(names), names, _antisymmetrized(connection_table),
+                   metric, mode=MODE_CONNECTION,
+                   connection_table=connection_table)
 
     @property
     def gram(self):
         return self.metric.gram
-
-    @property
-    def bracket_table(self):
-        """The Mat of the n² bracket vectors, row i·n + j = c_ij."""
-        return _kept_table(self, "_bracket_table", self.brackets)
 
     def bracket_apply(self, x, y):
         """Bilinear extension of the bracket table to coordinate vectors."""
@@ -242,26 +216,20 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """gamma[i][j] = coordinates of ∇_{e_i} e_j.  `derive_connection` and
-    `connection_of` build it checked, `restrict` as a sub-table of a checked
-    one; the raw constructor checks shape only."""
+    """The Mat of the n² vectors Γ_ij, row i·n + j = coordinates of
+    ∇_{e_i} e_j.  `derive_connection` and `connection_of` build it checked,
+    `restrict` as a sub-table of a checked one; the raw constructor checks
+    shape only."""
 
-    gamma: tuple
-    _table: Mat | None = field(**_KEPT)       # `table`, kept
+    table: Mat
     _operators: tuple | None = field(**_KEPT)   # `operator_basis`, kept
 
     def __post_init__(self):
-        n = len(self.gamma)
-        object.__setattr__(self, "gamma", _coerce_table(self.gamma, n))
+        assert self.table.nrows == self.dim ** 2
 
     @property
     def dim(self):
-        return len(self.gamma)
-
-    @property
-    def table(self):
-        """The Mat of the n² vectors Γ_ij, row i·n + j."""
-        return _kept_table(self, "_table", self.gamma)
+        return self.table.ncols
 
 
 def nabla_apply(conn: ConnectionCoeffs, x, y):
@@ -372,13 +340,6 @@ def check_torsion_and_compatibility(conn: ConnectionCoeffs, spec: AlgebraSpec):
     return (not defects), tuple(defects)
 
 
-def _keeping(table: Mat) -> ConnectionCoeffs:
-    """The connection whose table's Mat is `table`, kept as it is."""
-    conn = ConnectionCoeffs(_nested(table))
-    object.__setattr__(conn, "_table", table)
-    return conn
-
-
 def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     """Solve the product-rule identity for the unique torsion-free metric
     connection of the bracket table: with c_ijk = ⟨[e_i,e_j], e_k⟩,
@@ -397,20 +358,20 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     rows = [_row_times([c[i * n + j][k] - c[j * n + k][i] + c[k * n + i][j]
                         for k in range(n)], h, n)
             for i, j in product(range(n), repeat=2)]
-    conn = _keeping(Mat.from_image(2 * d * dh, rows, (n * n, n)))
+    conn = ConnectionCoeffs(Mat.from_image(2 * d * dh, rows, (n * n, n)))
     ok, defects = check_torsion_and_compatibility(conn, spec)
     assert ok, f"derived connection fails its defining identities: {defects[:3]}"
     return conn
 
 
 def connection_of(spec: AlgebraSpec) -> ConnectionCoeffs:
-    """The structure's connection table: the override (checked) in
+    """The structure's connection: the given table (checked) in
     connection mode, the derived one in bracket mode.  Kept on the spec
     after the first call; a table that fails is refused on every call."""
     if spec._connection is not None:
         return spec._connection
     if spec.mode == MODE_CONNECTION:
-        conn = ConnectionCoeffs(spec.connection_override)
+        conn = ConnectionCoeffs(spec.connection_table)
         ok, defects = check_torsion_and_compatibility(conn, spec)
         if not ok:
             raise PreconditionError(
@@ -442,12 +403,12 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
         raise PreconditionError("metric restricts degenerately to the subspace")
     names = tuple(spec.basis_names[p] + "'" for p in h.pivots)
     d, rows = table_pairs(conn.table, h.basis, h.basis).image()
-    sub = _keeping(Mat.from_image(d, [[r[p] for p in h.pivots] for r in rows],
-                                  (h.dim * h.dim, h.dim)))
+    sub = ConnectionCoeffs(Mat.from_image(
+        d, [[r[p] for p in h.pivots] for r in rows], (h.dim * h.dim, h.dim)))
     if spec.mode == MODE_CONNECTION:
-        sub_spec = AlgebraSpec.from_connection(names, sub.gamma, sub_form)
+        sub_spec = AlgebraSpec.from_connection(names, sub.table, sub_form)
     else:
-        sub_spec = AlgebraSpec(h.dim, names, antisymmetrize(sub.gamma),
+        sub_spec = AlgebraSpec(h.dim, names, _antisymmetrized(sub.table),
                                sub_form)
     object.__setattr__(sub_spec, "_connection", sub)
     return sub_spec
@@ -455,16 +416,16 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
 
 def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:
     """The same structure written on the basis whose vectors are the rows
-    of p (in old coordinates).  p must be invertible."""
+    of p (in old coordinates), its table the integer product
+    `table_pairs(T·P⁻¹, P, P)`.  p must be invertible."""
     n = spec.dim
     assert p.shape == (n, n)
     pinv = p.inverse()
     gram = SymForm(p @ spec.gram @ p.transpose())
     connection = spec.mode == MODE_CONNECTION
-    old = (ConnectionCoeffs(spec.connection_override).table if connection
-           else spec.bracket_table)
+    old = spec.connection_table if connection else spec.bracket_table
     # row i·n + j: T(p_i, p_j) in the new coordinates
-    table = _nested(table_pairs(old @ pinv, p, p))
+    table = table_pairs(old @ pinv, p, p)
     if connection:
         return AlgebraSpec.from_connection(spec.basis_names, table, gram)
     return AlgebraSpec(n, spec.basis_names, table, gram)

@@ -19,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 
 from .algebra import (
     MODE_BRACKET,
@@ -40,9 +41,9 @@ from .decompose import (
     verify_decomposition,
 )
 from .errors import InputFormatError, MetricLieError, PreconditionError
-from .fileformat import load_path, serialize_document
+from .fileformat import load_path, serialize_document, table_entries
 from .ideals import ann_report
-from .linalg import Mat, congruent_diagonalize, row_space, vec_is_zero
+from .linalg import Mat, congruent_diagonalize, row_space
 
 COMMANDS = ("validate", "connection", "curvature", "ricci", "classify",
             "ann", "decompose", "filtration", "compare", "isometry")
@@ -118,20 +119,6 @@ def _subspace(s):
     return {"dim": s.dim, "basis": [_vec(r) for r in s.rows]}
 
 
-def _named_entries(spec, table):
-    """Sparse {x, y, value} list for a table[i][j] of coordinate vectors."""
-    names = spec.basis_names
-    out = []
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            v = table[i][j]
-            if vec_is_zero(v):
-                continue
-            value = {names[k]: str(c) for k, c in enumerate(v) if c != 0}
-            out.append({"x": names[i], "y": names[j], "value": value})
-    return out
-
-
 def _report_validate(rep):
     failures = [{"triple": list(t), "defect": _vec(d)}
                 for t, d in rep.jacobi_failures]
@@ -149,24 +136,19 @@ def _report_connection(spec, args):
     conn = connection_of(spec)
     return {
         "derived": spec.mode == MODE_BRACKET,
-        "entries": _named_entries(spec, conn.gamma),
+        "entries": table_entries(spec.basis_names, conn.table,
+                                 product(range(spec.dim), repeat=2)),
     }
 
 
 def _report_curvature(spec, args):
     r = curvature_tensor(spec)
-    names = spec.basis_names
-    entries = []
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            for k in range(spec.dim):
-                v = r.coeffs[i][j][k]
-                if vec_is_zero(v):
-                    continue
-                value = {names[t]: str(c) for t, c in enumerate(v) if c != 0}
-                entries.append({"x": names[i], "y": names[j], "z": names[k],
-                                "value": value})
-    return {"flat": r.is_zero(), "entries": entries}
+    n = spec.dim
+    # the planes R(e_i,e_j) with i < j; R(e_j,e_i) is their negation
+    triples = ((i, j, k) for i, j in combinations(range(n), 2)
+               for k in range(n))
+    return {"flat": r.is_zero(),
+            "entries": table_entries(spec.basis_names, r.table, triples)}
 
 
 def _report_ricci(spec, args):

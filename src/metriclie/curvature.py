@@ -4,8 +4,8 @@ Conventions: R(X,Y)Z = ∇_X ∇_Y Z − ∇_Y ∇_X Z − ∇_{[X,Y]} Z, and th
 matrix is ric[i][j] = trace of Z ↦ R(Z, e_i) e_j.  Killing form
 K(X,Y) = tr(ad X ∘ ad Y).  Everything is exact.
 
-All of it reads c_ij^a = brackets[i][j][a] and Γ_ij^a = gamma[i][j][a]
-(index conventions in `algebra`): R(e_i,e_j)e_k = Σ_b Γ_jk^b Γ_ib −
+All of it reads the tables' Mats, row i·n + j = c_ij or Γ_ij (index
+conventions in `algebra`): R(e_i,e_j)e_k = Σ_b Γ_jk^b Γ_ib −
 Σ_b Γ_ik^b Γ_jb − Σ_b c_ij^b Γ_bk for i < j and R(e_j,e_i) = −R(e_i,e_j);
 K_ij = Σ_{a,b} c_ia^b c_jb^a, symmetric (`linalg.trace_form`);
 bi-invariance is (G·c_ij)_k + (G·c_ik)_j = 0; the lower central series
@@ -26,10 +26,13 @@ torsion-free, so Dc_ij = DΓ_ij − DΓ_ji comes from the same image:
   D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) − (Dc_ij^b)(DΓ_bk),
   D²·ric_ij = Σ_a (DΓ_ij^a)(Dτ_a) − Σ_{a,m} (DΓ_mi^a)(DΓ_aj^m),
   Dτ_a = Σ_m DΓ_ma^m,
-each summed over the nonzero pairs of the image (`linalg.int_image`); a
-Fraction is built once per nonzero tensor coordinate, and the Ricci sums
-are a Mat's image.  Bi-invariance and the Killing form read the bracket
-table's kept image; the tensor applied to vectors is `linalg.table_apply`.
+each summed over the nonzero pairs of the image (`linalg.int_image`).
+The tensor is a table too, the Mat of its n³ vectors (row (i·n + j)·n + k
+= R(e_i,e_j)e_k), held as the image of those sums with the R(e_j,e_i)
+planes negated in ints, and the Ricci sums are a Mat's image: Fractions
+are built only when entries are read.  Bi-invariance and the Killing form
+read the bracket table's image; the tensor applied to vectors is
+`linalg.table_apply`.
 R = 0 implies ric = 0, so `classify` builds the O(n⁵) tensor only for a
 Ricci-flat structure; the `curvature` command and
 `decompose.flat_riemannian_structure` build it outright.
@@ -37,51 +40,38 @@ Ricci-flat structure; the `curvature` command and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    AlgebraSpec,
-    MODE_BRACKET,
-    _KEPT,
-    _kept_table,
-    connection_of,
-    skew_defects,
-)
-from .linalg import (Mat, Subspace, _fractions, int_image, row_space,
-                     table_apply, table_pairs, trace_form, vec_is_zero,
-                     zero_vec)
+from .algebra import AlgebraSpec, MODE_BRACKET, connection_of, skew_defects
+from .linalg import (Mat, Subspace, int_image, row_space, table_apply,
+                     table_pairs, trace_form)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    coeffs: tuple   # coeffs[i][j][k] = coordinates of R(e_i, e_j) e_k
-    _table: Mat | None = field(**_KEPT)   # `apply`, kept
+    table: Mat   # row (i·n + j)·n + k = coordinates of R(e_i, e_j) e_k
 
     @property
     def dim(self):
-        return len(self.coeffs)
+        return self.table.ncols
 
     def apply(self, x, y, z):
-        rows = (row for plane in self.coeffs for row in plane)
-        return table_apply(_kept_table(self, "_table", rows), x, y, z)
+        return table_apply(self.table, x, y, z)
 
     def is_zero(self):
-        return all(vec_is_zero(v) for plane in self.coeffs
-                   for row in plane for v in row)
+        return self.table.is_zero()
 
 
 def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
     """D²·R(e_i,e_j)e_k = Σ_b (DΓ_jk^b)(DΓ_ib) − (DΓ_ik^b)(DΓ_jb) −
     (Dc_ij^b)(DΓ_bk) for i < j, summed in ints over the nonzero pairs of
     Γ's image (g[i·n + j] = D·Γ_ij), with Dc_ij = g[i·n + j] − g[j·n + i];
-    each nonzero coordinate becomes a Fraction once, and R(e_j,e_i) is the
-    negation of the plane R(e_i,e_j)."""
+    the plane R(e_j,e_i) is the plane R(e_i,e_j) negated in ints, and the
+    tensor's table is the image of the sums over D²."""
     n = spec.dim
     d, g, nz = int_image(connection_of(spec).table)
-    d *= d
-    zero = (zero_vec(n),) * n
-    out = [[zero] * n for _ in range(n)]
+    planes = [[[0] * n] * n] * (n * n)   # plane i·n + j holds R(e_i,e_j)
     for i in range(n):
         for j in range(i + 1, n):
             c = [(b, x - y) for b, (x, y) in
@@ -98,10 +88,11 @@ def curvature_tensor(spec: AlgebraSpec) -> CurvatureTensor:
                 for b, x in c:
                     for m, y in nz[b * n + k]:
                         acc[m] -= x * y
-                plane.append(_fractions(acc, d))
-            out[i][j] = tuple(plane)
-            out[j][i] = tuple(tuple(-x if x else x for x in v) for v in plane)
-    return CurvatureTensor(tuple(tuple(row) for row in out))
+                plane.append(acc)
+            planes[i * n + j] = plane
+            planes[j * n + i] = [[-x for x in r] for r in plane]
+    return CurvatureTensor(Mat.from_image(
+        d * d, [r for plane in planes for r in plane], (n ** 3, n)))
 
 
 def ricci(spec: AlgebraSpec) -> Mat:
@@ -127,10 +118,11 @@ def ricci(spec: AlgebraSpec) -> Mat:
 
 
 def ad_matrix(spec: AlgebraSpec, i) -> Mat:
-    """Matrix of ad e_i = [e_i, ·] (column action)."""
+    """Matrix of ad e_i = [e_i, ·] (column action): columns c_i0 …
+    c_i,n−1, the transpose of the bracket table's rows i·n … i·n + n − 1."""
     n = spec.dim
-    return Mat.from_rows([[spec.brackets[i][j][k] for j in range(n)]
-                          for k in range(n)], n)
+    d, rows = spec.bracket_table.image()
+    return Mat.from_image(d, rows[i * n:(i + 1) * n], (n, n)).transpose()
 
 
 def killing_form(spec: AlgebraSpec) -> Mat:

@@ -956,8 +956,7 @@ def flat_riemannian_structure(spec: AlgebraSpec):
     if not curvature_tensor(spec).is_zero():
         return NotApplicable("structure is not flat")
     n = spec.dim
-    derived = Subspace.from_vectors(
-        n, [spec.brackets[i][j] for i in range(n) for j in range(i + 1, n)])
+    derived = row_space(spec.bracket_table)
     _req(derived == nabla_gg(conn),
          "derived subalgebra must equal the nabla span in the flat "
          "Riemannian case")

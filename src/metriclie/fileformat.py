@@ -33,6 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .algebra import MODE_BRACKET, MODE_CONNECTION, AlgebraSpec
 from .errors import InputFormatError
@@ -129,28 +130,25 @@ def parse_document(obj) -> InputDocument:
                   f"({basis[i]}, {basis[j]})")
         table[i][j] = v
 
+    zero = (Fraction(0),) * n
     if mode == MODE_BRACKET:
-        # antisymmetrize, watching for inconsistent double entries
+        # fill the lower half by negation, watching for inconsistent double
+        # entries
         for i in range(n):
             if table[i][i] is not None and any(x != 0 for x in table[i][i]):
                 _fail(f"nonzero bracket of {basis[i]} with itself")
+            table[i][i] = zero
             for j in range(i + 1, n):
                 a, b = table[i][j], table[j][i]
                 if a is not None and b is not None:
                     if any(x + y != 0 for x, y in zip(a, b)):
                         _fail(f"bracket entries for ({basis[i]}, {basis[j]}) "
                               f"are not antisymmetric")
-                elif b is not None:
-                    table[i][j] = [-x for x in b]
-        filled = [[table[i][j] if table[i][j] is not None else [Fraction(0)] * n
-                   for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                filled[i][j] = [-x for x in filled[j][i]]
-            filled[i][i] = [Fraction(0)] * n
-    else:
-        filled = [[table[i][j] if table[i][j] is not None else [Fraction(0)] * n
-                   for j in range(n)] for i in range(n)]
+                elif a is None:
+                    a = zero if b is None else tuple(-x for x in b)
+                table[i][j] = a
+                table[j][i] = tuple(-x for x in a) if any(a) else zero
+    rows = tuple(zero if v is None else tuple(v) for r in table for v in r)
 
     gram = [[None] * n for _ in range(n)]
     for entry in metric_entries:
@@ -165,11 +163,12 @@ def parse_document(obj) -> InputDocument:
                     for j in range(n)] for i in range(n)]
 
     form = SymForm(Mat.from_rows(gram_filled, n))
+    table = Mat(rows, (n * n, n))   # row i·n + j is the entry for (i, j)
     try:
         if mode == MODE_BRACKET:
-            spec = AlgebraSpec(n, tuple(basis), filled, form)
+            spec = AlgebraSpec(n, tuple(basis), table, form)
         else:
-            spec = AlgebraSpec.from_connection(basis, filled, form)
+            spec = AlgebraSpec.from_connection(basis, table, form)
     except ValueError as exc:
         _fail(str(exc))
     return InputDocument(name=name, spec=spec)
@@ -192,46 +191,45 @@ def load_path(path) -> InputDocument:
     return parse_string(text)
 
 
+def table_entries(names, table: Mat, indices):
+    """The sparse entries of a table's Mat, for each index tuple (i, j) or
+    (i, j, k) in `indices` whose row (i·n + j, or (i·n + j)·n + k) is
+    nonzero: {"x": names[i], "y": names[j], ["z": names[k],] "value":
+    {name: rational}}.  Read off the image; a Fraction is built only for
+    a printed coordinate."""
+    n = table.ncols
+    d, rows = table.image()
+    out = []
+    for idx in indices:
+        r = rows[reduce(lambda a, b: a * n + b, idx)]
+        if any(r):
+            entry = {key: names[i] for key, i in zip("xyz", idx)}
+            entry["value"] = {names[k]: str(Fraction(x, d))
+                              for k, x in enumerate(r) if x}
+            out.append(entry)
+    return out
+
+
 def serialize_document(name: str, spec: AlgebraSpec) -> dict:
     n = spec.dim
     names = list(spec.basis_names)
-    doc = {
+    bracket = spec.mode == MODE_BRACKET
+    key, table = (("brackets", spec.bracket_table) if bracket
+                  else ("connection", spec.connection_table))
+    # one orientation per bracket pair, every pair of a connection table
+    pairs = ((i, j) for i in range(n) for j in range(i + 1 if bracket else 0, n))
+    return {
         "name": name,
         "dim": n,
         "basis": names,
         "mode": spec.mode,
+        key: table_entries(names, table, pairs),
+        "metric": [
+            {"x": names[i], "y": names[j], "value": str(spec.gram.entries[i][j])}
+            for i in range(n) for j in range(i, n)
+            if spec.gram.entries[i][j] != 0
+        ],
     }
-    if spec.mode == MODE_BRACKET:
-        entries = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = spec.brackets[i][j]
-                if any(x != 0 for x in v):
-                    entries.append({
-                        "x": names[i], "y": names[j],
-                        "value": {names[c]: str(v[c])
-                                  for c in range(n) if v[c] != 0},
-                    })
-        doc["brackets"] = entries
-    else:
-        entries = []
-        gamma = spec.connection_override
-        for i in range(n):
-            for j in range(n):
-                v = gamma[i][j]
-                if any(x != 0 for x in v):
-                    entries.append({
-                        "x": names[i], "y": names[j],
-                        "value": {names[c]: str(v[c])
-                                  for c in range(n) if v[c] != 0},
-                    })
-        doc["connection"] = entries
-    doc["metric"] = [
-        {"x": names[i], "y": names[j], "value": str(spec.gram.entries[i][j])}
-        for i in range(n) for j in range(i, n)
-        if spec.gram.entries[i][j] != 0
-    ]
-    return doc
 
 
 def dumps_document(name: str, spec: AlgebraSpec) -> str:

@@ -11,10 +11,11 @@ rows A with gcd(D, every entry of A) = 1, the matrix being A/D.  Equal
 matrices have equal images, so equality and hashing compare images.
 Products, sums, scaling, transposes, traces, ranks, inverses, RREF, trace
 forms and minimal polynomials run on the image in plain ints.  A Mat built
-from Fractions (the parse, table reads, user input) keeps them and computes
-its image on first arithmetic use; a Mat made by arithmetic keeps only the
-image and builds its `entries`, tuples of Fractions, on first read —
-for printing, for tables, and for code that still reads Fractions.
+from Fractions (the parse, `AlgebraSpec.build`, user input) keeps them and
+computes its image on first arithmetic use; a Mat made by arithmetic keeps
+only the image and builds its `entries`, tuples of Fractions, on first
+read.  A structure's tables (bracket, connection, curvature) are such
+Mats, one row per index pair or triple, and are stored in no other form.
 
 Vectors are plain tuples of Fractions (integer vectors are accepted where
 only their span or direction counts).  A subspace's basis is canonical
@@ -68,10 +69,6 @@ def vec(items):
     return tuple(rat(x) for x in items)
 
 
-def zero_vec(n):
-    return (Fraction(0),) * n
-
-
 def unit_vec(n, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -86,10 +83,6 @@ def vec_sub(a, b):
 
 def vec_scale(k, a):
     return tuple(k * x for x in a)
-
-
-def vec_is_zero(a):
-    return not any(a)
 
 
 def _common_ints(rows):

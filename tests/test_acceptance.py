@@ -52,14 +52,15 @@ def test_c01_derived_connection_satisfies_the_two_defining_laws(loaded):
         if spec.mode != "bracket":
             continue
         n = spec.dim
+        gamma = conn.table.entries   # row i·n + j = ∇_{e_i} e_j
         for i in range(n):
             for j in range(n):
-                diff = tuple(a - b for a, b in zip(conn.gamma[i][j],
-                                                   conn.gamma[j][i]))
-                assert diff == spec.brackets[i][j], name
+                diff = tuple(a - b for a, b in zip(gamma[i * n + j],
+                                                   gamma[j * n + i]))
+                assert diff == spec.bracket_table.row(i * n + j), name
                 for k in range(n):
-                    lhs = spec.metric.pair(conn.gamma[i][j], unit_vec(n, k))
-                    rhs = spec.metric.pair(unit_vec(n, j), conn.gamma[i][k])
+                    lhs = spec.metric.pair(gamma[i * n + j], unit_vec(n, k))
+                    rhs = spec.metric.pair(unit_vec(n, j), gamma[i * n + k])
                     assert lhs + rhs == 0, name
         checked += 1
     assert checked >= 12
@@ -106,8 +107,8 @@ def test_c04_biinvariant_identities_flatness_and_ricci_flatness(loaded):
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                assert conn.gamma[i][j] == tuple(
-                    x / 2 for x in spec.brackets[i][j]), name
+                assert conn.table.row(i * n + j) == tuple(
+                    x / 2 for x in spec.bracket_table.row(i * n + j)), name
         ric = ricci(spec)
         k = killing_form(spec)
         for i in range(n):
@@ -219,8 +220,7 @@ def test_c10_flat_riemannian_splitting(loaded):
     split = flat_riemannian_structure(spec)
     assert not isinstance(split, NotApplicable)
     assert (split.b.dim, split.ann.dim, split.derived.dim) == (1, 0, 2)
-    bracket_span = Subspace.from_vectors(
-        3, [spec.brackets[i][j] for i in range(3) for j in range(3)])
+    bracket_span = Subspace.from_vectors(3, spec.bracket_table.entries)
     assert split.derived == bracket_span
     assert split.derived == nabla_gg(conn)
     for v in split.b.rows:

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +29,6 @@ from metriclie.linalg import (
     Subspace,
     unit_vec,
     vec_add,
-    vec_is_zero,
 )
 
 
@@ -68,7 +68,8 @@ def random_spec(draw):
     d = Mat.from_rows([[Fraction(signs[i] if i == j else 0)
                         for j in range(n)] for i in range(n)], n)
     gram = SymForm(pm @ d @ pm.transpose())
-    brackets = tuple(tuple(tuple(v) for v in row) for row in table)
+    # the table's Mat: row i·n + j = c_ij
+    brackets = Mat.from_rows([v for row in table for v in row], n)
     return AlgebraSpec(n, names, brackets, gram)
 
 
@@ -86,12 +87,12 @@ def test_connection_is_the_unique_solution(spec):
     # perturbing any single coefficient breaks one of the two laws
     conn = derive_connection(spec)
     n = spec.dim
-    gamma = [list(row) for row in conn.gamma]
-    bumped = list(gamma[0][0])
+    gamma = list(conn.table.entries)   # row i·n + j = Γ_ij
+    bumped = list(gamma[0])
     bumped[0] += 1
-    gamma[0][0] = tuple(bumped)
+    gamma[0] = tuple(bumped)
     ok, _ = check_torsion_and_compatibility(
-        ConnectionCoeffs(tuple(tuple(r) for r in gamma)), spec)
+        ConnectionCoeffs(Mat.from_rows(gamma, n)), spec)
     assert not ok
 
 
@@ -103,8 +104,8 @@ def test_metric_scaling_leaves_connection_alone(spec):
     tripled = Mat.from_rows([[3 * x for x in row]
                              for row in spec.gram.entries], spec.dim)
     conn2 = derive_connection(AlgebraSpec(spec.dim, spec.basis_names,
-                                          spec.brackets, SymForm(tripled)))
-    assert conn.gamma == conn2.gamma
+                                          spec.bracket_table, SymForm(tripled)))
+    assert conn.table == conn2.table
 
 
 def _fraction_sum(coeffs, vectors, n):
@@ -118,59 +119,67 @@ def _fraction_sum(coeffs, vectors, n):
 def koszul_oracle(spec):
     """Γ from the Koszul formula in Fractions: c_ijk = (G·c_ij)_k, then
     Γ_ij = Σ_k (c_ijk − c_jki + c_kij)·(row k of ½G⁻¹) as one plain sum
-    over ½G⁻¹ stacked three times."""
+    over ½G⁻¹ stacked three times.  Returns the rows Γ_ij, row i·n + j."""
     n = spec.dim
     gram = spec.gram.entries
     half = spec.gram.inverse().scale(Fraction(1, 2)).entries * 3
-    c = [[_fraction_sum(v, gram, n) for v in row] for row in spec.brackets]
+    rows = spec.bracket_table.entries
+    c = [[_fraction_sum(rows[i * n + j], gram, n) for j in range(n)]
+         for i in range(n)]
     gamma = []
     for i in range(n):
         jki = [tuple(-c[j][k][i] for k in range(n)) for j in range(n)]
         kij = [tuple(c[k][i][j] for k in range(n)) for j in range(n)]
-        gamma.append(tuple(_fraction_sum(c[i][j] + jki[j] + kij[j], half, n)
-                           for j in range(n)))
+        gamma.extend(_fraction_sum(c[i][j] + jki[j] + kij[j], half, n)
+                     for j in range(n))
     return tuple(gamma)
 
 
 def identities_oracle(gamma, spec):
-    """Torsion, then compatibility, defects of a raw table in Fractions:
-    Γ_ij − Γ_ji − c_ij and ⟨Γ_ij, e_k⟩ + ⟨Γ_ik, e_j⟩ as plain sums."""
+    """Torsion, then compatibility, defects of a raw table in Fractions
+    (gamma's row i·n + j is Γ_ij): Γ_ij − Γ_ji − c_ij and ⟨Γ_ij, e_k⟩ +
+    ⟨Γ_ik, e_j⟩ as plain sums."""
     n = spec.dim
+    c = spec.bracket_table.entries
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
             d = _fraction_sum((1, -1, -1),
-                              (gamma[i][j], gamma[j][i], spec.brackets[i][j]),
+                              (gamma[i * n + j], gamma[j * n + i], c[i * n + j]),
                               n)
-            if not vec_is_zero(d):
+            if any(d):
                 defects.append(("torsion", (i, j), d))
     gram = spec.gram.entries
-    lowered = [[_fraction_sum(v, gram, n) for v in row] for row in gamma]
+    lowered = [_fraction_sum(v, gram, n) for v in gamma]
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                d = lowered[i][j][k] + lowered[i][k][j]
+                d = lowered[i * n + j][k] + lowered[i * n + k][j]
                 if d != 0:
                     defects.append(("compatibility", (i, j, k), d))
     return tuple(defects)
 
 
 def _bumped(gamma, bumps):
-    """gamma with each (i, j, k, delta) of bumps added to Γ_ij^k."""
-    out = [[list(v) for v in row] for row in gamma]
+    """gamma (row i·n + j = Γ_ij) with each (i, j, k, delta) of bumps
+    added to Γ_ij^k."""
+    n = len(gamma[0])
+    out = [list(v) for v in gamma]
     for i, j, k, delta in bumps:
-        out[i][j][k] += delta
-    return tuple(tuple(tuple(v) for v in row) for row in out)
+        out[i * n + j][k] += delta
+    return tuple(tuple(v) for v in out)
 
 
 def _assert_matches_the_oracles(spec, gamma, bumps, label=None):
     """The derived Γ (bracket mode) and the defects of gamma, clean and
     bumped, equal the oracles' exactly, values and order."""
     if spec.mode == MODE_BRACKET:
-        assert derive_connection(spec).gamma == koszul_oracle(spec), label
+        assert derive_connection(spec).table.entries == koszul_oracle(spec), \
+            label
     for table in (gamma, _bumped(gamma, bumps)):
         want = identities_oracle(table, spec)
-        assert check_torsion_and_compatibility(ConnectionCoeffs(table), spec) \
+        conn = ConnectionCoeffs(Mat.from_rows(table, spec.dim))
+        assert check_torsion_and_compatibility(conn, spec) \
             == (not want, want), label
 
 
@@ -180,7 +189,7 @@ def test_structure_checks_match_the_fraction_oracles(shipped_and_generic):
         n = spec.dim
         bumps = ((0, 0, 0, f(1, 2)), (n - 1, 0, 1 % n, f(-3)),
                  (0, n - 1, n - 1, f(2, 3)))
-        _assert_matches_the_oracles(spec, conn.gamma, bumps, label)
+        _assert_matches_the_oracles(spec, conn.table.entries, bumps, label)
 
 
 @given(random_spec(), st.data())
@@ -210,7 +219,7 @@ def test_transform_spec_moves_the_metric_by_congruence(loaded):
             old = nabla_apply(conn, p.row(i), p.row(j))
             back = tuple(sum((old[a] * pinv.entries[a][b] for a in range(n)),
                              Fraction(0)) for b in range(n))
-            assert tconn.gamma[i][j] == back
+            assert tconn.table.row(i * n + j) == back
 
 
 def test_restricting_a_factor_rederives_its_connection(shipped_and_generic,
@@ -228,6 +237,36 @@ def test_restricting_a_factor_rederives_its_connection(shipped_and_generic,
             assert connection_of(sub_spec) == derive_connection(sub_spec), label
             factors += 1
     assert factors > len(shipped_and_generic)
+
+
+def test_a_rebased_or_restricted_structure_images_no_table_again(
+        loaded, decomposed, monkeypatch):
+    """`transform_spec` and `restrict` hand on the integer tables their
+    products made: validating the new structure and taking its connection
+    converts no table (k² rows of k Fractions) to an integer image, in
+    bracket mode and in connection mode."""
+    linalg = importlib.import_module("metriclie.linalg")
+    real = linalg._common_ints
+    shapes = []
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows)
+    for name in ("so3_x_so3", "nonorthogonal8"):
+        spec, _ = loaded[name]
+        n = spec.dim
+        validate(spec)   # the source's own tables are imaged before the wrap
+        p = Mat.from_rows([[1 if j == i else (i + 2 * j) % 3 - 1 if j > i
+                            else 0 for j in range(n)] for i in range(n)], n)
+        p.image()
+        factor = decomposed[name].factors[0]
+        assert factor.dim >= 2, name
+        monkeypatch.setattr(linalg, "_common_ints", recording)
+        for new in (transform_spec(spec, p), restrict(spec, factor)):
+            validate(new)
+            connection_of(new)
+        monkeypatch.undo()
+    assert not [s for s in shapes if s[1] >= 2 and s[0] == s[1] ** 2]
 
 
 def test_restrict_rejects_non_ideals(loaded):
@@ -268,39 +307,73 @@ def test_degenerate_metric_determines_no_connection():
 
 
 def test_conflicting_connection_table_is_rejected():
-    # antisymmetrized override must reproduce the stored brackets
+    # the antisymmetrized connection table must reproduce the stored
+    # brackets
+    f = Fraction
     with pytest.raises(ValueError):
         AlgebraSpec(
             2, ("a", "b"),
-            (((Fraction(0),) * 2,) * 2,) * 2,   # zero brackets
+            Mat.from_rows(((f(0), f(0)),) * 4, 2),   # zero brackets
             SymForm(Mat.from_rows([[Fraction(1), Fraction(0)],
                                    [Fraction(0), Fraction(1)]], 2)),
             mode="connection",
-            connection_override=(
-                ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
-                ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))),
+            connection_table=Mat.from_rows(   # ∇_a b = b
+                ((f(0), f(0)), (f(0), f(1)), (f(0), f(0)), (f(0), f(0))), 2),
         )
 
 
-def _bracket_spec(table):
-    n = len(table)
+def _bracket_spec(table: Mat):
+    n = table.ncols
     return AlgebraSpec(n, tuple(f"e{i + 1}" for i in range(n)), table,
                        SymForm(Mat.identity(n)))
 
 
 def test_bracket_table_broken_below_the_diagonal_is_rejected():
+    # rows c_11, c_12, c_21, c_22, held as Fractions and as an image
     f = Fraction
     z = (f(0), f(0))
-    _bracket_spec(((z, (f(0), f(1))), ((f(0), f(-1)), z)))
+    _bracket_spec(Mat.from_rows((z, (f(0), f(1)), (f(0), f(-1)), z), 2))
+    _bracket_spec(Mat.from_image(1, [[0, 0], [0, 1], [0, -1], [0, 0]], (4, 2)))
     with pytest.raises(ValueError, match="bracket table is not antisymmetric"):
-        _bracket_spec(((z, (f(0), f(1))), ((f(0), f(1)), z)))
+        _bracket_spec(Mat.from_rows((z, (f(0), f(1)), (f(0), f(1)), z), 2))
+    with pytest.raises(ValueError, match="bracket table is not antisymmetric"):
+        _bracket_spec(Mat.from_image(2, [[0, 0], [0, 1], [0, 1], [0, 0]],
+                                     (4, 2)))
 
 
 def test_nonzero_bracket_of_a_vector_with_itself_is_rejected():
     f = Fraction
     z = (f(0), f(0))
     with pytest.raises(ValueError, match="bracket table is not antisymmetric"):
-        _bracket_spec((((f(0), f(1)), z), (z, z)))
+        _bracket_spec(Mat.from_rows(((f(0), f(1)), z, z, z), 2))
+
+
+def test_a_float_in_a_table_is_refused_at_construction():
+    """A float anywhere in a bracket or connection table raises TypeError
+    from the constructor, from `build` and from `from_connection`, held
+    among Fractions where no arithmetic has yet reached it."""
+    f = Fraction
+    names = ("a", "b")
+    form = SymForm(Mat.identity(2))
+    zero = (f(0), f(0))
+    floated = Mat(((0.5, f(0)), zero, zero, zero), (4, 2))   # Γ_aa = ½a
+    brackets = Mat(((0.0, f(0)), zero, zero, zero), (4, 2))
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec(2, names, brackets, form)
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec(2, names, Mat.zeros(4, 2), form, mode="connection",
+                    connection_table=floated)
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec(2, names, brackets, form, mode="connection",
+                    connection_table=Mat.zeros(4, 2))
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec.from_connection(names, floated, form)
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec.build(names, brackets={("a", "b"): {"a": 0.5}},
+                          metric={("a", "a"): 1, ("b", "b"): 1})
+    with pytest.raises(TypeError, match="floating-point"):
+        AlgebraSpec.build(names, connection={("a", "a"): {"a": 0.5}},
+                          metric={("a", "a"): 1, ("b", "b"): 1})
 
 
 def test_broken_connection_table_reports_every_defect():
@@ -309,7 +382,7 @@ def test_broken_connection_table_reports_every_defect():
         ("a", "b"), metric={("a", "a"): 1, ("b", "b"): 1},
         connection={("a", "a"): {"b": 1}, ("b", "b"): {"a": 2}})
     ok, defects = check_torsion_and_compatibility(
-        ConnectionCoeffs(spec.connection_override), spec)
+        ConnectionCoeffs(spec.connection_table), spec)
     assert not ok
     assert defects == (("compatibility", (0, 0, 1), Fraction(1)),
                        ("compatibility", (1, 0, 1), Fraction(2)))
@@ -323,8 +396,8 @@ def test_broken_connection_table_reports_every_defect():
         connection_of(spec)
     # a table whose antisymmetrization is not the bracket also has torsion
     f = Fraction
-    bumped = (((f(0), f(1)), (f(0), f(3))),
-              ((f(0), f(0)), (f(2), f(0))))
+    bumped = Mat.from_rows(((f(0), f(1)), (f(0), f(3)),
+                            (f(0), f(0)), (f(2), f(0))), 2)
     ok, defects = check_torsion_and_compatibility(ConnectionCoeffs(bumped),
                                                   spec)
     assert not ok
@@ -346,7 +419,7 @@ def jacobi_oracle(spec):
     for i, j, k in combinations(range(n), 3):
         d = vec_add(vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
                     br(br(e[k], e[i]), e[j]))
-        if not vec_is_zero(d):
+        if any(d):
             names = spec.basis_names
             failures.append(((names[i], names[j], names[k]), d))
     return tuple(failures)

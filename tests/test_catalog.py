@@ -119,7 +119,7 @@ def test_expected_records(loaded, decomposed):
             assert isinstance(flat_riemannian_structure(spec), NotApplicable)
         if "koszul_matches_override" in e:
             derived = derive_connection(spec)
-            assert (derived.gamma == spec.connection_override) \
+            assert (derived.table == spec.connection_table) \
                 == e["koszul_matches_override"], name
 
 
@@ -156,4 +156,4 @@ def test_connection_mode_entry_round_trips_through_koszul(loaded):
     spec, conn = loaded["nonorthogonal8"]
     assert spec.mode == "connection"
     assert isinstance(conn, ConnectionCoeffs)
-    assert derive_connection(spec).gamma == spec.connection_override
+    assert derive_connection(spec).table == spec.connection_table

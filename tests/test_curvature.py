@@ -46,8 +46,10 @@ def ricci_oracle(spec):
 
 
 def killing_oracle(spec):
-    """K_ij = sum_{a,b} c_{ia}^b c_{jb}^a straight from the bracket table."""
+    """K_ij = sum_{a,b} c_{ia}^b c_{jb}^a straight from the bracket table's
+    rows (row i·n + a = c_ia)."""
     n = spec.dim
+    c = spec.bracket_table.entries
     out = []
     for i in range(n):
         row = []
@@ -55,7 +57,7 @@ def killing_oracle(spec):
             total = Fraction(0)
             for a in range(n):
                 for b in range(n):
-                    total += spec.brackets[i][a][b] * spec.brackets[j][b][a]
+                    total += c[i * n + a][b] * c[j * n + b][a]
             row.append(total)
         out.append(row)
     return Mat.from_rows(out, n)
@@ -73,17 +75,18 @@ def test_killing_form_matches_structure_constant_sum(loaded):
 
 def assert_operator_form(spec, label=None):
     """R(e_i, e_j) = [L_i, L_j] - sum_m c_ij^m L_m as Mat products, with
-    L_i the matrix of y -> nabla_{e_i} y, on every ordered pair i, j."""
+    L_i the matrix of y -> nabla_{e_i} y, on every ordered pair i, j; the
+    tensor's row (i·n + j)·n + k is R(e_i, e_j) e_k."""
     n = spec.dim
     ls = left_ops(connection_of(spec))
-    r = curvature_tensor(spec)
+    r = curvature_tensor(spec).table
     for i in range(n):
         for j in range(n):
             op = ls[i] @ ls[j] - ls[j] @ ls[i]
             for m in range(n):
-                op = op - ls[m].scale(spec.brackets[i][j][m])
+                op = op - ls[m].scale(spec.bracket_table.row(i * n + j)[m])
             for k in range(n):
-                assert r.coeffs[i][j][k] == op.col(k), (label, i, j, k)
+                assert r.row((i * n + j) * n + k) == op.col(k), (label, i, j, k)
 
 
 @st.composite
@@ -102,17 +105,17 @@ def random_connection_spec(draw):
     gram = Mat.from_rows(g, n)
     assume(gram.rank() == n)
     ginv = gram.inverse()
-    gamma = []
+    gamma = []   # row i·n + j = Γ_ij
     for i in range(n):
         t = [[0] * n for _ in range(n)]
         for j in range(n):
             for k in range(j + 1, n):
                 t[j][k] = draw(small)
                 t[k][j] = -t[j][k]
-        gamma.append([ginv.apply(tuple(Fraction(x) for x in row))
-                      for row in t])
+        gamma.extend(ginv.apply(tuple(Fraction(x) for x in row)) for row in t)
     names = [f"e{i}" for i in range(n)]
-    return AlgebraSpec.from_connection(names, gamma, SymForm(gram))
+    return AlgebraSpec.from_connection(names, Mat.from_rows(gamma, n),
+                                       SymForm(gram))
 
 
 def test_curvature_tensor_matches_the_operator_form(shipped_and_generic):
@@ -168,10 +171,11 @@ def test_biinvariance_detection(loaded):
 
 def biinvariant_oracle(spec):
     """(G·c_ij)_k + (G·c_ik)_j = 0 on all basis triples, each c_ij lowered
-    in Fractions by `row_apply`."""
+    in Fractions by `row_apply` (the bracket table's row i·n + j is c_ij)."""
     n = spec.dim
-    for row in spec.brackets:
-        lowered = [row_apply(v, spec.gram) for v in row]
+    c = spec.bracket_table.entries
+    for i in range(n):
+        lowered = [row_apply(v, spec.gram) for v in c[i * n:(i + 1) * n]]
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
@@ -201,8 +205,8 @@ def test_biinvariant_connection_is_half_bracket(loaded):
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                half = tuple(x / 2 for x in spec.brackets[i][j])
-                assert conn.gamma[i][j] == half, name
+                half = tuple(x / 2 for x in spec.bracket_table.row(i * n + j))
+                assert conn.table.row(i * n + j) == half, name
 
 
 def test_biinvariant_ricci_is_minus_quarter_killing(loaded):
@@ -221,13 +225,13 @@ def test_curvature_antisymmetry_and_metric_skewness(loaded):
     # R(X,Y) = -R(Y,X) always; <R(X,Y)Z, W> = -<R(X,Y)W, Z> for the
     # bracket-mode entries (where the connection really is metric)
     for name, (spec, _) in loaded.items():
-        r = curvature_tensor(spec)
+        r = curvature_tensor(spec).table   # row (i·n + j)·n + k = R(e_i,e_j)e_k
         n = spec.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    a = r.coeffs[i][j][k]
-                    b = r.coeffs[j][i][k]
+                    a = r.row((i * n + j) * n + k)
+                    b = r.row((j * n + i) * n + k)
                     assert all(x == -y for x, y in zip(a, b)), name
         if name.startswith("nonorthogonal8"):
             continue
@@ -235,9 +239,9 @@ def test_curvature_antisymmetry_and_metric_skewness(loaded):
             for j in range(i + 1, n):
                 for k in range(n):
                     for m in range(k, n):
-                        lhs = spec.metric.pair(r.coeffs[i][j][k],
+                        lhs = spec.metric.pair(r.row((i * n + j) * n + k),
                                                unit_vec(n, m))
-                        rhs = spec.metric.pair(r.coeffs[i][j][m],
+                        rhs = spec.metric.pair(r.row((i * n + j) * n + m),
                                                unit_vec(n, k))
                         assert lhs == -rhs, name
 

@@ -38,7 +38,14 @@ from metriclie.decompose import (
     _inert_pair_map,
     _to_ambient,
 )
-from metriclie.ideals import ann_r, ann_report, is_strong_ideal
+from metriclie.fileformat import serialize_document
+from metriclie.ideals import (
+    CASE_ANN_R_EQ_ANN,
+    ann_r,
+    ann_report,
+    is_strong_ideal,
+    nabla_gg,
+)
 from metriclie.linalg import (
     Mat,
     Subspace,
@@ -47,6 +54,7 @@ from metriclie.linalg import (
     coprime_split,
     kernel,
     minimal_polynomial,
+    orthogonal_complement,
     row_apply,
     row_space,
     subspace_intersect,
@@ -70,8 +78,8 @@ def test_a_certificate_is_checked_against_the_structures_own_connection(
     structure carries, not against one handed in beside it."""
     spec, _ = loaded["so3_x_so3"]
     n = spec.dim
-    zero = ((Fraction(0),) * n,) * n
-    abelian = AlgebraSpec(n, spec.basis_names, (zero,) * n, spec.metric)
+    zero = Mat.from_rows(((Fraction(0),) * n,) * (n * n), n)
+    abelian = AlgebraSpec(n, spec.basis_names, zero, spec.metric)
     dec = decompose(abelian)
     assert [f.dim for f in dec.factors] == [1] * 6
     with pytest.raises(CertificateError, match="not a strong ideal"):
@@ -321,6 +329,52 @@ def test_isometry_obstruction_is_reported_not_invented(loaded, decomposed):
     res = build_strong_isometry(spec, decomposed["abelian_2_aniso"], bad)
     assert isinstance(res, Unsupported)
     assert "square-class" in res.reason
+
+
+def test_isometry_between_active_factors_that_differ(loaded, monkeypatch):
+    """t_star_h3 ⊕ a unit line z (Ann_R = Ann): the one 6-dimensional
+    factor F, g0 = span{z}, against F′ = F with z added to one basis row
+    outside ∇gg and g0′ = F′^⊥.  F ≠ F′ is an active pair, so the map is
+    built from F's adapted basis (k = s = 3) and the dual partners'
+    corrections, and it must be an isometry carrying F to F′ and g0 to
+    g0′.  The projection F → F′ is no isometry, so `compare` reports the
+    pair not isometric; that is not asserted here."""
+    module = importlib.import_module("metriclie.decompose")
+    doc = serialize_document("t_star_h3", loaded["t_star_h3"][0])
+    names = doc["basis"] + ["z"]
+    metric = {(e["x"], e["y"]): e["value"] for e in doc["metric"]}
+    metric[("z", "z")] = 1
+    spec = AlgebraSpec.build(
+        names, brackets={(e["x"], e["y"]): e["value"] for e in doc["brackets"]},
+        metric=metric)
+    assert ann_report(spec).case == CASE_ANN_R_EQ_ANN
+    dec = decompose(spec)
+    z = unit_vec(7, 6)
+    assert [f.dim for f in dec.factors] == [6]
+    assert dec.g0 == Subspace.from_vectors(7, [z])
+    f = dec.factors[0]
+    ngg = nabla_gg(connection_of(spec))
+    row = next(r for r in f.rows if not ngg.contains(r))
+    f2 = Subspace.from_vectors(7, [vec_add(r, z) if r == row else r
+                                   for r in f.rows])
+    g02 = orthogonal_complement(f2, spec.metric)
+    dec2 = decomposition_from_factors(spec, [f2], g02)
+    assert compare_decompositions(spec, dec, dec2).matched_by == ("nabla",)
+
+    built = []
+    real = module.adapted_basis
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(module, "adapted_basis", counted)
+    m = build_strong_isometry(spec, dec, dec2)
+    assert type(m) is Mat
+    assert [(ab.k, ab.s) for ab in built] == [(3, 3)]
+    mt = m.transpose()   # row i: m·e_i
+    assert mt @ spec.gram @ m == spec.gram
+    assert row_space(f.basis @ mt) == f2
+    assert row_space(dec.g0.basis @ mt) == g02
 
 
 def _square_class(d):
@@ -588,7 +642,7 @@ def test_a_subspace_of_a_carrier_maps_onto_its_canonical_basis(data):
 def _direct_sum(*specs):
     n = sum(s.dim for s in specs)
     zero = (Fraction(0),)
-    table = [[zero * n] * n for _ in range(n)]
+    table = [zero * n] * (n * n)   # row i·n + j = c_ij
     gram = [[Fraction(0)] * n for _ in range(n)]
     names = []
     at = 0
@@ -597,10 +651,12 @@ def _direct_sum(*specs):
         pad = n - at - s.dim
         for i in range(s.dim):
             for j in range(s.dim):
-                table[at + i][at + j] = zero * at + s.brackets[i][j] + zero * pad
+                table[(at + i) * n + at + j] = (
+                    zero * at + s.bracket_table.row(i * s.dim + j) + zero * pad)
                 gram[at + i][at + j] = s.gram.entries[i][j]
         at += s.dim
-    return AlgebraSpec(n, tuple(names), table, SymForm(Mat.from_rows(gram, n)))
+    return AlgebraSpec(n, tuple(names), Mat.from_rows(table, n),
+                       SymForm(Mat.from_rows(gram, n)))
 
 
 def _triple(loaded):
@@ -639,9 +695,10 @@ def test_restricting_from_the_top_equals_restricting_twice(
                     outer.dim, [outer.coords(r) for r in inner.rows])
                 twice_spec = restrict(mid_spec, local)
                 top_spec = restrict(spec, inner)
-                assert (connection_of(top_spec).gamma
-                        == connection_of(twice_spec).gamma), label
-                assert top_spec.brackets == twice_spec.brackets, label
+                assert (connection_of(top_spec).table
+                        == connection_of(twice_spec).table), label
+                assert top_spec.bracket_table == twice_spec.bracket_table, \
+                    label
                 assert top_spec.metric == twice_spec.metric, label
     assert proper_pairs > 0
 

@@ -95,7 +95,7 @@ def test_consistent_duplicate_orientations_accepted():
     ok = _minimal(brackets=[{"x": "e1", "y": "e2", "value": {"e1": "1"}},
                             {"x": "e2", "y": "e1", "value": {"e1": "-1"}}])
     doc = parse_document(ok)
-    assert doc.spec.brackets[0][1][0] == 1
+    assert doc.spec.bracket_table.row(0 * 2 + 1)[0] == 1   # [e1, e2]
 
 
 def test_mode_keys_are_exclusive():

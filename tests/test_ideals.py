@@ -136,8 +136,7 @@ def _annihilators_oracle(conn):
         return kernel(Mat.from_rows(rows, n)) if rows else Subspace.full(n)
     a_r = joint_kernel(left_ops(conn))
     a = subspace_intersect(a_r, joint_kernel(right_ops(conn)))
-    ngg = Subspace.from_vectors(n, [conn.gamma[i][j] for i in range(n)
-                                    for j in range(n)])
+    ngg = Subspace.from_vectors(n, conn.table.entries)   # every Γ_ij
     return a_r, a, ngg
 
 
@@ -238,14 +237,14 @@ def _check_against_per_vector_definitions(spec, conn, subspaces):
             with pytest.raises(PreconditionError):
                 restrict(spec, h)
             continue
-        want = tuple(tuple(h.coords(nabla_apply(conn, x, y)) for y in h.rows)
-                     for x in h.rows)
+        # row p·k + q: the coordinates of ∇_{h_p} h_q in h
+        want = tuple(h.coords(nabla_apply(conn, x, y))
+                     for x in h.rows for y in h.rows)
         sub = restrict(spec, h)
-        assert connection_of(sub).gamma == want
-        assert connection_of(sub).table == Mat.from_rows(
-            [v for row in want for v in row], h.dim)
-        if sub.connection_override is not None:
-            assert sub.connection_override == want
+        assert connection_of(sub).table.entries == want
+        assert connection_of(sub).table == Mat.from_rows(want, h.dim)
+        if sub.connection_table is not None:
+            assert sub.connection_table.entries == want
     return seen
 
 

@@ -634,8 +634,8 @@ def _counting(monkeypatch, name):
 def _sparse_connection(n, entries):
     """Raw Γ table with Γ_ij = entries[i, j] and zero elsewhere."""
     zero = (Fraction(0),) * n
-    return ConnectionCoeffs(tuple(tuple(entries.get((i, j), zero)
-                                        for j in range(n)) for i in range(n)))
+    return ConnectionCoeffs(Mat.from_rows(
+        [entries.get((i, j), zero) for i in range(n) for j in range(n)], n))
 
 
 def test_commutant_of_dimension_one_is_everything(monkeypatch):
@@ -687,9 +687,9 @@ def raw_connections(draw):
     so the L_i and R_j are unrelated and often dependent."""
     n = draw(st.integers(1, 4))
     entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions)
-    return ConnectionCoeffs(tuple(
-        tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
-              for _ in range(n)) for _ in range(n)))
+    return ConnectionCoeffs(Mat.from_rows(   # row i·n + j = Γ_ij
+        [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n * n)],
+        n))
 
 
 @given(raw_connections())
@@ -926,8 +926,8 @@ def test_rat_passes_fractions_through_and_refuses_floats():
         Mat.from_rows([[Fraction(1), 0.25]], 2)
     # every conversion to an integer image refuses a float too
     eye = Mat.from_rows([[1, 0], [0, 1]])
-    conn = ConnectionCoeffs(((unit_vec(2, 0), unit_vec(2, 1)),
-                             (unit_vec(2, 1), unit_vec(2, 0))))
+    conn = ConnectionCoeffs(Mat.from_rows(   # rows Γ_00, Γ_01, Γ_10, Γ_11
+        (unit_vec(2, 0), unit_vec(2, 1), unit_vec(2, 1), unit_vec(2, 0)), 2))
     for refuse in (lambda: eye.apply((0.5, 0)),
                    lambda: row_apply((0, 0.5), eye),
                    lambda: Subspace.full(2).contains((1, 0.5)),
