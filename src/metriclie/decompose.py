@@ -12,7 +12,10 @@ all it imposes.  One search (`_search`) looks for such an idempotent in
 the coprime factorizations of minimal polynomials of commutant elements
 (basis elements first, then pairwise sums/differences, then seeded
 random combinations) and, when none turns up, returns the
-indecomposability evidence instead.  Where C modulo its radical is Q or
+indecomposability evidence instead.  The minimal polynomial mp of an
+element t comes from `linalg` and its split from `poly.coprime_split`;
+for the first part f, extended Euclid gives u·f + v·(mp/f) = 1, and
+(u·f)(t) is the idempotent.  Where C modulo its radical is Q or
 a field of degree 2 or 3, the loop is cut short: by Dickson's criterion
 (in characteristic 0, rad C is the radical of the trace form tr(xy) on
 C), the trace form's rank r is dim C/rad C; rank 1 means C = Q·1 ⊕ rad C,
@@ -69,22 +72,17 @@ from .linalg import (
     Subspace,
     column_space,
     congruent_diagonalize,
-    coprime_split,
     _kernel_ints,
     _row_times,
     kernel,
     minimal_polynomial,
     orthogonal_complement,
-    poly_deg,
     poly_eval_mat,
-    poly_mul,
-    poly_xgcd,
     radical,
     rational_sqrt,
     row_apply,
     row_space,
     solve,
-    squarefree_decomposition,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
@@ -93,6 +91,14 @@ from .linalg import (
     vec_add,
     vec_scale,
     vec_sub,
+)
+from .poly import (
+    coprime_split,
+    poly_deg,
+    poly_divexact,
+    poly_mul,
+    poly_xgcd,
+    squarefree_decomposition,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -344,10 +350,7 @@ def _search(comm, seed, budget):
                 return None, exhausted
             continue
         f = parts[0]
-        h = (Fraction(1),)
-        for q in parts[1:]:
-            h = poly_mul(h, q)
-        g, u, _ = poly_xgcd(f, h)
+        g, u, _ = poly_xgcd(f, poly_divexact(mp, f))
         assert g == (Fraction(1),)
         e = poly_eval_mat(poly_mul(u, f), t)
         assert e @ e == e

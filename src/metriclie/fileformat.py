@@ -62,7 +62,10 @@ def parse_rational(value):
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             _fail(f"malformed rational {value!r} (want e.g. \"3\" or \"-5/7\")")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:   # more digits than int() converts
+            _fail(f"number too long: {exc}")
     _fail(f"not a rational scalar: {value!r}")
 
 
@@ -179,6 +182,8 @@ def parse_string(text: str) -> InputDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"invalid JSON: {exc}")
+    except ValueError as exc:   # an integer with more digits than int() converts
+        _fail(f"number too long: {exc}")
     return parse_document(obj)
 
 
@@ -186,7 +191,7 @@ def load_path(path) -> InputDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
     return parse_string(text)
 

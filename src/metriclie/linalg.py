@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices, subspaces kept in reduced row-echelon form, symmetric bilinear
-forms, congruent diagonalization, and the minimal-polynomial / coprime-split
-machinery behind the splitting-idempotent search.  No floats, no
-tolerances — equality everywhere is exact, which is what lets the
-decomposition certificates re-verify with zero slack.
+forms, congruent diagonalization, and the minimal polynomial of a matrix
+and its evaluation at one, for the splitting-idempotent search (the
+arithmetic of Q[x] is in `poly`).  No floats, no tolerances — equality
+everywhere is exact, which is what lets the decomposition certificates
+re-verify with zero slack.
 
 A `Mat` holds one canonical integer image: a denominator D > 0 and integer
 rows A with gcd(D, every entry of A) = 1, the matrix being A/D.  Equal
@@ -25,7 +26,8 @@ the lcm of the pivot entries.  Membership, reduction and coordinates are
 one integer contraction against that image.
 
 Every elimination (RREF and its transform, inverse, rank, kernel, solve,
-subspaces) runs through the integer echelon `_echelon`, and `_rref_rows`
+subspaces, the Krylov sequences of `minimal_polynomial`) runs through one
+integer echelon, built a row at a time by `_echelon_add`, and `_rref_rows`
 returns each canonical row as a primitive integer row, positive at its
 pivot.  There is one contraction kernel: a sum of rows of a Mat weighted
 by a vector (`row_apply`, `Mat.apply`, `SymForm.pair`, a product's rows),
@@ -41,7 +43,7 @@ derivation, torsion, metric compatibility, bi-invariance, curvature)
 read a table's kept image through `int_image`, which adds each row's
 nonzero pairs, and multiply and add plain ints, building a Fraction only
 for a result or a nonzero defect.  Floats are refused wherever a value
-enters (`rat`, and every conversion to an image).
+enters (`poly.rat`, and every conversion to an image).
 """
 
 from __future__ import annotations
@@ -51,18 +53,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-Rat = Fraction
+from .poly import (_NO_FLOATS, poly, poly_deg, poly_divexact, poly_gcd,
+                   poly_monic, poly_mul, rat)
+
 _ZERO = Fraction(0)
-_NO_FLOATS = "floating-point input is not allowed in exact arithmetic"
-
-
-def rat(x) -> Rat:
-    """Coerce ints / strings / Fractions; floats are refused on purpose."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise TypeError(_NO_FLOATS)
-    return Fraction(x)
 
 
 def vec(items):
@@ -432,27 +426,29 @@ def _clear(r, col, prow, nz):
 def _echelon_add(basis, row):
     """Reduce `row` against the integer echelon `basis` (a list of
     (pivot, int_row, nonzero columns of int_row), sorted by pivot) and insert
-    what is left in pivot order.  False when the row reduces to zero.
+    what is left in pivot order.  Returns the inserted entry, or None when
+    the row reduces to zero.
 
     The row is cleared (`_clear`) at each basis pivot where it is nonzero;
     once reduced, its content is divided out only when it is not 1."""
     r = _int_row(row)
     if r is None:
-        return False
+        return None
     for pivot, prow, nz in basis:
         if r[pivot]:
             r = _clear(r, pivot, prow, nz)
     lead = next((i for i, x in enumerate(r) if x), None)
     if lead is None:
-        return False
+        return None
     g = math.gcd(*r)
     if r[lead] < 0:
         g = -g
     if g != 1:
         r = [x // g for x in r]
-    basis.append((lead, r, [k for k, x in enumerate(r) if x]))
+    entry = (lead, r, [k for k, x in enumerate(r) if x])
+    basis.append(entry)
     basis.sort(key=lambda prn: prn[0])
-    return True
+    return entry
 
 
 def _echelon(rows, ncols):
@@ -807,119 +803,7 @@ def rational_sqrt(r):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials (coefficient tuples, low degree first, no trailing zeros)
-
-
-def poly(coeffs):
-    c = [rat(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_deg(p):
-    return len(p) - 1
-
-
-def poly_is_zero(p):
-    return len(p) == 0
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n)])
-
-
-def poly_sub(a, b):
-    return poly_add(a, tuple(-x for x in b))
-
-
-def poly_scale(k, a):
-    k = rat(k)
-    return poly([k * x for x in a])
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly(out)
-
-
-def poly_monic(a):
-    assert a, "zero polynomial has no monic normalization"
-    return poly_scale(1 / a[-1], a)
-
-
-def poly_divmod(a, b):
-    assert b, "division by the zero polynomial"
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(r) >= len(b) and any(x != 0 for x in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] * inv
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, x in enumerate(b):
-            r[shift + i] -= f * x
-        r.pop()
-    return poly(q), poly(r)
-
-
-def poly_divexact(a, b):
-    q, r = poly_divmod(a, b)
-    assert poly_is_zero(r), "inexact polynomial division"
-    return q
-
-
-def poly_gcd(a, b):
-    while not poly_is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a) if a else ()
-
-
-def poly_xgcd(a, b):
-    """Extended Euclid: returns (g, u, v), g monic, u·a + v·b = g."""
-    r0, r1 = poly(a), poly(b)
-    u0, u1 = poly([1]), poly([])
-    v0, v1 = poly([]), poly([1])
-    while not poly_is_zero(r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1))
-        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1))
-    assert not poly_is_zero(r0)
-    lead = r0[-1]
-    return poly_monic(r0), poly_scale(1 / lead, u0), poly_scale(1 / lead, v0)
-
-
-def poly_derivative(a):
-    return poly([i * a[i] for i in range(1, len(a))])
-
-
-def poly_pow(a, k):
-    out = poly([1])
-    for _ in range(k):
-        out = poly_mul(out, a)
-    return out
-
-
-def poly_eval(a, x):
-    x = rat(x)
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
+# Matrix polynomials (the arithmetic of Q[x] is in `poly`)
 
 
 def poly_eval_mat(a, m: Mat):
@@ -936,16 +820,16 @@ def minimal_polynomial(op: Mat):
 
     p_A is the lcm of the minimal polynomials of the unit vectors e_j
     (p(A) = 0 exactly when p(A)·e_j = 0 for every j).  That of e_j is the
-    first linear dependence of its Krylov sequence e_j, A·e_j, A²·e_j, …,
-    found by one incremental fraction-free elimination that keeps each
-    reduced vector w, an integer vector positive at its pivot, with the
-    integer polynomial q for which w = q(A)·e_j; both are cleared together
-    and their joint content divided out.  The next vector is A applied to
-    the last reduced one, so no power of A is ever formed.  When w reduces
-    to zero, q(A)·e_j = 0 and q over its leading coefficient is the
-    minimal polynomial of e_j.  An e_j that already lies in the
-    A-invariant span of the earlier sequences is skipped: its minimal
-    polynomial divides theirs."""
+    first linear dependence of its Krylov sequence e_j, A·e_j, A²·e_j, …
+    Each vector w is reduced together with the integer polynomial q for
+    which w = q(A)·e_j, as the row [w | q] of one integer echelon
+    (`_echelon_add`); q has degree at most n, so the row has 2n + 1
+    columns.  The next vector is A applied to the last reduced w, with q
+    shifted up one degree, so no power of A is ever formed.  A row whose
+    pivot falls in the q half has w = 0: then q(A)·e_j = 0, and q over its
+    leading coefficient is the minimal polynomial of e_j.  An e_j that
+    already lies in the A-invariant span of the earlier sequences is
+    skipped: its minimal polynomial divides theirs."""
     assert op.is_square and op.nrows >= 1
     n = op.nrows
     d, a = op.image()
@@ -954,143 +838,19 @@ def minimal_polynomial(op: Mat):
     for j in range(n):
         if len(span) == n:
             break
-        w = [int(k == j) for k in range(n)]
-        if not _echelon_add(span, w):
+        e = [int(k == j) for k in range(n)]
+        if not _echelon_add(span, e):
             continue
-        seq, q = [], [1]
+        seq, row = [], e + [1] + [0] * n
         while True:
-            for p, row, rq in seq:
-                x = w[p]
-                if x:
-                    g = math.gcd(x, row[p])
-                    mb, mx = row[p] // g, x // g
-                    w = [mb * u - mx * v for u, v in zip(w, row)]
-                    q = [mb * u for u in q]
-                    for k, v in enumerate(rq):
-                        q[k] -= mx * v
-            lead = next((k for k, x in enumerate(w) if x), None)
-            if lead is None:
+            pivot, row, _ = _echelon_add(seq, row)
+            if pivot >= n:
                 break
-            g = math.gcd(*w, *q)
-            if w[lead] < 0:
-                g = -g
-            w, q = [x // g for x in w], [x // g for x in q]
-            seq.append((lead, w, q))
-            w, q = [sum(map(mul, r, w)) for r in a], [0] + q
-        q = poly_monic(poly(q))
+            w = row[:n]
+            row = [sum(map(mul, r, w)) for r in a] + [0] + row[n:-1]
+        q = poly_monic(poly(row[n:]))
         result = poly_mul(result, poly_divexact(q, poly_gcd(result, q)))
-        for _, row, _ in seq:
-            _echelon_add(span, row)
+        for _, kept, _ in seq:
+            _echelon_add(span, kept[:n])
     k = poly_deg(result)
     return tuple(c / d ** (k - i) for i, c in enumerate(result))
-
-
-def squarefree_decomposition(p):
-    """Yun's algorithm: monic p = Π a_i^i with the a_i squarefree, pairwise
-    coprime.  Returns [(a_i, i)] skipping trivial a_i."""
-    p = poly_monic(p)
-    dp = poly_derivative(p)
-    a = poly_gcd(p, dp)
-    b = poly_divexact(p, a) if a else p
-    c = poly_divexact(dp, a) if a else dp
-    d = poly_sub(c, poly_derivative(b))
-    out = []
-    i = 1
-    while poly_deg(b) > 0:
-        ai = poly_gcd(b, d)
-        if poly_deg(ai) > 0:
-            out.append((ai, i))
-        b = poly_divexact(b, ai)
-        c = poly_divexact(d, ai)
-        d = poly_sub(c, poly_derivative(b))
-        i += 1
-    return out
-
-
-def _eval_mod(coeffs, x, m):
-    v = 0
-    for c in reversed(coeffs):
-        v = (v * x + c) % m
-    return v
-
-
-def _reconstruct(x, m, num_bound, den_bound):
-    """The fraction a/b ≡ x mod m with |a| ≤ num_bound and
-    0 < b ≤ den_bound, or None; unique when m > 2·num_bound·den_bound.
-    The extended Euclidean algorithm on (m, x) stops at its first
-    remainder a ≤ num_bound, whose cofactor of x is b up to sign."""
-    r0, r1, t0, t1 = m, x % m, 0, 1
-    while r1 > num_bound:
-        k = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    return Fraction(r1, t1) if abs(t1) <= den_bound else None
-
-
-def rational_roots(p):
-    """All rational roots of a squarefree polynomial, sorted, found q-adically
-    instead of by trial division.
-
-    Scale p to integer coefficients c_0..c_d and divide out the root 0; a
-    root a/b in lowest terms then has a | c_0 and b | c_d.  Take the first
-    prime q ≥ 101 that does not divide c_d and at which every root of p mod
-    q is simple; as p is squarefree, only the primes dividing its
-    discriminant fail.  a/b reduces to one of those roots mod q, and
-    Newton–Hensel lifting carries each to the unique q-adic root above it,
-    modulo some m > 2·|c_0|·|c_d|.  For that m, rational reconstruction with
-    |a| ≤ |c_0| and 0 < b ≤ |c_d| returns a/b (Wang 1981; von zur Gathen &
-    Gerhard, Modern Computer Algebra, Thm 5.26), and a candidate is kept
-    only if it is an exact root."""
-    assert poly_deg(p) >= 1
-    assert poly_deg(poly_gcd(p, poly_derivative(p))) == 0, \
-        "rational_roots needs a squarefree polynomial"
-    den = math.lcm(*(x.denominator for x in p))
-    ic = [x.numerator * (den // x.denominator) for x in p]
-    roots = []
-    if ic[0] == 0:
-        roots.append(Fraction(0))
-        while ic[0] == 0:
-            ic = ic[1:]
-    if len(ic) == 1:
-        return roots
-    c0, lead = abs(ic[0]), abs(ic[-1])
-    dc = [i * c for i, c in enumerate(ic)][1:]
-    q = 99
-    while True:
-        q += 2
-        if lead % q and all(q % k for k in range(3, math.isqrt(q) + 1, 2)):
-            mod_roots = [x for x in range(q) if _eval_mod(ic, x, q) == 0]
-            if all(_eval_mod(dc, x, q) for x in mod_roots):
-                break
-    for x in mod_roots:
-        m = q
-        while m <= 2 * c0 * lead:
-            m *= m
-            x = (x - _eval_mod(ic, x, m) * pow(_eval_mod(dc, x, m), -1, m)) % m
-        r = _reconstruct(x, m, c0, lead)
-        if r is not None and poly_eval(p, r) == 0:
-            roots.append(r)
-    return sorted(roots)
-
-
-def coprime_split(p):
-    """Split monic p into pairwise-coprime monic factors whose product is p:
-    one factor (t - r)^i per rational root r of each squarefree part, plus
-    the rootless cofactor of each part.  This is not a full factorization —
-    pairwise coprimality is all the idempotent construction needs."""
-    p = poly_monic(p)
-    if poly_deg(p) < 1:
-        raise ValueError("constant polynomial cannot be split")
-    parts = []
-    for a, mult in squarefree_decomposition(p):
-        rem = a
-        for r in rational_roots(a):
-            lin = poly([-r, 1])
-            rem = poly_divexact(rem, lin)
-            parts.append(poly_pow(lin, mult))
-        if poly_deg(rem) > 0:
-            parts.append(poly_pow(rem, mult))
-    prod = poly([1])
-    for q in parts:
-        prod = poly_mul(prod, q)
-    assert prod == p
-    return tuple(parts)

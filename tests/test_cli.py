@@ -386,6 +386,47 @@ def test_a_source_that_cannot_be_loaded_among_several_becomes_a_record(
     assert "no catalog entry named 'nosuch'" in results[1]["error"]
     code, out, err = run(capsys, "ann", "--input", str(bad))
     assert (code, out, err) == (1, "", "error: missing key 'dim'\n")
+    # bytes that are not UTF-8 are a file that cannot be read
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", "--input", str(undecodable),
+                         "--catalog", "abelian_2", "--format", "json")
+    assert code == 1
+    first, second = json.loads(out)["results"]
+    assert first["source"] == str(undecodable) and first["exit_code"] == 1
+    assert first["error"].startswith(f"cannot read {undecodable}: ")
+    assert second["source"] == "abelian_2" and "error" not in second
+    code, out, err = run(capsys, "validate", "--input", str(undecodable))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {undecodable}: ")
+    assert err.count("\n") == 1
+    # a number past the interpreter's integer digit limit (Python ≥ 3.11),
+    # as a string and as a bare JSON integer, is an input-format error
+    if hasattr(sys, "get_int_max_str_digits") and \
+            0 < sys.get_int_max_str_digits() < 5000:
+        doc = {"name": "long", "dim": 1, "basis": ["e1"], "mode": "bracket",
+               "brackets": [],
+               "metric": [{"x": "e1", "y": "e1", "value": "9" * 5000}]}
+        as_string = tmp_path / "as_string.json"
+        as_string.write_text(json.dumps(doc))
+        as_int = tmp_path / "as_int.json"
+        as_int.write_text(json.dumps(doc).replace(f'"{"9" * 5000}"',
+                                                  "9" * 5000))
+        code, out, err = run(capsys, "validate", "--input", str(as_string),
+                             "--input", str(as_int), "--catalog", "abelian_2",
+                             "--format", "json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r["source"] for r in results] == [str(as_string), str(as_int),
+                                                  "abelian_2"]
+        assert [r.get("exit_code") for r in results] == [1, 1, None]
+        assert all(r["error"].startswith("number too long: ")
+                   for r in results[:2])
+        for path in (as_string, as_int):
+            code, out, err = run(capsys, "validate", "--input", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: number too long: ")
+            assert err.count("\n") == 1
 
 
 def test_only_the_searching_commands_take_seed_and_budget(capsys):

@@ -4,7 +4,7 @@ oracles (different contraction routes than the library uses)."""
 import importlib
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from metriclie import (
     AlgebraSpec,
@@ -18,6 +18,7 @@ from metriclie import (
     nilpotency_class,
     restrict,
     ricci,
+    transform_spec,
 )
 from metriclie.linalg import Mat, SymForm, row_apply, unit_vec
 from test_algebra import random_spec
@@ -316,3 +317,45 @@ def test_classify_builds_the_tensor_only_for_ricci_flat_structures(
         rep = classify(spec)
         assert len(built) == tensors, label
         assert rep.flat is flat, label
+
+
+def _milnor_frame(lam):
+    """[e₂,e₃] = λ₁e₁, [e₃,e₁] = λ₂e₂, [e₁,e₂] = λ₃e₃ with e₁, e₂, e₃
+    orthonormal."""
+    l1, l2, l3 = lam
+    return AlgebraSpec.build(
+        ("e1", "e2", "e3"),
+        brackets={("e2", "e3"): {"e1": l1}, ("e3", "e1"): {"e2": l2},
+                  ("e1", "e2"): {"e3": l3}},
+        metric={(e, e): 1 for e in ("e1", "e2", "e3")})
+
+
+@given(st.tuples(*[st.fractions(min_value=-5, max_value=5,
+                                max_denominator=4)] * 3),
+       st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+@example((Fraction(1),) * 3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])    # so(3)
+@example((Fraction(1), Fraction(1), Fraction(0)),                  # e(2)
+         [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+@settings(max_examples=60, deadline=None)
+def test_milnor_frames_match_the_closed_form_ricci(lam, rows):
+    """A closed form from the literature, not a second coding of the
+    engine's contractions (J. Milnor, "Curvatures of left invariant metrics
+    on Lie groups", Adv. Math. 21, 1976, the 3-dimensional unimodular
+    case): on a Milnor frame ric = D = diag(2μ₂μ₃, 2μ₁μ₃, 2μ₁μ₂) with
+    μᵢ = ½(λ₁ + λ₂ + λ₃) − λᵢ.  On the basis of the rows of an invertible
+    P it is P·D·Pᵀ, and in both bases the structure is Einstein exactly
+    when the three entries agree, with that constant."""
+    p = Mat.from_rows(rows, 3)
+    assume(p.rank() == 3)
+    half = sum(lam) / 2
+    m1, m2, m3 = (half - x for x in lam)
+    diag = (2 * m2 * m3, 2 * m1 * m3, 2 * m1 * m2)
+    d = Mat.from_rows([[diag[i] if i == j else 0 for j in range(3)]
+                       for i in range(3)], 3)
+    einstein = diag[0] if diag[0] == diag[1] == diag[2] else None
+    spec = _milnor_frame(lam)
+    for s, want in ((spec, d),
+                    (transform_spec(spec, p), p @ d @ p.transpose())):
+        assert ricci(s) == want
+        assert classify(s).einstein == einstein

@@ -51,7 +51,6 @@ from metriclie.linalg import (
     Subspace,
     SymForm,
     column_space,
-    coprime_split,
     kernel,
     minimal_polynomial,
     orthogonal_complement,
@@ -62,6 +61,7 @@ from metriclie.linalg import (
     unit_vec,
     vec_add,
 )
+from metriclie.poly import coprime_split
 
 
 def test_reverification_accepts_every_catalog_decomposition(loaded, decomposed):

@@ -24,31 +24,33 @@ from metriclie.linalg import (
     Subspace,
     SymForm,
     congruent_diagonalize,
-    coprime_split,
     independent_rows,
     int_image,
     kernel,
     minimal_polynomial,
     orthogonal_complement,
-    poly,
-    poly_deg,
     poly_eval_mat,
-    poly_mul,
-    poly_xgcd,
     rat,
-    rational_roots,
     rational_sqrt,
     row_apply,
     row_space,
     rref,
     solve,
-    squarefree_decomposition,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
     table_apply,
     table_pairs,
     unit_vec,
+)
+from metriclie.poly import (
+    coprime_split,
+    poly,
+    poly_deg,
+    poly_mul,
+    poly_xgcd,
+    rational_roots,
+    squarefree_decomposition,
 )
 from test_algebra import random_spec
 
