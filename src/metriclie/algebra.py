@@ -14,10 +14,11 @@ Every table is stored once, as the Mat of its n² vectors, row i·n + j =
 T_ij (the mode-3 unfolding of Kolda & Bader, SIAM Rev. 51, 2009): the
 bracket c (`AlgebraSpec.bracket_table`, [e_i,e_j] = Σ_a c_ij^a e_a), a
 given Γ (`AlgebraSpec.connection_table`) and the connection's Γ
-(`ConnectionCoeffs.table`, ∇_{e_i} e_j = Σ_a Γ_ij^a e_a).  The parse and
-`build` hand over Mats of their Fractions; every table computed here
-(`derive_connection`, `restrict`, `transform_spec`, c = Γ_ij − Γ_ji in
-connection mode) is an integer image, passed on as it is.  Construction
+(`ConnectionCoeffs.table`, ∇_{e_i} e_j = Σ_a Γ_ij^a e_a).  The parse
+hands over integer images and `build` Mats of its Fractions; every table
+computed here (`derive_connection`, `restrict`, `transform_spec`, c =
+Γ_ij − Γ_ji in connection mode, made once by the constructor) is an
+integer image, passed on as it is.  Construction
 tests antisymmetry on the rows the Mat holds, without arithmetic.  A table
 applied to two vectors is `linalg.table_apply` (T(x, y) = Σ_ij x_i y_j
 T_ij), and to two bases `linalg.table_pairs`, the Mat of T(a_p, b_q) over
@@ -31,8 +32,12 @@ D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
 Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk =
 (G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ +
 ⟨Γ_ik,e_j⟩ = 0 by the same lowering through G (`skew_defects`, which on c
-is bi-invariance).  Fractions are built only for the value of a nonzero
-defect, and for a table's entries when they are read.
+is bi-invariance).  A Jacobi defect is kept as its integer row over D²
+(`ValidationReport`); Fractions are built only for the value of a
+nonzero torsion or compatibility defect, and for a table's entries or a
+Jacobi defect when they are read.  `validate` inverts G once, kept on
+the structure's `SymForm` (`SymForm.inverse`), and `derive_connection`
+reads that inverse.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ def _antisymmetrized(t: Mat) -> Mat:
 class AlgebraSpec:
     dim: int
     basis_names: tuple
-    bracket_table: Mat       # row i·n + j = coordinates of [e_i, e_j]
+    # row i·n + j = coordinates of [e_i, e_j]; None in connection mode
+    # makes it the connection table's antisymmetrization (`from_connection`)
+    bracket_table: Mat | None
     metric: SymForm
     mode: str = MODE_BRACKET
     connection_table: Mat | None = None   # row i·n + j = ∇_{e_i} e_j
@@ -94,9 +101,9 @@ class AlgebraSpec:
         assert n >= 1
         assert len(self.basis_names) == n
         assert len(set(self.basis_names)) == n, "basis names must be distinct"
-        assert self.bracket_table.shape == (n * n, n)
         assert self.metric.dim == n
         if self.mode == MODE_BRACKET:
+            assert self.bracket_table.shape == (n * n, n)
             assert self.connection_table is None
             # the rows the Mat holds: its Fractions (a float refused, as
             # `rat` refuses it), or else its image
@@ -110,9 +117,13 @@ class AlgebraSpec:
                     if not _negated(c[i * n + j], c[j * n + i]):
                         raise ValueError("bracket table is not antisymmetric")
         elif self.mode == MODE_CONNECTION:
-            # an antisymmetrization is antisymmetric; the images refuse floats
+            # an antisymmetrization is antisymmetric; the images refuse
+            # floats
             assert self.connection_table.shape == (n * n, n)
-            if _antisymmetrized(self.connection_table) != self.bracket_table:
+            c = _antisymmetrized(self.connection_table)
+            if self.bracket_table is None:
+                object.__setattr__(self, "bracket_table", c)
+            elif c != self.bracket_table:
                 raise ValueError("bracket table must be the antisymmetrization "
                                  "of the connection table")
         else:
@@ -155,10 +166,10 @@ class AlgebraSpec:
     @classmethod
     def from_connection(cls, names, connection_table: Mat, metric):
         """The connection-mode structure with this table; its bracket is
-        the table's antisymmetrization, one integer pass."""
+        the table's antisymmetrization, one integer pass, made by the
+        constructor."""
         names = tuple(names)
-        return cls(len(names), names, _antisymmetrized(connection_table),
-                   metric, mode=MODE_CONNECTION,
+        return cls(len(names), names, None, metric, mode=MODE_CONNECTION,
                    connection_table=connection_table)
 
     @property
@@ -172,13 +183,29 @@ class AlgebraSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The structure checks of `validate`.  Each Jacobi defect is kept as
+    its integer row over `jacobi_den` (D² for the bracket table's
+    denominator D); `jacobi_failures` reads them as Fraction vectors."""
+
     mode: str
     antisymmetry_ok: bool
-    jacobi_ok: bool
-    jacobi_failures: tuple   # ((name_i, name_j, name_k), defect_vector)
+    # ((name_i, name_j, name_k), jacobi_den · defect as an integer row)
+    jacobi_defects: tuple
+    jacobi_den: int
     metric_symmetric_ok: bool
     metric_nondegenerate_ok: bool
     connection_ok: bool | None   # None in bracket mode
+
+    @property
+    def jacobi_ok(self):
+        return not self.jacobi_defects
+
+    @property
+    def jacobi_failures(self):
+        """((name_i, name_j, name_k), defect vector of Fractions) for each
+        basis triple where the Jacobi identity fails."""
+        return tuple((t, _fractions(r, self.jacobi_den))
+                     for t, r in self.jacobi_defects)
 
 
 def validate(spec: AlgebraSpec) -> ValidationReport:
@@ -194,8 +221,7 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
                 for a, y in nz[b * n + q]:
                     acc[a] += x * y
         if any(acc):
-            failures.append(((names[i], names[j], names[k]),
-                             _fractions(acc, d * d)))
+            failures.append(((names[i], names[j], names[k]), acc))
     connection_ok = None
     if spec.mode == MODE_CONNECTION:   # checked once, by the derivation
         try:
@@ -206,10 +232,10 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     return ValidationReport(
         mode=spec.mode,
         antisymmetry_ok=True,   # enforced at construction
-        jacobi_ok=not failures,
-        jacobi_failures=tuple(failures),
+        jacobi_defects=tuple(failures),
+        jacobi_den=d * d,
         metric_symmetric_ok=True,   # enforced by SymForm
-        metric_nondegenerate_ok=spec.metric.is_nondegenerate(),
+        metric_nondegenerate_ok=spec.metric.inverse() is not None,
         connection_ok=connection_ok,
     )
 
@@ -311,14 +337,15 @@ def _lowered(t: Mat, metric: SymForm):
 
 
 def skew_defects(t: Mat, metric: SymForm):
-    """((i, j, k), ⟨T_ij, e_k⟩ + ⟨T_ik, e_j⟩) for each j ≤ k where that is
-    nonzero, for a table's Mat t: none for T = Γ is metric compatibility,
-    none for T = c is bi-invariance."""
+    """(D, defects): defects yields ((i, j, k), D·(⟨T_ij, e_k⟩ +
+    ⟨T_ik, e_j⟩)) in ints, lazily, for each j ≤ k where that is nonzero,
+    for a table's Mat t: none for T = Γ is metric compatibility, none for
+    T = c is bi-invariance."""
     n = metric.dim
     d, low = _lowered(t, metric)
-    return [((i, j, k), Fraction(x, d))
-            for i in range(n) for j in range(n) for k in range(j, n)
-            if (x := low[i * n + j][k] + low[i * n + k][j])]
+    return d, (((i, j, k), x)
+               for i in range(n) for j in range(n) for k in range(j, n)
+               if (x := low[i * n + j][k] + low[i * n + k][j]))
 
 
 def check_torsion_and_compatibility(conn: ConnectionCoeffs, spec: AlgebraSpec):
@@ -335,8 +362,8 @@ def check_torsion_and_compatibility(conn: ConnectionCoeffs, spec: AlgebraSpec):
                  zip(g[i * n + j], g[j * n + i], b[i * n + j])]
             if any(t):
                 defects.append(("torsion", (i, j), _fractions(t, d * db)))
-    defects += [("compatibility", ijk, x)
-                for ijk, x in skew_defects(conn.table, spec.metric)]
+    dl, skew = skew_defects(conn.table, spec.metric)
+    defects += [("compatibility", ijk, Fraction(x, dl)) for ijk, x in skew]
     return (not defects), tuple(defects)
 
 
@@ -347,11 +374,10 @@ def derive_connection(spec: AlgebraSpec) -> ConnectionCoeffs:
     covector times G⁻¹, summed in ints into the image of Γ's table, which
     the connection keeps."""
     n = spec.dim
-    try:
-        ginv = spec.gram.inverse()
-    except ValueError:
+    ginv = spec.metric.inverse()
+    if ginv is None:
         raise PreconditionError(
-            "metric is degenerate; connection is not determined") from None
+            "metric is degenerate; connection is not determined")
     d, c = _lowered(spec.bracket_table, spec.metric)   # c[i·n+j][k] = d·c_ijk
     dh, h = ginv.image()
     # G⁻¹ is symmetric, so Γ_ij = ½ Σ_k (c_ijk − c_jki + c_kij)·(row k of G⁻¹)

@@ -41,7 +41,8 @@ from .decompose import (
     verify_decomposition,
 )
 from .errors import InputFormatError, MetricLieError, PreconditionError
-from .fileformat import load_path, serialize_document, table_entries
+from .fileformat import (format_ratio, load_path, serialize_document,
+                         table_entries)
 from .ideals import ann_report
 from .linalg import Mat, congruent_diagonalize, row_space
 
@@ -107,21 +108,19 @@ def build_parser():
 # payload helpers (everything below builds plain str/int/bool/list/dict data)
 
 
-def _vec(v):
-    return [str(x) for x in v]
-
-
 def _mat(m):
-    return [_vec(row) for row in m.entries]
+    d, rows = m.image()
+    return [[format_ratio(x, d) for x in r] for r in rows]
 
 
 def _subspace(s):
-    return {"dim": s.dim, "basis": [_vec(r) for r in s.rows]}
+    return {"dim": s.dim, "basis": _mat(s.basis)}
 
 
 def _report_validate(rep):
-    failures = [{"triple": list(t), "defect": _vec(d)}
-                for t, d in rep.jacobi_failures]
+    d = rep.jacobi_den
+    failures = [{"triple": list(t), "defect": [format_ratio(x, d) for x in r]}
+                for t, r in rep.jacobi_defects]
     return {
         "antisymmetry_ok": rep.antisymmetry_ok,
         "jacobi_ok": rep.jacobi_ok,
@@ -162,7 +161,8 @@ def _report_classify(spec, args):
     return {
         "flat": rep.flat,
         "ricci_flat": rep.ricci_flat,
-        "einstein": None if rep.einstein is None else str(rep.einstein),
+        "einstein": None if rep.einstein is None else format_ratio(
+            rep.einstein.numerator, rep.einstein.denominator),
         "biinvariant": rep.biinvariant,
         "nilpotency_class": rep.nilpotency_class,
         "signature": list(sig),
@@ -309,7 +309,7 @@ def _run_analysis(args):
             vrep = validate(spec)
             if not vrep.jacobi_ok:
                 print(f"warning: {label}: Jacobi identity fails on "
-                      f"{len(vrep.jacobi_failures)} basis triple(s)",
+                      f"{len(vrep.jacobi_defects)} basis triple(s)",
                       file=sys.stderr)
             if args.command != "validate" and not vrep.metric_nondegenerate_ok:
                 raise PreconditionError(f"{label}: metric is degenerate")

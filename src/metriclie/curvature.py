@@ -137,8 +137,10 @@ def killing_form(spec: AlgebraSpec) -> Mat:
 
 def is_biinvariant(spec: AlgebraSpec) -> bool:
     """⟨[X,Y],Z⟩ + ⟨Y,[X,Z]⟩ = 0 on all basis triples: the metric
-    compatibility test of `algebra.skew_defects`, applied to c."""
-    return not skew_defects(spec.bracket_table, spec.metric)
+    compatibility test of `algebra.skew_defects`, applied to c; it stops at
+    the first nonzero defect."""
+    _, sums = skew_defects(spec.bracket_table, spec.metric)
+    return next(sums, None) is None
 
 
 def nilpotency_class(spec: AlgebraSpec):

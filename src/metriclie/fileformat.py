@@ -17,29 +17,37 @@ A document looks like::
       ]
     }
 
-Scalars are exact rationals written as strings ("3", "-5/7"); plain JSON
-integers are also accepted.  ``mode`` selects whether the structure is
-given by Lie brackets (the connection is then derived from the metric) or
-directly by connection coefficients under a key ``connection`` with the
-same entry shape as ``brackets``.  Brackets are antisymmetrized and the
-metric symmetrized; giving both orientations with inconsistent values is
-an error.  Serialization is canonical: one orientation per pair, entries
-sorted in basis order, values normalized.
+Scalars are exact rationals written as strings ("3", "-5/7", matched in
+full); plain JSON integers are also accepted.  ``mode`` selects whether
+the structure is given by Lie brackets (the connection is then derived
+from the metric) or directly by connection coefficients under a key
+``connection`` with the same entry shape as ``brackets``.  Brackets are
+antisymmetrized and the metric symmetrized; giving both orientations with
+inconsistent values is an error.  Serialization is canonical: one
+orientation per pair, entries sorted in basis order, values normalized.
+
+Rationals cross this boundary as integers.  The parse reads each scalar
+into its reduced pair (p, q) (`_ratio`), compares duplicate entries on
+those pairs, which are equal exactly when the rationals are, and hands
+over each table as the integer image of a `linalg.Mat` over the lcm of
+its denominators.  Every printed number is formatted from an image entry
+(x, D) by `format_ratio`, as str(Fraction(x, D)) would give it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .algebra import MODE_BRACKET, MODE_CONNECTION, AlgebraSpec
-from .errors import InputFormatError
-from .linalg import Mat, SymForm
+from .errors import InputFormatError, PreconditionError
+from .linalg import Mat, SymForm, _over_lcm
 
-_RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 _TOP_KEYS = {"name", "dim", "basis", "mode", "brackets", "connection", "metric"}
 
@@ -54,19 +62,36 @@ def _fail(msg):
     raise InputFormatError(msg)
 
 
-def parse_rational(value):
-    if isinstance(value, bool):
-        _fail(f"not a rational scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value):
+    """(p, q), the reduced pair (q > 0) of a scalar: a JSON integer, or a
+    string "p" or "p/q" in the grammar of `_RATIONAL_RE`, matched in full.
+    Reduced pairs are equal exactly when their rationals are."""
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        m = _RATIONAL_RE.fullmatch(value)
+        if m is None:
             _fail(f"malformed rational {value!r} (want e.g. \"3\" or \"-5/7\")")
+        num, den = m.groups()
         try:
-            return Fraction(value)
+            p = int(num)
+            if den is None:
+                return p, 1
+            q = int(den)
         except ValueError as exc:   # more digits than int() converts
             _fail(f"number too long: {exc}")
+        g = math.gcd(p, q)
+        return (p, q) if g == 1 else (p // g, q // g)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
     _fail(f"not a rational scalar: {value!r}")
+
+
+def parse_rational(value):
+    """A document scalar as a Fraction."""
+    return Fraction(*_ratio(value))
+
+
+def _minus(v):
+    return tuple((-p, q) for p, q in v)
 
 
 def _want(obj, key, types, what):
@@ -116,57 +141,55 @@ def parse_document(obj) -> InputDocument:
 
     index = {b: i for i, b in enumerate(basis)}
     n = dim
+    zero = ((0, 1),) * n
 
-    table = [[None] * n for _ in range(n)]
+    # entry i·n + j: the reduced pairs of T_ij, None until given
+    table = [None] * (n * n)
     for entry in entries:
         i, j = _entry_pair(entry, index, table_key)
         val = entry["value"]
         if not isinstance(val, dict):
             _fail(f"{table_key} value must map basis names to rationals")
-        v = [Fraction(0)] * n
+        v = list(zero)
         for cname, cval in val.items():
             if cname not in index:
                 _fail(f"{table_key} value uses unknown basis name {cname!r}")
-            v[index[cname]] = parse_rational(cval)
-        if table[i][j] is not None and table[i][j] != v:
+            v[index[cname]] = _ratio(cval)
+        v = tuple(v)
+        if table[i * n + j] not in (None, v):
             _fail(f"conflicting {table_key} entries for "
                   f"({basis[i]}, {basis[j]})")
-        table[i][j] = v
+        table[i * n + j] = v
 
-    zero = (Fraction(0),) * n
     if mode == MODE_BRACKET:
         # fill the lower half by negation, watching for inconsistent double
         # entries
         for i in range(n):
-            if table[i][i] is not None and any(x != 0 for x in table[i][i]):
+            if table[i * n + i] not in (None, zero):
                 _fail(f"nonzero bracket of {basis[i]} with itself")
-            table[i][i] = zero
             for j in range(i + 1, n):
-                a, b = table[i][j], table[j][i]
-                if a is not None and b is not None:
-                    if any(x + y != 0 for x, y in zip(a, b)):
-                        _fail(f"bracket entries for ({basis[i]}, {basis[j]}) "
-                              f"are not antisymmetric")
-                elif a is None:
-                    a = zero if b is None else tuple(-x for x in b)
-                table[i][j] = a
-                table[j][i] = tuple(-x for x in a) if any(a) else zero
-    rows = tuple(zero if v is None else tuple(v) for r in table for v in r)
+                a, b = table[i * n + j], table[j * n + i]
+                if a is None:
+                    a = zero if b is None else _minus(b)
+                elif b is not None and b != _minus(a):
+                    _fail(f"bracket entries for ({basis[i]}, {basis[j]}) "
+                          f"are not antisymmetric")
+                table[i * n + j], table[j * n + i] = a, _minus(a)
 
     gram = [[None] * n for _ in range(n)]
     for entry in metric_entries:
         i, j = _entry_pair(entry, index, "metric")
-        v = parse_rational(entry["value"])
+        v = _ratio(entry["value"])
         for a, b in ((i, j), (j, i)):
-            if gram[a][b] is not None and gram[a][b] != v:
+            if gram[a][b] not in (None, v):
                 _fail(f"conflicting metric entries for "
                       f"({basis[a]}, {basis[b]})")
             gram[a][b] = v
-    gram_filled = [[gram[i][j] if gram[i][j] is not None else Fraction(0)
-                    for j in range(n)] for i in range(n)]
 
-    form = SymForm(Mat.from_rows(gram_filled, n))
-    table = Mat(rows, (n * n, n))   # row i·n + j is the entry for (i, j)
+    form = SymForm(Mat.from_image(
+        *_over_lcm([[v or (0, 1) for v in r] for r in gram]), (n, n)))
+    # row i·n + j is the entry for (i, j)
+    table = Mat.from_image(*_over_lcm([v or zero for v in table]), (n * n, n))
     try:
         if mode == MODE_BRACKET:
             spec = AlgebraSpec(n, tuple(basis), table, form)
@@ -182,6 +205,8 @@ def parse_string(text: str) -> InputDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"invalid JSON: {exc}")
+    except RecursionError:
+        _fail("invalid JSON: nested too deeply")
     except ValueError as exc:   # an integer with more digits than int() converts
         _fail(f"number too long: {exc}")
     return parse_document(obj)
@@ -196,12 +221,23 @@ def load_path(path) -> InputDocument:
     return parse_string(text)
 
 
+def format_ratio(x, d):
+    """The string str(Fraction(x, d)) gives, for ints x and d > 0: "p" or
+    "p/q" in lowest terms, from one gcd.  A numerator or denominator with
+    more digits than the interpreter converts to a string is a result that
+    cannot be printed: PreconditionError."""
+    g = math.gcd(x, d)
+    try:
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+    except ValueError as exc:
+        raise PreconditionError(f"number too long to print: {exc}") from None
+
+
 def table_entries(names, table: Mat, indices):
     """The sparse entries of a table's Mat, for each index tuple (i, j) or
     (i, j, k) in `indices` whose row (i·n + j, or (i·n + j)·n + k) is
     nonzero: {"x": names[i], "y": names[j], ["z": names[k],] "value":
-    {name: rational}}.  Read off the image; a Fraction is built only for
-    a printed coordinate."""
+    {name: rational}}, formatted from the image."""
     n = table.ncols
     d, rows = table.image()
     out = []
@@ -209,7 +245,7 @@ def table_entries(names, table: Mat, indices):
         r = rows[reduce(lambda a, b: a * n + b, idx)]
         if any(r):
             entry = {key: names[i] for key, i in zip("xyz", idx)}
-            entry["value"] = {names[k]: str(Fraction(x, d))
+            entry["value"] = {names[k]: format_ratio(x, d)
                               for k, x in enumerate(r) if x}
             out.append(entry)
     return out
@@ -223,6 +259,7 @@ def serialize_document(name: str, spec: AlgebraSpec) -> dict:
                   else ("connection", spec.connection_table))
     # one orientation per bracket pair, every pair of a connection table
     pairs = ((i, j) for i in range(n) for j in range(i + 1 if bracket else 0, n))
+    d, g = spec.gram.image()
     return {
         "name": name,
         "dim": n,
@@ -230,9 +267,8 @@ def serialize_document(name: str, spec: AlgebraSpec) -> dict:
         "mode": spec.mode,
         key: table_entries(names, table, pairs),
         "metric": [
-            {"x": names[i], "y": names[j], "value": str(spec.gram.entries[i][j])}
-            for i in range(n) for j in range(i, n)
-            if spec.gram.entries[i][j] != 0
+            {"x": names[i], "y": names[j], "value": format_ratio(g[i][j], d)}
+            for i in range(n) for j in range(i, n) if g[i][j]
         ],
     }
 

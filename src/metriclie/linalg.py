@@ -12,11 +12,12 @@ rows A with gcd(D, every entry of A) = 1, the matrix being A/D.  Equal
 matrices have equal images, so equality and hashing compare images.
 Products, sums, scaling, transposes, traces, ranks, inverses, RREF, trace
 forms and minimal polynomials run on the image in plain ints.  A Mat built
-from Fractions (the parse, `AlgebraSpec.build`, user input) keeps them and
-computes its image on first arithmetic use; a Mat made by arithmetic keeps
-only the image and builds its `entries`, tuples of Fractions, on first
-read.  A structure's tables (bracket, connection, curvature) are such
-Mats, one row per index pair or triple, and are stored in no other form.
+from Fractions (`AlgebraSpec.build`, user input) keeps them and computes
+its image on first arithmetic use; a Mat made from an image (the parse,
+which reads integer pairs, and all arithmetic) keeps only the image and
+builds its `entries`, tuples of Fractions, on first read.  A structure's
+tables (bracket, connection, curvature) are such Mats, one row per index
+pair or triple, and are stored in no other form.
 
 Vectors are plain tuples of Fractions (integer vectors are accepted where
 only their span or direction counts).  A subspace's basis is canonical
@@ -81,14 +82,19 @@ def vec_scale(k, a):
 
 def _common_ints(rows):
     """(D, ints): rows of Fractions (or ints) as integer rows over the lcm
-    D of every entry's denominator.  For reduced entries gcd(D, ints) = 1:
-    a prime power dividing D fully divides some entry's denominator, and
-    that entry's scaled numerator is prime to it.  A float has a ratio
+    D of every entry's denominator (`_over_lcm`).  A float has a ratio
     too, so it is refused here as `rat` refuses it."""
     for r in rows:
         if float in map(type, r):
             raise TypeError(_NO_FLOATS)
-    rows = [[x.as_integer_ratio() for x in r] for r in rows]
+    return _over_lcm([[x.as_integer_ratio() for x in r] for r in rows])
+
+
+def _over_lcm(rows):
+    """(D, ints): rows of reduced pairs (p, q), q > 0, as the integer rows
+    p·(D/q) over the lcm D of the q.  gcd(D, ints) = 1: a prime power
+    dividing D fully divides some q, and that entry's scaled p is prime to
+    it."""
     d = math.lcm(*{q for r in rows for _, q in r})
     return d, [[p * (d // q) if p else 0 for p, q in r] for r in rows]
 
@@ -694,6 +700,8 @@ def subspace_complement(a: Subspace, within: Subspace | None = None):
 @dataclass(frozen=True)
 class SymForm:
     gram: Mat
+    # (G⁻¹, or None when G is singular), kept by `inverse` on first use
+    _inverse: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gram.is_square:
@@ -714,7 +722,22 @@ class SymForm:
         return Fraction(sum(map(mul, _row_times(a, g, self.dim), b)),
                         d * dv * dv)
 
+    def inverse(self):
+        """G⁻¹, or None when G is singular: one elimination on first use,
+        kept on the form (a structure's metric is inverted by `validate`
+        and read by the connection's derivation)."""
+        if not self._inverse:
+            res = rref(self.gram)
+            object.__setattr__(self, "_inverse", (
+                res.transform if res.rank == self.dim else None,))
+        return self._inverse[0]
+
     def is_nondegenerate(self):
+        """G has full rank: read off the kept `inverse` when there is one,
+        else one rank test (a sub-form, checked once, is never
+        inverted)."""
+        if self._inverse:
+            return self._inverse[0] is not None
         return self.gram.rank() == self.dim
 
     def restrict(self, sub: Subspace):

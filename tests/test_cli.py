@@ -357,6 +357,34 @@ def test_a_failing_source_among_several_becomes_a_record(capsys, tmp_path):
     assert code == 2
     assert json.loads(out)["results"][0]["error"] == "metric is degenerate"
     assert err == f"error: {degenerate}: metric is degenerate\n"
+    # an so(3)-type input that parses and validates, but whose Ricci,
+    # curvature and Killing entries have more digits than the interpreter
+    # prints (Python ≥ 3.11): a result that cannot be printed
+    if hasattr(sys, "get_int_max_str_digits") and \
+            0 < sys.get_int_max_str_digits() < 5000:
+        v = "7" * 3000
+        long = tmp_path / "long.json"
+        long.write_text(json.dumps({
+            "name": "long", "dim": 3, "basis": ["e1", "e2", "e3"],
+            "mode": "bracket",
+            "brackets": [{"x": "e2", "y": "e3", "value": {"e1": v}},
+                         {"x": "e3", "y": "e1", "value": {"e2": v}},
+                         {"x": "e1", "y": "e2", "value": {"e3": v}}],
+            "metric": [{"x": e, "y": e, "value": "1"}
+                       for e in ("e1", "e2", "e3")]}))
+        assert run(capsys, "validate", "--input", str(long))[0] == 0
+        for command in ("ricci", "curvature", "classify"):
+            code, out, err = run(capsys, command, "--input", str(long),
+                                 "--catalog", "abelian_3", "--format", "json")
+            assert code == 2, command
+            first, second = json.loads(out)["results"]
+            assert first["exit_code"] == 2
+            assert first["error"].startswith("number too long to print: ")
+            assert "error" not in second
+            code, out, err = run(capsys, command, "--input", str(long))
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: number too long to print: ")
+            assert err.count("\n") == 1
 
 
 def test_a_source_that_cannot_be_loaded_among_several_becomes_a_record(
@@ -364,7 +392,7 @@ def test_a_source_that_cannot_be_loaded_among_several_becomes_a_record(
     """A file that does not parse, a file that cannot be read and an
     unknown catalog name each become a record naming them, and the other
     sources still run; alone, such a source prints its error line and
-    exits 1."""
+    exits 1.  So does a file nested too deeply to decode."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x"}))
     missing = tmp_path / "missing.json"
@@ -400,6 +428,19 @@ def test_a_source_that_cannot_be_loaded_among_several_becomes_a_record(
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read {undecodable}: ")
     assert err.count("\n") == 1
+    # JSON nested deeper than the decoder recurses is invalid JSON
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", "--input", str(deep),
+                         "--catalog", "abelian_2", "--format", "json")
+    assert code == 1
+    first, second = json.loads(out)["results"]
+    assert first == {"source": str(deep), "exit_code": 1,
+                     "error": "invalid JSON: nested too deeply"}
+    assert second["source"] == "abelian_2" and "error" not in second
+    code, out, err = run(capsys, "validate", "--input", str(deep))
+    assert (code, out, err) == (1, "",
+                                "error: invalid JSON: nested too deeply\n")
     # a number past the interpreter's integer digit limit (Python ≥ 3.11),
     # as a string and as a bare JSON integer, is an input-format error
     if hasattr(sys, "get_int_max_str_digits") and \

@@ -1,12 +1,16 @@
 import importlib.resources
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from metriclie.algebra import AlgebraSpec
 from metriclie.catalog import catalog_get, catalog_list
 from metriclie.errors import InputFormatError
 from metriclie.fileformat import (
     dumps_document,
+    format_ratio,
     parse_document,
     parse_rational,
     parse_string,
@@ -38,7 +42,7 @@ def test_rational_grammar():
     assert parse_rational("0") == 0
     assert parse_rational(5) == 5
     for bad in ("1.5", "1/0", "01/3", "+2", "1/-2", "", "a", "2/", "/3",
-                "1 /2", "--3"):
+                "1 /2", "--3", "3\n", "-5/7\n"):
         with pytest.raises(InputFormatError):
             parse_rational(bad)
     with pytest.raises(InputFormatError):
@@ -131,3 +135,85 @@ def test_non_json_input_is_a_format_error():
         parse_string("not json at all {")
     with pytest.raises(InputFormatError):
         parse_string(json.dumps(["a", "list"]))
+
+
+def _written(f):
+    """The ways a document may write the rational f: its canonical string,
+    unreduced as p·m/q·m, and for an integer a bare JSON integer ("-0" too
+    for zero)."""
+    p, q = f.numerator, f.denominator
+    forms = [st.just(str(f)),
+             st.integers(2, 4).map(lambda m: f"{p * m}/{q * m}")]
+    if q == 1:
+        forms.append(st.just(p))
+    if p == 0:
+        forms.append(st.just("-0"))
+    return st.one_of(forms)
+
+
+@st.composite
+def _documents(draw):
+    """(document, names, mode, table, metric): a random document in either
+    mode whose entries, written by `_written`, sometimes twice (in the
+    other orientation, for a bracket or the metric) and in any order, say
+    table {(a, b): {c: Fraction}} and metric {(a, b): Fraction}."""
+    n = draw(st.integers(1, 4))
+    names = [f"e{i + 1}" for i in range(n)]
+    mode = draw(st.sampled_from(["bracket", "connection"]))
+    values = st.fractions(-3, 3, max_denominator=4)
+    entries, table, metric = [], {}, {}
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i < j or mode == "connection"]
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)
+                     if pairs else st.just([])):
+        ks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        v = {names[k]: draw(values) for k in ks}
+        table[(names[i], names[j])] = v
+        back = mode == "bracket" and draw(st.booleans())
+        given = draw(st.sampled_from(["one", "both"] + ["other"] * back))
+        if given != "other":
+            entries.append({"x": names[i], "y": names[j], "value": {
+                c: draw(_written(x)) for c, x in v.items()}})
+        if given != "one":
+            a, b, sign = (j, i, -1) if back else (i, j, 1)
+            entries.append({"x": names[a], "y": names[b], "value": {
+                c: draw(_written(sign * x)) for c, x in v.items()}})
+    if mode == "bracket":   # a self-bracket may be written, as zero
+        for i in draw(st.lists(st.integers(0, n - 1), unique=True)):
+            entries.append({"x": names[i], "y": names[i], "value": {
+                names[0]: draw(_written(Fraction(0)))}})
+    metric_entries = []
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.booleans()):
+                x = draw(values)
+                metric[(names[i], names[j])] = x
+                for a, b in [(i, j)] + [(j, i)] * draw(st.booleans()):
+                    metric_entries.append({"x": names[a], "y": names[b],
+                                           "value": draw(_written(x))})
+    doc = {"name": "random", "dim": n, "basis": names, "mode": mode,
+           "brackets" if mode == "bracket" else "connection":
+           draw(st.permutations(entries)),
+           "metric": draw(st.permutations(metric_entries))}
+    return doc, names, mode, table, metric
+
+
+@given(_documents())
+@settings(max_examples=60, deadline=None)
+def test_the_parse_equals_build_of_the_same_fractions(case):
+    """The parse reads each scalar into a reduced pair and each table
+    into its integer image; the structure equals the one `build` makes
+    from the same entries as Fractions."""
+    doc, names, mode, table, metric = case
+    key = "brackets" if mode == "bracket" else "connection"
+    spec = parse_document(doc).spec
+    assert spec == AlgebraSpec.build(names, metric=metric, **{key: table})
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 7)
+@example(-6, 4)
+@example(5, 1)
+@example(-12, 3)
+def test_format_ratio_is_the_string_of_the_fraction(x, d):
+    assert format_ratio(x, d) == str(Fraction(x, d))
