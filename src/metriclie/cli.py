@@ -18,7 +18,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra import (
@@ -222,9 +221,8 @@ def _report_filtration(spec, args):
 
 def _random_basis_change(n, rng):
     while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                for _ in range(n)]
-        m = Mat.from_rows(rows, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m = Mat.from_image(1, rows, (n, n))
         if m.rank() == n:
             return m
 
@@ -415,13 +413,13 @@ def main(argv=None):
             payload, code = _run_catalog(args), 0
         else:
             payload, code = _run_analysis(args)
+        _emit(render(payload, args.format), args)
     except MetricLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except OSError as exc:   # an unreadable input or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(render(payload, args.format), args)
     return code
 
 

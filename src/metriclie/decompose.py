@@ -80,7 +80,6 @@ from .linalg import (
     poly_eval_mat,
     radical,
     rational_sqrt,
-    row_apply,
     row_space,
     solve,
     subspace_complement,
@@ -88,9 +87,7 @@ from .linalg import (
     subspace_sum,
     table_pairs,
     trace_form,
-    vec_add,
     vec_scale,
-    vec_sub,
 )
 from .poly import (
     coprime_split,
@@ -447,7 +444,7 @@ def decompose(spec: AlgebraSpec, *, seed=DEFAULT_SEED,
     if report.case == CASE_ANN_R_FULL:
         # every operator vanishes; split along a diagonalizing basis
         lines = [Subspace.from_vectors(n, [row]) for row in
-                 congruent_diagonalize(spec.metric).basis_change.entries]
+                 congruent_diagonalize(spec.metric).basis_change.image()[1]]
         pieces = []
         for line, e in zip(lines, _factor_projections(n, lines, None)):
             pieces.extend(_split(spec, line, e, True, seed, budget))
@@ -771,10 +768,8 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
             assert x is not None, "dual partner system must be solvable"
             xs.append(x)
         raw = Mat.from_rows(xs, dim) @ fb
-        c = (raw @ form.gram @ raw.transpose()).entries
-        for p in range(k):   # weights on the rows of a_f's basis, ann_vecs
-            dual_vecs.append(vec_sub(raw.row(p), row_apply(
-                [0] * p + [c[p][p] / 2, *c[p][p + 1:]], a_f.basis)))
+        dual_vecs = list(
+            (raw - _isotropic_correction(raw, form, a_f.basis)).entries)
 
     vectors = tuple(ann_vecs + diag_vecs + dual_vecs)
     assert len(vectors) == dim
@@ -792,16 +787,24 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
                         diagonal=tuple(diag_norms), pairings=gram)
 
 
+def _isotropic_correction(m: Mat, form, ann: Mat) -> Mat:
+    """Row p is Σ_{q>p} c_pq·a_q + (c_pp/2)·a_p, for c = m·G·mᵀ and a_q
+    the rows of ann.  With ann isotropic and ⟨m_p, a_q⟩ = δ_pq, m minus it
+    has isotropic, pairwise orthogonal rows: `adapted_basis`'s dual
+    partners; `build_strong_isometry` adds it to the partners' images."""
+    d, c = (m @ form.gram @ m.transpose()).image()
+    w = [[0] * p + [r[p]] + [2 * x for x in r[p + 1:]]
+         for p, r in enumerate(c)]
+    return Mat.from_image(2 * d, w, (len(c), len(c))) @ ann
+
+
 def _diag_lines(spec, factor):
     """Orthogonal line decomposition of a nondegenerate subspace (an inert
-    factor, or an adapted basis's diagonal block), with norms."""
-    form = spec.metric
-    out = []
-    dg = congruent_diagonalize(form.restrict(factor))
-    for row, d in zip(dg.basis_change.entries, dg.diagonal):
-        assert d != 0
-        out.append((row_apply(row, factor.basis), d))
-    return out
+    factor, or an adapted basis's diagonal block), with norms: the rows of
+    P·B, for B its basis and P diagonalizing the form on B's rows."""
+    dg = congruent_diagonalize(spec.metric.restrict(factor))
+    assert all(dg.diagonal)
+    return list(zip((dg.basis_change @ factor.basis).entries, dg.diagonal))
 
 
 def _inert_pair_map(spec, f_a, f_b):
@@ -890,17 +893,11 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
             sources.append(x)
             images.append(x)    # the shared block maps identically
         if k:
-            duals = ab.vectors[s:]
-            p0 = [to_g0_b.apply(v) for v in duals]
-            ann_k = Mat.from_rows(ab.vectors[:k], n)
-            for p in range(k):
-                # weights on the annihilator vectors: ⟨p0_p, p0_q⟩ for q > p
-                # and half of it at q = p
-                w = [0] * p + [form.pair(p0[p], p0[q]) for q in range(p, k)]
-                w[p] /= 2
-                sources.append(duals[p])
-                images.append(vec_add(onto_b[j].apply(duals[p]),
-                                      row_apply(w, ann_k)))
+            duals = Mat.from_rows(ab.vectors[s:], n)
+            fix = _isotropic_correction(duals @ to_g0_b.transpose(), form,
+                                        Mat.from_rows(ab.vectors[:k], n))
+            sources.extend(duals.entries)
+            images.extend((duals @ onto_b[j].transpose() + fix).entries)
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
         return Unsupported(

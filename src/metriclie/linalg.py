@@ -30,11 +30,14 @@ Every elimination (RREF and its transform, inverse, rank, kernel, solve,
 subspaces, the Krylov sequences of `minimal_polynomial`) runs through one
 integer echelon, built a row at a time by `_echelon_add`, and `_rref_rows`
 returns each canonical row as a primitive integer row, positive at its
-pivot.  There is one contraction kernel: a sum of rows of a Mat weighted
-by a vector (`row_apply`, `Mat.apply`, `SymForm.pair`, a product's rows),
-or by the products of several vectors (`table_apply`, the multilinear
-extension of a table held as the Mat of its flattened vectors), runs as
-integer multiply-adds on the images; a vector result builds one Fraction
+pivot.  These take integer rows only: Fraction vectors are converted in
+one place, `Subspace.from_vectors`.  Congruent diagonalization, being
+symmetric, eliminates outside that echelon, and on integer rows too.
+There is one contraction kernel: a sum of rows of a Mat weighted by a vector
+(`row_apply`, `Mat.apply`, `SymForm.pair`, a product's rows), or by the
+products of several vectors (`table_apply`, the multilinear extension of
+a table held as the Mat of its flattened vectors), runs as integer
+multiply-adds on the images; a vector result builds one Fraction
 per nonzero coordinate.  Bases go through a table as matrices:
 `table_pairs(t, a, b)` is the Mat of t(a_p, b_q) over all pairs of rows
 (mode-n products; Kolda & Bader, SIAM Rev. 51, 2009), and
@@ -70,10 +73,6 @@ def unit_vec(n, i):
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(k, a):
@@ -398,21 +397,15 @@ def rref(m: Mat) -> RrefResult:
 
 
 def _int_row(row):
-    """A new list: the row with denominators cleared and the content divided
-    out, leading entry positive; None for a zero row.  Takes Fractions or
-    ints: math.gcd refuses a Fraction, and only then are denominators
-    cleared (a float has none, and is refused there)."""
-    try:
-        ints, g = row, math.gcd(*row)
-    except TypeError:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = math.gcd(*ints)
+    """A new list: the integer row with its content divided out, leading
+    entry positive; None for a zero row.  math.gcd refuses anything but
+    ints, a Fraction or a float included."""
+    g = math.gcd(*row)
     if g == 0:
         return None
-    if next(x for x in ints if x) < 0:
+    if next(x for x in row if x) < 0:
         g = -g
-    return list(ints) if g == 1 else [x // g for x in ints]
+    return list(row) if g == 1 else [x // g for x in row]
 
 
 def _clear(r, col, prow, nz):
@@ -467,16 +460,16 @@ def _echelon(rows, ncols):
 
 
 def independent_rows(rows):
-    """Indices of the rows that are not combinations of the rows before
-    them, in order: the first basis of the row space met in a left-to-right
-    scan, found by one incremental integer echelon."""
+    """Indices of the integer rows that are not combinations of the rows
+    before them, in order: the first basis of the row space met in a
+    left-to-right scan, found by one incremental integer echelon."""
     basis = []
     return [i for i, row in enumerate(rows) if _echelon_add(basis, row)]
 
 
 def _rref_rows(rows, ncols):
-    """Canonical RREF rows of the span of `rows` (ints or Fractions), each
-    as a primitive integer row positive at its pivot, plus the pivots.
+    """Canonical RREF rows of the span of the integer `rows`, each as a
+    primitive integer row positive at its pivot, plus the pivots.
 
     Back-substitution runs on the integer echelon rows, last pivot first:
     each row is cleared (`_clear`) at every later pivot, against rows that
@@ -524,10 +517,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        """The span of vectors of Fractions or ints; integer vectors (a
-        kernel, a Mat's image rows) are reduced as they are."""
+        """The span of vectors of ints (reduced as they are) or Fractions,
+        which are first put over one common denominator (`_common_ints`)."""
         vectors = list(vectors)
         assert all(len(v) == ambient_dim for v in vectors)
+        if not all(type(x) is int for v in vectors for x in v):
+            vectors = _common_ints(vectors)[1]
         rows, pivots = _rref_rows(vectors, ambient_dim)
         return cls(ambient_dim, _over_pivots(rows, pivots, 0, ambient_dim),
                    pivots)
@@ -607,7 +602,7 @@ def column_space(m: Mat):
 
 def _kernel_ints(rows, ncols):
     """Integer vectors spanning {x : rows·x = 0} in Q^ncols, one per free
-    column, for Fraction or int rows.
+    column, for integer rows.
 
     One back-substitution through the integer echelon rows per free column
     f: x_f = 1, the other free coordinates 0, and each pivot coordinate
@@ -766,52 +761,58 @@ class DiagonalizedForm:
 
 
 def congruent_diagonalize(form: SymForm) -> DiagonalizedForm:
-    """Symmetric Gaussian elimination over Q (no square roots, so the
-    diagonal entries are honest rationals, not unit normalized)."""
+    """Symmetric Gaussian elimination on the integer rows p_i of P, paired
+    through the Gram image (no square roots, so the diagonal entries are
+    honest rationals).  Step i swaps in the first later row with
+    ⟨p_j, p_j⟩ ≠ 0 if p_i has none, or else adds the first later p_j with
+    ⟨p_i, p_j⟩ ≠ 0; then p_j ← (|d|/g)·p_j − sign(d)·(b/g)·p_i for every
+    later row, d = ⟨p_i, p_i⟩, b = ⟨p_j, p_i⟩, g = gcd(d, b), and its
+    content is divided out.  Each row is so primitive and a positive
+    multiple num/den of the row that these steps give over Q, and adding
+    rows in that ratio keeps it one.  The diagonal is read off P·G·Pᵀ."""
     n = form.dim
-    g = [list(r) for r in form.gram.entries]
-    p = [list(unit_vec(n, i)) for i in range(n)]
+    _, a = form.gram.image()
+    p = [[int(k == j) for k in range(n)] for j in range(n)]
+    scale = [(1, 1)] * n
 
-    def add_row_col(dst, src, f):
-        g[dst] = [a + f * b for a, b in zip(g[dst], g[src])]
-        for k in range(n):
-            g[k][dst] = g[k][dst] + f * g[k][src]
-        p[dst] = [a + f * b for a, b in zip(p[dst], p[src])]
+    def pair(x, y):
+        return sum(map(mul, _row_times(x, a, n), y))
 
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for k in range(n):
-            g[k][i], g[k][j] = g[k][j], g[k][i]
-        p[i], p[j] = p[j], p[i]
+    def settle(j, row, num, den):
+        c = math.gcd(*row)
+        k = math.gcd(num, den * c)
+        p[j], scale[j] = [x // c for x in row], (num // k, den * c // k)
 
     for i in range(n):
-        if g[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if g[j][j] != 0), None)
-            if j is not None:
-                swap(i, j)
+        if not pair(p[i], p[i]):
+            j = next((j for j in range(i + 1, n) if pair(p[j], p[j])), n)
+            if j < n:
+                p[i], p[j], scale[i], scale[j] = p[j], p[i], scale[j], scale[i]
             else:
-                j = next((j for j in range(i + 1, n) if g[i][j] != 0), None)
-                if j is not None:
-                    add_row_col(i, j, Fraction(1))
-        d = g[i][i]
-        if d == 0:
+                j = next((j for j in range(i + 1, n) if pair(p[i], p[j])), n)
+                if j < n:
+                    (ni, di), (nj, dj) = scale[i], scale[j]
+                    settle(i, [nj * di * x + ni * dj * y
+                               for x, y in zip(p[i], p[j])], ni * nj, 1)
+        ai = _row_times(p[i], a, n)
+        d = sum(map(mul, ai, p[i]))
+        if not d:
             continue
         for j in range(i + 1, n):
-            if g[j][i] != 0:
-                add_row_col(j, i, -g[j][i] / d)
+            b = sum(map(mul, ai, p[j]))
+            if b:
+                g = math.gcd(d, b)
+                s, t = abs(d) // g, (b if d > 0 else -b) // g
+                num, den = scale[j]
+                settle(j, [s * x - t * y for x, y in zip(p[j], p[i])],
+                       num * s, den)
 
-    pm = Mat.from_rows(p, n)
-    check = pm @ form.gram @ pm.transpose()
-    diag = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert check.entries[i][j] == 0
-        diag.append(check.entries[i][i])
-    sig = (sum(1 for d in diag if d > 0),
-           sum(1 for d in diag if d < 0),
-           sum(1 for d in diag if d == 0))
-    return DiagonalizedForm(pm, tuple(diag), sig)
+    pm = Mat.from_image(1, p, (n, n))
+    dc, c = (pm @ form.gram @ pm.transpose()).image()
+    assert not any(c[i][j] for i in range(n) for j in range(n) if i != j)
+    ds = [c[i][i] for i in range(n)]
+    sig = (sum(x > 0 for x in ds), sum(x < 0 for x in ds), ds.count(0))
+    return DiagonalizedForm(pm, tuple(Fraction(x, dc) for x in ds), sig)
 
 
 def rational_sqrt(r):

@@ -496,6 +496,17 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_output_is_one_error_line(capsys, tmp_path, where):
+    target = tmp_path / "no" / "x.json" if where == "missing directory" \
+        else tmp_path
+    code, out, err = run(capsys, "classify", "--catalog", "e2_flat",
+                         "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_catalog_show_embeds_the_shipped_document(capsys):
     code, out, _ = run(capsys, "catalog", "show", "n23_quadratic",
                        "--format", "json")

@@ -228,10 +228,88 @@ def test_double_orthocomplement(pair):
     assert h.dim + orthogonal_complement(h, form).dim == h.ambient_dim
 
 
-@given(nondeg_with_subspace())
+@st.composite
+def sym_forms(draw):
+    """Symmetric forms up to 5 × 5 with many zero entries, so that most
+    are degenerate; half have a zero diagonal (hyperbolic planes and their
+    degenerations), and the rest often a zero diagonal entry before a
+    nonzero one, so the swap and the row-sum steps both run."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), fractions)
+    zero_diagonal = draw(st.booleans())
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            g[i][j] = g[j][i] = draw(entry)
+    return SymForm(Mat.from_rows(g, n))
+
+
+def _form(rows):
+    return SymForm(Mat.from_rows(rows, len(rows)))
+
+
+# a hyperbolic plane; zero diagonal at every size; the zero form; and a
+# form whose rows 1 and 2 are scaled 3 and 2 by the first step before they
+# are added (their diagonals are then zero)
+_SPECIAL_FORMS = (
+    _form([[0, 1], [1, 0]]),
+    _form([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    _form([[0, 0], [0, 0]]),
+    _form([[6, 2, 3], [2, Fraction(2, 3), 2], [3, 2, Fraction(3, 2)]]),
+)
+sym_or_nondeg_forms = st.one_of(
+    nondeg_with_subspace().map(lambda pair: pair[0]), sym_forms())
+
+
+def _with_special_forms(test):
+    for form in _SPECIAL_FORMS:
+        test = example(form)(test)
+    return test
+
+
+def _congruent_oracle(form):
+    """Symmetric Gaussian elimination over Q on the rows of P, from the
+    identity: at step i, swap in the first later row with a nonzero
+    diagonal, or else add the first later row that pairs with row i, then
+    clear column i below it.  Returns (rows of P, diagonal of P·G·Pᵀ)."""
+    n = form.dim
+    g = [list(r) for r in form.gram.entries]
+    p = [[Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+
+    def add_row_col(dst, src, f):
+        g[dst] = [a + f * b for a, b in zip(g[dst], g[src])]
+        for k in range(n):
+            g[k][dst] = g[k][dst] + f * g[k][src]
+        p[dst] = [a + f * b for a, b in zip(p[dst], p[src])]
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for k in range(n):
+            g[k][i], g[k][j] = g[k][j], g[k][i]
+        p[i], p[j] = p[j], p[i]
+
+    for i in range(n):
+        if g[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if g[j][j] != 0), None)
+            if j is not None:
+                swap(i, j)
+            else:
+                j = next((j for j in range(i + 1, n) if g[i][j] != 0), None)
+                if j is not None:
+                    add_row_col(i, j, Fraction(1))
+        d = g[i][i]
+        if d == 0:
+            continue
+        for j in range(i + 1, n):
+            if g[j][i] != 0:
+                add_row_col(j, i, -g[j][i] / d)
+    return p, [g[i][i] for i in range(n)]
+
+
+@_with_special_forms
+@given(sym_or_nondeg_forms)
 @settings(max_examples=40, deadline=None)
-def test_diagonalization_is_congruent(pair):
-    form, _ = pair
+def test_diagonalization_is_congruent(form):
     dg = congruent_diagonalize(form)
     b = dg.basis_change
     prod = b @ form.gram @ b.transpose()
@@ -243,6 +321,25 @@ def test_diagonalization_is_congruent(pair):
     assert pos == sum(1 for d in dg.diagonal if d > 0)
     assert neg == sum(1 for d in dg.diagonal if d < 0)
     assert zero == sum(1 for d in dg.diagonal if d == 0)
+    assert zero == n - form.gram.rank()
+
+
+@_with_special_forms
+@given(sym_or_nondeg_forms)
+@settings(max_examples=40, deadline=None)
+def test_diagonalization_scales_the_fraction_oracle_positively(form):
+    """Each row of P is primitive and k > 0 times the oracle's row, and
+    its diagonal entry k² times the oracle's."""
+    dg = congruent_diagonalize(form)
+    d, rows = dg.basis_change.image()
+    assert d == 1
+    want_rows, want_diag = _congruent_oracle(form)
+    for r, want, x, w in zip(rows, want_rows, dg.diagonal, want_diag):
+        assert math.gcd(*r) == 1
+        c = next(c for c, y in enumerate(want) if y)
+        k = r[c] / want[c]
+        assert k > 0 and list(r) == [k * y for y in want]
+        assert x == k * k * w
 
 
 @given(mats())
@@ -463,7 +560,7 @@ def test_a_subspace_keeps_the_pivots_of_its_canonical_basis(sub):
 @given(shaped_mats())
 @settings(max_examples=80, deadline=None)
 def test_independent_rows_pick_the_first_basis_of_the_row_space(m):
-    kept = independent_rows(m.entries)
+    kept = independent_rows(m.image()[1])
     for i in range(m.nrows):
         before = Mat.from_rows(m.entries[:i], m.ncols).rank()
         with_i = Mat.from_rows(m.entries[:i + 1], m.ncols).rank()
@@ -748,7 +845,7 @@ def test_commutant_of_the_twelve_dimensional_generic_sum(rebased,
 @given(shaped_mats())
 @settings(max_examples=60, deadline=None)
 def test_kernel_ints_are_integral_annihilating_and_span_the_kernel(m):
-    vecs = linalg._kernel_ints(m.entries, m.ncols)
+    vecs = linalg._kernel_ints(m.image()[1], m.ncols)
     for v in vecs:
         assert all(type(x) is int for x in v)
         assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in m.entries)
