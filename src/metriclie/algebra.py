@@ -18,15 +18,15 @@ given Γ (`AlgebraSpec.connection_table`) and the connection's Γ
 hands over integer images and `build` Mats of its Fractions; every table
 computed here (`derive_connection`, `restrict`, `transform_spec`, c =
 Γ_ij − Γ_ji in connection mode, made once by the constructor) is an
-integer image, passed on as it is.  Construction
-tests antisymmetry on the rows the Mat holds, without arithmetic.  A table
-applied to two vectors is `linalg.table_apply` (T(x, y) = Σ_ij x_i y_j
-T_ij), and to two bases `linalg.table_pairs`, the Mat of T(a_p, b_q) over
-all pairs of rows (`restrict`, `transform_spec`).  Γ is sliced into the
-2n operators L_i = ∇_{e_i}· and R_j = ∇_·e_j in one place (`left_op`,
-`right_op`); conditions linear in those operators are imposed on one
-basis of their span (`operator_basis`): T keeps the span of H when the
-rows of H·Tᵀ lie in it.  The structure checks are integer multiply-adds
+integer image, passed on as it is.  Construction tests antisymmetry on
+the image rows, by negation only.  A table applied to two vectors is
+`linalg.table_apply` (T(x, y) = Σ_ij x_i y_j T_ij), and to two bases
+`linalg.table_pairs`, the Mat of T(a_p, b_q) over all pairs of rows
+(`restrict`, `transform_spec`).  Each of the 2n operators L_i =
+∇_{e_i}· and R_j = ∇_·e_j is a selection of Γ's rows, transposed
+(`left_op`, `right_op`); conditions linear in those operators are imposed
+on one basis of their span (`operator_basis`): T keeps the span of H when
+the rows of H·Tᵀ lie in it.  The structure checks are integer multiply-adds
 on the images, each over its denominator D: the Jacobi defect
 D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
 Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk =
@@ -48,7 +48,6 @@ from itertools import combinations, product
 
 from .errors import PreconditionError
 from .linalg import (
-    _NO_FLOATS,
     Mat,
     Subspace,
     SymForm,
@@ -57,6 +56,7 @@ from .linalg import (
     independent_rows,
     int_image,
     rat,
+    select_rows,
     table_apply,
     table_pairs,
 )
@@ -64,13 +64,6 @@ from .linalg import (
 MODE_BRACKET = "bracket"
 MODE_CONNECTION = "connection"
 _KEPT = dict(default=None, init=False, repr=False, compare=False)
-
-
-def _negated(u, v):
-    """u = −v, for vectors of reduced Fractions or of ints, without
-    arithmetic."""
-    return all(x.numerator == -y.numerator and x.denominator == y.denominator
-               for x, y in zip(u, v))
 
 
 def _antisymmetrized(t: Mat) -> Mat:
@@ -105,20 +98,13 @@ class AlgebraSpec:
         if self.mode == MODE_BRACKET:
             assert self.bracket_table.shape == (n * n, n)
             assert self.connection_table is None
-            # the rows the Mat holds: its Fractions (a float refused, as
-            # `rat` refuses it), or else its image
-            c = self.bracket_table._entries
-            if c is None:
-                c = self.bracket_table.image()[1]
-            elif any(float in map(type, r) for r in c):
-                raise TypeError(_NO_FLOATS)
+            c = self.bracket_table.image()[1]
             for i in range(n):
                 for j in range(i, n):
-                    if not _negated(c[i * n + j], c[j * n + i]):
+                    if c[i * n + j] != [-x for x in c[j * n + i]]:
                         raise ValueError("bracket table is not antisymmetric")
         elif self.mode == MODE_CONNECTION:
-            # an antisymmetrization is antisymmetric; the images refuse
-            # floats
+            # an antisymmetrization is antisymmetric
             assert self.connection_table.shape == (n * n, n)
             c = _antisymmetrized(self.connection_table)
             if self.bracket_table is None:
@@ -301,24 +287,16 @@ def is_strong_ideal(h: Subspace, conn: ConnectionCoeffs) -> bool:
     return all(h.contains_rows(h.basis @ t.transpose()) for t in left + right)
 
 
-def _operator(conn: ConnectionCoeffs, flat) -> Mat:
-    """The matrix whose columns are the vectors of Γ's image at the flat
-    indices `flat`: the one place Γ is sliced into operators."""
-    d, g = conn.table.image()
-    return Mat.from_image(d, [list(c) for c in zip(*(g[f] for f in flat))],
-                          (conn.dim, conn.dim))
-
-
 def left_op(conn: ConnectionCoeffs, i) -> Mat:
     """Matrix of y ↦ ∇_{e_i} y (column action): columns Γ_i0 … Γ_i,n−1."""
     n = conn.dim
-    return _operator(conn, range(i * n, (i + 1) * n))
+    return select_rows(conn.table, range(i * n, (i + 1) * n)).transpose()
 
 
 def right_op(conn: ConnectionCoeffs, j) -> Mat:
     """Matrix of x ↦ ∇_x e_j (column action): columns Γ_0j … Γ_n−1,j."""
     n = conn.dim
-    return _operator(conn, range(j, n * n, n))
+    return select_rows(conn.table, range(j, n * n, n)).transpose()
 
 
 def left_ops(conn):

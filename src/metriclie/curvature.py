@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, MODE_BRACKET, connection_of, skew_defects
-from .linalg import (Mat, Subspace, int_image, row_space, table_apply,
-                     table_pairs, trace_form)
+from .linalg import (Mat, Subspace, int_image, row_space, select_rows,
+                     table_apply, table_pairs, trace_form)
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,13 @@ def ad_matrix(spec: AlgebraSpec, i) -> Mat:
     """Matrix of ad e_i = [e_i, ·] (column action): columns c_i0 …
     c_i,n−1, the transpose of the bracket table's rows i·n … i·n + n − 1."""
     n = spec.dim
-    d, rows = spec.bracket_table.image()
-    return Mat.from_image(d, rows[i * n:(i + 1) * n], (n, n)).transpose()
+    return select_rows(spec.bracket_table, range(i * n, i * n + n)).transpose()
 
 
 def killing_form(spec: AlgebraSpec) -> Mat:
-    """K_ij = Σ_{a,b} c_ia^b c_jb^a: the trace form of the matrices c_i,
-    rows c_ia (the transposes of ad e_i), sliced from the bracket table's
-    image."""
-    n = spec.dim
-    d, rows = spec.bracket_table.image()
-    return trace_form([Mat.from_image(d, rows[i * n:(i + 1) * n], (n, n))
-                       for i in range(n)])
+    """K_ij = tr(ad e_i ∘ ad e_j) = Σ_{a,b} c_ia^b c_jb^a: the trace form of
+    the matrices of `ad_matrix`."""
+    return trace_form([ad_matrix(spec, i) for i in range(spec.dim)])
 
 
 def is_biinvariant(spec: AlgebraSpec) -> bool:
@@ -171,24 +166,20 @@ class ClassificationReport:
 
 
 def classify(spec: AlgebraSpec) -> ClassificationReport:
-    n = spec.dim
     ric = ricci(spec)
     ricci_flat = ric.is_zero()
 
     einstein = None
     if ricci_flat:
         einstein = Fraction(0)
-    else:
-        probe = None
-        for i in range(n):
-            for j in range(n):
-                if spec.gram.entries[i][j] != 0:
-                    probe = ric.entries[i][j] / spec.gram.entries[i][j]
-                    break
-            if probe is not None:
-                break
-        if probe is not None and ric == spec.gram.scale(probe):
-            einstein = probe
+    else:   # probe r·D_g/(D_r·g) at the first nonzero Gram entry g
+        (dg, g), (dr, r) = spec.gram.image(), ric.image()
+        first = next(((x, y) for gx, rx in zip(g, r) for x, y in zip(gx, rx)
+                      if x), None)
+        if first is not None:
+            probe = Fraction(first[1] * dg, dr * first[0])
+            if ric == spec.gram.scale(probe):
+                einstein = probe
 
     nclass = None
     if spec.mode == MODE_BRACKET:

@@ -81,13 +81,14 @@ from .linalg import (
     radical,
     rational_sqrt,
     row_space,
+    select_rows,
     solve,
+    stack_rows,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
     table_pairs,
     trace_form,
-    vec_scale,
 )
 from .poly import (
     coprime_split,
@@ -240,13 +241,6 @@ def _as_mats(sol, n):
                                 (n, n)) for r in rows)
 
 
-def _pivot_rows(e, piece):
-    """The rows of e at the pivots of piece, sliced from e's image."""
-    d, rows = e.image()
-    return Mat.from_image(d, [rows[p] for p in piece.pivots],
-                          (piece.dim, e.ncols))
-
-
 def commutant_of(spec: AlgebraSpec):
     """`commutant` of the structure's connection, kept on the spec."""
     if spec._commutant is None:
@@ -271,7 +265,7 @@ def _corner(spec, e, piece):
     directly with g0 ⊆ Ann to the whole space."""
     if piece.dim == 1:   # e restricts to 1 there, spanning all of M_1 = Q
         return (Mat.identity(1),)
-    a = _pivot_rows(e, piece)
+    a = select_rows(e, piece.pivots)
     ht, k = piece.basis.transpose(), piece.dim
     return _as_mats(Subspace.from_vectors(k * k, [
         [x for r in (a @ t @ ht).image()[1] for x in r]
@@ -373,7 +367,7 @@ def _split(spec, piece, e, orthogonal_mode, seed, budget):
     h1 = column_space(f)
     h2 = (orthogonal_complement(h1, spec.metric.restrict(piece))
           if orthogonal_mode else kernel(f))
-    a = _pivot_rows(e, piece)
+    a = select_rows(e, piece.pivots)
     out = []
     for sub, qs in zip((h1, h2), _factor_projections(k, (h1, h2), None)):
         out.extend(_split(spec, _to_ambient(piece, sub),
@@ -386,22 +380,15 @@ def _factor_projections(n, factors, g0):
     """The projection onto each factor along the others and g0: its basis
     as columns times its block of rows of S⁻¹, for S all the bases as
     columns.  The one direct-sum test: CertificateError unless they sum
-    directly to the space.
-
-    S is built from the basis images, so it is the true S times the
-    diagonal of each piece's image denominator D_p, and the block of true
-    S⁻¹ rows for a piece is D_p times its block of the built S⁻¹."""
+    directly to the space."""
     pieces = list(factors) + ([g0] if g0 is not None else [])
-    rows = [r for p in pieces for r in p.basis.image()[1]]
-    s = Mat.from_image(1, rows, (len(rows), n)).transpose()
+    s = stack_rows([p.basis for p in pieces], n).transpose()
     _req(s.shape == (n, n) and s.rank() == n,
          "pieces do not sum directly to the whole space")
-    (d, sinv), out, at = s.inverse().image(), [], 0
+    sinv, out, at = s.inverse(), [], 0
     for f in factors:
-        df = f.basis.image()[0]
-        block = Mat.from_image(d, [[df * x for x in r]
-                                   for r in sinv[at:at + f.dim]], (f.dim, n))
-        out.append(f.basis.transpose() @ block)
+        out.append(f.basis.transpose()
+                   @ select_rows(sinv, range(at, at + f.dim)))
         at += f.dim
     return out
 
@@ -722,12 +709,13 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
 
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """Basis of a factor F adapted to its annihilator: first k vectors span
-    Ann_R ∩ F (isotropic), the next s−k diagonalize a complement of it
-    inside ∇FF, the last k are dual partners (⟨X_i, Y_p⟩ = δ_ip, isotropic
-    among themselves, orthogonal to the diagonal block)."""
+    """Basis of a factor F adapted to its annihilator, the rows of the Mat
+    `vectors`: the first k rows span Ann_R ∩ F (isotropic), the next s−k
+    diagonalize a complement of it inside ∇FF, the last k are dual
+    partners (⟨X_i, Y_p⟩ = δ_ip, isotropic among themselves, orthogonal to
+    the diagonal block)."""
 
-    vectors: tuple
+    vectors: Mat
     k: int
     s: int
     diagonal: tuple
@@ -749,31 +737,23 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
         "isotropic annihilator must sit inside the nabla span"
     k = a_f.dim
     s = nff.dim
-    ann_vecs = list(a_f.rows)
 
+    blocks, diag_norms = [a_f.basis], ()
     w = subspace_complement(a_f, within=nff)
-    lines = _diag_lines(spec, w) if w.dim else []
-    diag_vecs = [v for v, _ in lines]
-    diag_norms = [d for _, d in lines]
-
-    targets = ann_vecs + diag_vecs        # the s constraint vectors
-    dual_vecs = []
+    if w.dim:
+        lines, diag_norms = _diag_lines(spec, w)
+        blocks.append(lines)
     dim, fb = factor.dim, factor.basis
     if k:
-        # a[t][r] = ⟨t, f_r⟩ for the targets t and the basis rows f_r
-        a = Mat.from_rows(targets, spec.dim) @ form.gram @ fb.transpose()
-        xs = []
-        for p in range(k):
-            x = solve(a, [Fraction(1 if q == p else 0) for q in range(s)])
-            assert x is not None, "dual partner system must be solvable"
-            xs.append(x)
+        # a[t][r] = ⟨t, f_r⟩ for the s constraint rows t and basis rows f_r
+        a = stack_rows(blocks, spec.dim) @ form.gram @ fb.transpose()
+        xs = [solve(a, [int(q == p) for q in range(s)]) for p in range(k)]
+        assert None not in xs, "dual partner system must be solvable"
         raw = Mat.from_rows(xs, dim) @ fb
-        dual_vecs = list(
-            (raw - _isotropic_correction(raw, form, a_f.basis)).entries)
+        blocks.append(raw - _isotropic_correction(raw, form, a_f.basis))
 
-    vectors = tuple(ann_vecs + diag_vecs + dual_vecs)
-    assert len(vectors) == dim
-    vm = Mat.from_rows(vectors, spec.dim)
+    vm = stack_rows(blocks, spec.dim)
+    assert vm.nrows == dim
     gram = vm @ form.gram @ vm.transpose()
     # the adapted pattern: X_p pairs with Y_p, the diagonal block its norms
     expect = [[0] * dim for _ in range(dim)]
@@ -783,8 +763,8 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
         expect[p][p] = norm
     assert gram == Mat.from_rows(expect, dim), \
         "adapted basis pairing pattern violated"
-    return AdaptedBasis(vectors=vectors, k=k, s=s,
-                        diagonal=tuple(diag_norms), pairings=gram)
+    return AdaptedBasis(vectors=vm, k=k, s=s, diagonal=diag_norms,
+                        pairings=gram)
 
 
 def _isotropic_correction(m: Mat, form, ann: Mat) -> Mat:
@@ -800,35 +780,36 @@ def _isotropic_correction(m: Mat, form, ann: Mat) -> Mat:
 
 def _diag_lines(spec, factor):
     """Orthogonal line decomposition of a nondegenerate subspace (an inert
-    factor, or an adapted basis's diagonal block), with norms: the rows of
-    P·B, for B its basis and P diagonalizing the form on B's rows."""
+    factor, or an adapted basis's diagonal block): (P·B, norms), for B its
+    basis and P diagonalizing the form on B's rows; row p of P·B has norm
+    norms[p]."""
     dg = congruent_diagonalize(spec.metric.restrict(factor))
     assert all(dg.diagonal)
-    return list(zip((dg.basis_change @ factor.basis).entries, dg.diagonal))
+    return dg.basis_change @ factor.basis, dg.diagonal
 
 
 def _inert_pair_map(spec, f_a, f_b):
-    """Source/image vector pairs for an inert factor pair; None if
-    impossible.  Two norms are in one square class exactly when their
-    ratio is a rational square, an equivalence relation, so each line of
-    f_a takes the first unused line of f_b in its class: a pairing exists
-    exactly when the class multisets agree, and no norm is factored."""
-    lb = _diag_lines(spec, f_b)
-    if len(lb) != f_a.dim:
+    """(sources, images) for an inert factor pair, Mats whose rows pair
+    off; None if impossible.  Two norms are in one square class exactly
+    when their ratio is a rational square, an equivalence relation, so each
+    line of f_a takes the first unused line of f_b in its class, scaled by
+    the square root of that ratio: a pairing exists exactly when the class
+    multisets agree, and no norm is factored."""
+    lb, nb = _diag_lines(spec, f_b)
+    if lb.nrows != f_a.dim:
         return None
-    sources = []
+    la, na = _diag_lines(spec, f_a)
+    free = list(range(lb.nrows))   # the unused lines of f_b
     images = []
-    for va, da in _diag_lines(spec, f_a):
-        for at, (vb, db) in enumerate(lb):
-            lam = rational_sqrt(da / db)
+    for da in na:
+        for at, q in enumerate(free):
+            lam = rational_sqrt(da / nb[q])
             if lam is not None:
                 break
         else:
             return None
-        del lb[at]
-        sources.append(va)
-        images.append(vec_scale(lam, vb))
-    return sources, images
+        images.append(select_rows(lb, (free.pop(at),)).scale(lam))
+    return la, stack_rows(images, spec.dim)
 
 
 def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
@@ -857,7 +838,7 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     matching, _, pair_maps = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
     onto_b = dec_b.certificate.splitting_idempotents
-    sources = []
+    sources = []   # Mats of source rows, and of their images row for row
     images = []
 
     to_g0_b = Mat.identity(n)   # onto dec_b's g0 along its factors
@@ -867,9 +848,8 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     for i, j in matching:
         nff = nabla_span(conn, fa[i], fa[i])
         if fa[i] == fb[j]:
-            for x in fa[i].rows:
-                sources.append(x)
-                images.append(x)
+            sources.append(fa[i].basis)
+            images.append(fa[i].basis)
             continue
         if nff.dim == 0:
             # F meets nothing under ∇ (∇FF = 0, factors do not interact,
@@ -878,8 +858,8 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
             if pair is None:
                 failed_inert.append((i, j))
                 continue
-            sources.extend(pair[0])
-            images.extend(pair[1])
+            sources.append(pair[0])
+            images.append(pair[1])
             continue
         # active pair: shared subspaces + adapted basis + corrections
         _req(nff == nabla_span(conn, fb[j], fb[j]),
@@ -889,15 +869,15 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
              "matched factors do not share their annihilator")
         ab = adapted_basis(spec, fa[i])
         k, s = ab.k, ab.s
-        for x in ab.vectors[:s]:
-            sources.append(x)
-            images.append(x)    # the shared block maps identically
+        shared = select_rows(ab.vectors, range(s))
+        sources.append(shared)
+        images.append(shared)    # the shared block maps identically
         if k:
-            duals = Mat.from_rows(ab.vectors[s:], n)
+            duals = select_rows(ab.vectors, range(s, s + k))
             fix = _isotropic_correction(duals @ to_g0_b.transpose(), form,
-                                        Mat.from_rows(ab.vectors[:k], n))
-            sources.extend(duals.entries)
-            images.extend((duals @ onto_b[j].transpose() + fix).entries)
+                                        select_rows(ab.vectors, range(k)))
+            sources.append(duals)
+            images.append(duals @ onto_b[j].transpose() + fix)
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
         return Unsupported(
@@ -908,14 +888,13 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
              and dec_a.g0.dim == dec_b.g0.dim, "g0 blocks do not match")
         # u's g0_b part along dec_b's factors is its part along rad ⊕ g0_b:
         # rad = Ann_R ∩ ∇gg lies in the sum of those factors
-        for u in dec_a.g0.rows:
-            sources.append(u)
-            images.append(to_g0_b.apply(u))
+        sources.append(dec_a.g0.basis)
+        images.append(dec_a.g0.basis @ to_g0_b.transpose())
 
-    sm = Mat.from_rows(sources, n)
+    sm = stack_rows(sources, n)
     _req(sm.shape == (n, n) and sm.rank() == n,
          "isometry sources do not form a basis")
-    tm = Mat.from_rows(images, n)
+    tm = stack_rows(images, n)
     m = tm.transpose() @ sm.transpose().inverse()
     _req(m.rank() == n, "constructed map is singular")
     mt = m.transpose()   # row i: m·e_i

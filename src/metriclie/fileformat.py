@@ -40,7 +40,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .algebra import MODE_BRACKET, MODE_CONNECTION, AlgebraSpec
@@ -83,11 +82,6 @@ def _ratio(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     _fail(f"not a rational scalar: {value!r}")
-
-
-def parse_rational(value):
-    """A document scalar as a Fraction."""
-    return Fraction(*_ratio(value))
 
 
 def _minus(v):

@@ -11,13 +11,13 @@ A `Mat` holds one canonical integer image: a denominator D > 0 and integer
 rows A with gcd(D, every entry of A) = 1, the matrix being A/D.  Equal
 matrices have equal images, so equality and hashing compare images.
 Products, sums, scaling, transposes, traces, ranks, inverses, RREF, trace
-forms and minimal polynomials run on the image in plain ints.  A Mat built
-from Fractions (`AlgebraSpec.build`, user input) keeps them and computes
-its image on first arithmetic use; a Mat made from an image (the parse,
-which reads integer pairs, and all arithmetic) keeps only the image and
-builds its `entries`, tuples of Fractions, on first read.  A structure's
-tables (bracket, connection, curvature) are such Mats, one row per index
-pair or triple, and are stored in no other form.
+forms and minimal polynomials run on the image in plain ints.  A Mat
+holds only its image, made when it is built (`Mat(entries, shape)`
+refuses a float), and builds its `entries`, tuples of Fractions, on first
+read.  A structure's tables (bracket, connection, curvature) and every
+block of vectors are such Mats, one row per index pair, triple or vector:
+`stack_rows` puts the rows of several Mats over the lcm of their
+denominators, and `select_rows` slices rows from a Mat's image.
 
 Vectors are plain tuples of Fractions (integer vectors are accepted where
 only their span or direction counts).  A subspace's basis is canonical
@@ -75,10 +75,6 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_scale(k, a):
-    return tuple(k * x for x in a)
-
-
 def _common_ints(rows):
     """(D, ints): rows of Fractions (or ints) as integer rows over the lcm
     D of every entry's denominator (`_over_lcm`).  A float has a ratio
@@ -118,10 +114,10 @@ def _row_times(w, rows, n):
 
 class Mat:
     """Immutable rational matrix; `shape` is explicit so 0-row matrices keep
-    their column count.  `Mat(entries, shape)` takes rows of Fractions and
-    keeps them; `image()` is the canonical (D, integer rows) that the
-    arithmetic runs on (module docstring).  Images are shared between
-    matrices and must not be mutated."""
+    their column count.  `Mat(entries, shape)` takes rows of Fractions or
+    ints and keeps only their canonical image, the (D, integer rows) that
+    `image()` returns and the arithmetic runs on (module docstring).
+    Images are shared between matrices and must not be mutated."""
 
     __slots__ = ("shape", "_entries", "_den", "_ints")
 
@@ -131,8 +127,8 @@ class Mat:
         for row in entries:
             assert len(row) == c
         self.shape = shape
-        self._entries = entries
-        self._den = self._ints = None
+        self._entries = None
+        self._den, self._ints = _common_ints(entries)
 
     @classmethod
     def from_image(cls, den, ints, shape):
@@ -150,8 +146,6 @@ class Mat:
 
     def image(self):
         """(D, A): the matrix is A/D, D > 0, gcd(D, entries of A) = 1."""
-        if self._ints is None:
-            self._den, self._ints = _common_ints(self._entries)
         return self._den, self._ints
 
     @property
@@ -280,6 +274,24 @@ def row_apply(v, m: Mat):
     assert len(v) == m.nrows
     (d, a), (dv, (w,)) = m.image(), _common_ints([v])
     return _fractions(_row_times(w, a, m.ncols), d * dv)
+
+
+def stack_rows(mats, ncols):
+    """The Mat of the rows of `mats` in turn, each of ncols columns, over
+    the lcm of their image denominators."""
+    d = math.lcm(*(m.image()[0] for m in mats))
+    rows = []
+    for m in mats:
+        dm, a = m.image()
+        rows.extend(a if dm == d else [[d // dm * x for x in r] for r in a])
+    return Mat.from_image(d, rows, (len(rows), ncols))
+
+
+def select_rows(m: Mat, indices):
+    """The Mat of m's rows at `indices`, in that order, sliced from its
+    image."""
+    d, a = m.image()
+    return Mat.from_image(d, [a[i] for i in indices], (len(indices), m.ncols))
 
 
 def table_apply(t: Mat, *vectors):
@@ -701,8 +713,8 @@ class SymForm:
     def __post_init__(self):
         if not self.gram.is_square:
             raise ValueError("gram matrix must be square")
-        # symmetry does not see scale: test the rows the Mat already holds
-        e = self.gram._entries or self.gram.image()[1]
+        # symmetry does not see scale: test the image rows
+        e = self.gram.image()[1]
         if any(e[i][j] != e[j][i] for i in range(self.dim) for j in range(i)):
             raise ValueError("gram matrix must be symmetric")
 

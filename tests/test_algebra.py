@@ -350,24 +350,31 @@ def test_nonzero_bracket_of_a_vector_with_itself_is_rejected():
 
 def test_a_float_in_a_table_is_refused_at_construction():
     """A float anywhere in a bracket or connection table raises TypeError
-    from the constructor, from `build` and from `from_connection`, held
-    among Fractions where no arithmetic has yet reached it."""
+    on every construction path: the table's Mat refuses it, held among
+    Fractions, before the constructor, `from_connection` or `build` can
+    take it."""
     f = Fraction
     names = ("a", "b")
     form = SymForm(Mat.identity(2))
     zero = (f(0), f(0))
-    floated = Mat(((0.5, f(0)), zero, zero, zero), (4, 2))   # Γ_aa = ½a
-    brackets = Mat(((0.0, f(0)), zero, zero, zero), (4, 2))
+
+    def floated():   # Γ_aa = ½a
+        return Mat(((0.5, f(0)), zero, zero, zero), (4, 2))
+
+    def brackets():
+        return Mat(((0.0, f(0)), zero, zero, zero), (4, 2))
     with pytest.raises(TypeError, match="floating-point"):
-        AlgebraSpec(2, names, brackets, form)
+        AlgebraSpec(2, names, brackets(), form)
     with pytest.raises(TypeError, match="floating-point"):
         AlgebraSpec(2, names, Mat.zeros(4, 2), form, mode="connection",
-                    connection_table=floated)
+                    connection_table=floated())
     with pytest.raises(TypeError, match="floating-point"):
-        AlgebraSpec(2, names, brackets, form, mode="connection",
+        AlgebraSpec(2, names, brackets(), form, mode="connection",
                     connection_table=Mat.zeros(4, 2))
     with pytest.raises(TypeError, match="floating-point"):
-        AlgebraSpec.from_connection(names, floated, form)
+        AlgebraSpec.from_connection(names, floated(), form)
+    with pytest.raises(TypeError, match="floating-point"):
+        Mat.from_rows(((f(0), 0.5),))
     with pytest.raises(TypeError, match="floating-point"):
         AlgebraSpec.build(names, brackets={("a", "b"): {"a": 0.5}},
                           metric={("a", "a"): 1, ("b", "b"): 1})

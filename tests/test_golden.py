@@ -1,7 +1,6 @@
 """Golden machine output: the exit code and the SHA-256 of the
 `--format json` stdout of every analysis command on every catalog entry,
-with the default seed and budget.  `compare` and `isometry` run on the
-entries of dimension at most 5 only (the larger ones cost seconds each).
+with the default seed and budget.
 
 The digests live in `golden_cli.json` next to this file.  A change that
 alters machine output on purpose records them again with
@@ -19,19 +18,15 @@ import io
 import json
 import pathlib
 
-from metriclie.catalog import catalog_get, catalog_list
+from metriclie.catalog import catalog_list
 from metriclie.cli import COMMANDS, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
-UNIQUENESS_MAX_DIM = 5
 
 
 def golden_cases():
     """(command, catalog name) pairs covered by the golden file."""
-    dims = {name: catalog_get(name).load().spec.dim for name in catalog_list()}
-    return [(cmd, name) for cmd in COMMANDS for name in catalog_list()
-            if cmd not in ("compare", "isometry")
-            or dims[name] <= UNIQUENESS_MAX_DIM]
+    return [(cmd, name) for cmd in COMMANDS for name in catalog_list()]
 
 
 def run_case(command, name):
