@@ -81,8 +81,8 @@ from .linalg import (
     radical,
     rational_sqrt,
     row_space,
+    rref,
     select_rows,
-    solve,
     stack_rows,
     subspace_complement,
     subspace_intersect,
@@ -272,12 +272,6 @@ def _corner(spec, e, piece):
         for t in commutant_of(spec)]), k)
 
 
-def _is_scalar_mat(m):
-    _, a = m.image()
-    return all(x == (a[0][0] if i == j else 0)
-               for i, r in enumerate(a) for j, x in enumerate(r))
-
-
 def _candidate_mats(comm, seed, budget):
     for t in comm:
         yield t
@@ -332,7 +326,7 @@ def _search(comm, seed, budget):
     if r == 1:
         return None, exhausted
     for t in _candidate_mats(comm, seed, budget):
-        if t.is_zero() or _is_scalar_mat(t):
+        if t == Mat.identity(t.nrows).scale(t.trace() / t.nrows):
             continue
         mp = minimal_polynomial(t)
         parts = coprime_split(mp)
@@ -578,13 +572,19 @@ def nabla_span(conn: ConnectionCoeffs, a: Subspace, b: Subspace) -> Subspace:
     return row_space(table_pairs(conn.table, a.basis, b.basis))
 
 
+def _interacts(conn, a, b):
+    """Whether ∇_x y ≠ 0 for some x, y in a and b, in either order."""
+    return not (table_pairs(conn.table, a.basis, b.basis).is_zero()
+                and table_pairs(conn.table, b.basis, a.basis).is_zero())
+
+
 def _match_factors(spec, dec_a, dec_b):
     """Pair the factors: literal equality first, then the unique partner
     with a nonzero ∇-interaction; leftovers (inert factors, ∇FF = 0) are
     paired by dimension, preferring a partner whose diagonal norms pair
     off by rational squares (`_inert_pair_map`).  Returns (matching,
-    matched_by, pair_maps), with each inert factor's pair map (or None)
-    for its chosen partner."""
+    matched_by, pair_maps): an equal factor's pair map is its basis to
+    itself, an inert factor's that of `_inert_pair_map` (or None)."""
     conn = connection_of(spec)
     fa, fb = dec_a.factors, dec_b.factors
     _req(len(fa) == len(fb), "factor counts differ")
@@ -596,11 +596,11 @@ def _match_factors(spec, dec_a, dec_b):
         eq = [j for j in range(len(fb)) if j not in used and fb[j] == f]
         if eq:
             result[i] = (eq[0], "equal")
+            pair_maps[i] = (f.basis, f.basis)
             used.add(eq[0])
             continue
-        nz = [j for j in range(len(fb)) if j not in used
-              and (nabla_span(conn, f, fb[j]).dim > 0
-                   or nabla_span(conn, fb[j], f).dim > 0)]
+        nz = [j for j in range(len(fb))
+              if j not in used and _interacts(conn, f, fb[j])]
         if len(nz) > 1:
             raise CertificateError("factor matching is ambiguous — this "
                                    "contradicts the uniqueness theorem")
@@ -655,14 +655,8 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
                 and s == nabla_span(conn, fb[j], fa[i])):
             nabla_ok = False
 
-    cross_ok = True
-    for i, j in matching:
-        for k, l in matching:
-            if i == k:
-                continue
-            if nabla_span(conn, fa[i], fb[l]).dim > 0 or \
-                    nabla_span(conn, fb[l], fa[i]).dim > 0:
-                cross_ok = False
+    cross_ok = not any(_interacts(conn, fa[i], fb[l])
+                       for i, _ in matching for k, l in matching if k != i)
 
     # the projection onto each B-factor along the rest is its idempotent
     projections = []
@@ -723,13 +717,18 @@ class AdaptedBasis:
 
 
 def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
+    """The `AdaptedBasis` of a strong ideal F, with Ann_R read from the
+    kept `ann_report`.  Dual partner p solves a·x = e_p for the constraint
+    matrix a below and is zero off a's pivot columns P: a has full row
+    rank s, so its RREF transform is the inverse of the pivot block a_P,
+    and x_P is column p of it."""
     conn = connection_of(spec)
     form = spec.metric
     if not is_strong_ideal(factor, conn):
         raise PreconditionError("adapted basis needs a strong ideal")
     if not form.restrict(factor).is_nondegenerate():
         raise PreconditionError("adapted basis needs a nondegenerate factor")
-    a_f = subspace_intersect(ann_r(conn), factor)
+    a_f = subspace_intersect(ann_report(spec).ann_r, factor)
     if not is_isotropic(a_f, form):
         raise PreconditionError("factor annihilator is not isotropic")
     nff = nabla_span(conn, factor, factor)
@@ -746,10 +745,10 @@ def adapted_basis(spec: AlgebraSpec, factor: Subspace) -> AdaptedBasis:
     dim, fb = factor.dim, factor.basis
     if k:
         # a[t][r] = ⟨t, f_r⟩ for the s constraint rows t and basis rows f_r
-        a = stack_rows(blocks, spec.dim) @ form.gram @ fb.transpose()
-        xs = [solve(a, [int(q == p) for q in range(s)]) for p in range(k)]
-        assert None not in xs, "dual partner system must be solvable"
-        raw = Mat.from_rows(xs, dim) @ fb
+        a = rref(stack_rows(blocks, spec.dim) @ form.gram @ fb.transpose())
+        assert a.rank == s, "dual partner system must be solvable"
+        raw = (select_rows(a.transform.transpose(), range(k))
+               @ select_rows(fb, a.pivots))
         blocks.append(raw - _isotropic_correction(raw, form, a_f.basis))
 
     vm = stack_rows(blocks, spec.dim)
@@ -820,7 +819,10 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     both decompositions to be orthogonal; when the annihilators differ the
     uniqueness statement only provides the factor-matching report, not an
     ambient isometry.  Returns the map's Mat, or Unsupported when the only
-    obstruction is irrational norm matching between inert factors."""
+    obstruction is irrational norm matching between inert factors.  Pairs
+    are classed by `_match_factors`: F with ∇FF = 0 meets nothing under ∇
+    (factors do not interact, g0 ⊆ Ann), so only an active pair builds ∇FF.
+    The closing checks verify every map returned."""
     conn = connection_of(spec)
     n = spec.dim
     form = spec.metric
@@ -835,34 +837,23 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         raise PreconditionError(
             "strong-isometry construction needs orthogonal decompositions")
 
-    matching, _, pair_maps = _match_factors(spec, dec_a, dec_b)
+    matching, matched_by, pair_maps = _match_factors(spec, dec_a, dec_b)
     fa, fb = dec_a.factors, dec_b.factors
     onto_b = dec_b.certificate.splitting_idempotents
-    sources = []   # Mats of source rows, and of their images row for row
-    images = []
-
+    maps = []   # (source rows, their images row for row), as Mats
     to_g0_b = Mat.identity(n)   # onto dec_b's g0 along its factors
     for e in onto_b:
         to_g0_b -= e
     failed_inert = []
-    for i, j in matching:
-        nff = nabla_span(conn, fa[i], fa[i])
-        if fa[i] == fb[j]:
-            sources.append(fa[i].basis)
-            images.append(fa[i].basis)
-            continue
-        if nff.dim == 0:
-            # F meets nothing under ∇ (∇FF = 0, factors do not interact,
-            # g0 ⊆ Ann), so `_match_factors` paired it as inert
-            pair = pair_maps[i]
-            if pair is None:
+    for (i, j), how in zip(matching, matched_by):
+        if how != "nabla":   # an equal or inert pair: its pair map
+            if pair_maps[i] is None:
                 failed_inert.append((i, j))
-                continue
-            sources.append(pair[0])
-            images.append(pair[1])
+            else:
+                maps.append(pair_maps[i])
             continue
         # active pair: shared subspaces + adapted basis + corrections
-        _req(nff == nabla_span(conn, fb[j], fb[j]),
+        _req(nabla_span(conn, fa[i], fa[i]) == nabla_span(conn, fb[j], fb[j]),
              "matched factors do not share their nabla span")
         a_f = subspace_intersect(report.ann_r, fa[i])
         _req(a_f == subspace_intersect(report.ann_r, fb[j]),
@@ -870,14 +861,12 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
         ab = adapted_basis(spec, fa[i])
         k, s = ab.k, ab.s
         shared = select_rows(ab.vectors, range(s))
-        sources.append(shared)
-        images.append(shared)    # the shared block maps identically
+        maps.append((shared, shared))   # the shared block maps identically
         if k:
             duals = select_rows(ab.vectors, range(s, s + k))
             fix = _isotropic_correction(duals @ to_g0_b.transpose(), form,
                                         select_rows(ab.vectors, range(k)))
-            sources.append(duals)
-            images.append(duals @ onto_b[j].transpose() + fix)
+            maps.append((duals, duals @ onto_b[j].transpose() + fix))
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)
         return Unsupported(
@@ -888,13 +877,12 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
              and dec_a.g0.dim == dec_b.g0.dim, "g0 blocks do not match")
         # u's g0_b part along dec_b's factors is its part along rad ⊕ g0_b:
         # rad = Ann_R ∩ ∇gg lies in the sum of those factors
-        sources.append(dec_a.g0.basis)
-        images.append(dec_a.g0.basis @ to_g0_b.transpose())
+        maps.append((dec_a.g0.basis, dec_a.g0.basis @ to_g0_b.transpose()))
 
-    sm = stack_rows(sources, n)
+    sm = stack_rows([src for src, _ in maps], n)
     _req(sm.shape == (n, n) and sm.rank() == n,
          "isometry sources do not form a basis")
-    tm = stack_rows(images, n)
+    tm = stack_rows([img for _, img in maps], n)
     m = tm.transpose() @ sm.transpose().inverse()
     _req(m.rank() == n, "constructed map is singular")
     mt = m.transpose()   # row i: m·e_i
@@ -903,10 +891,10 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
     _req(conn.table @ mt == table_pairs(conn.table, mt, mt),
          "constructed map does not respect the connection")
     for i, j in matching:
-        _req(row_space(fa[i].basis @ mt) == fb[j],
+        _req(fa[i].dim == fb[j].dim and fb[j].contains_rows(fa[i].basis @ mt),
              "constructed map does not carry factor to factor")
-    if dec_a.g0 is not None:
-        _req(row_space(dec_a.g0.basis @ mt) == dec_b.g0,
+    if dec_a.g0 is not None:   # the g0 dimensions are checked equal above
+        _req(dec_b.g0.contains_rows(dec_a.g0.basis @ mt),
              "constructed map does not carry g0 to g0")
     return m
 
@@ -928,6 +916,10 @@ class NotApplicable:
 
 
 def flat_riemannian_structure(spec: AlgebraSpec):
+    """Milnor's splitting b ⊕ Ann ⊕ [g, g] of a flat Riemannian structure.
+    Not checked, as implied: ∇_b is skew-adjoint (`connection_of` checks
+    compatibility), [g, g] is an ideal ([e_i, d] is a sum of bracket-table
+    rows), and b = core^⊥ complements core (G is positive definite)."""
     conn = connection_of(spec)
     sig = congruent_diagonalize(spec.metric).signature
     if sig[1] or sig[2]:
@@ -940,28 +932,20 @@ def flat_riemannian_structure(spec: AlgebraSpec):
          "derived subalgebra must equal the nabla span in the flat "
          "Riemannian case")
     a = ann(conn)
-    _req(subspace_intersect(a, derived).dim == 0,
-         "annihilator meets the derived subalgebra")
     core = subspace_sum(a, derived)
+    _req(core.dim == a.dim + derived.dim,
+         "annihilator meets the derived subalgebra")
     b = orthogonal_complement(core, spec.metric)
-    _req(subspace_sum(core, b) == Subspace.full(n)
-         and core.dim + b.dim == n, "orthogonal splitting failed")
     c, gamma, eye = spec.bracket_table, conn.table, Mat.identity(n)
     _req(table_pairs(c, b.basis, b.basis).is_zero(), "b block is not abelian")
     _req(table_pairs(c, derived.basis, derived.basis).is_zero(),
          "derived block is not abelian")
-    _req(derived.contains_rows(table_pairs(c, eye, derived.basis)),
-         "derived block is not an ideal")
     _req(derived.dim % 2 == 0, "derived block has odd dimension")
     _req(2 * b.dim <= derived.dim,
          "skew block too large for the derived block")
     # row p·n + x of table_pairs(Γ, U, I) is ∇_{u_p} e_x
     _req(table_pairs(gamma, core.basis, eye).is_zero(),
          "∇ must vanish for left slots outside b")
-    lu = table_pairs(gamma, b.basis, eye)
-    _req(lu == table_pairs(c, b.basis, eye),
+    _req(table_pairs(gamma, b.basis, eye) == table_pairs(c, b.basis, eye),
          "∇_b must act as the adjoint action")
-    _, low = (lu @ spec.gram).image()   # low[p·n + x][y] ∝ ⟨∇_{u_p}e_x, e_y⟩
-    _req(all(low[p + x][y] == -low[p + y][x] for p in range(0, len(low), n)
-             for x in range(n) for y in range(n)), "∇_b is not skew-adjoint")
     return FlatSplit(b=b, ann=a, derived=derived)

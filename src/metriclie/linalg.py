@@ -119,7 +119,7 @@ class Mat:
     `image()` returns and the arithmetic runs on (module docstring).
     Images are shared between matrices and must not be mutated."""
 
-    __slots__ = ("shape", "_entries", "_den", "_ints")
+    __slots__ = ("shape", "_den", "_ints")
 
     def __init__(self, entries, shape):
         r, c = shape
@@ -127,7 +127,6 @@ class Mat:
         for row in entries:
             assert len(row) == c
         self.shape = shape
-        self._entries = None
         self._den, self._ints = _common_ints(entries)
 
     @classmethod
@@ -141,7 +140,7 @@ class Mat:
             den //= g
             ints = [[x // g for x in r] for r in ints]
         m = cls.__new__(cls)
-        m.shape, m._entries, m._den, m._ints = shape, None, den, ints
+        m.shape, m._den, m._ints = shape, den, ints
         return m
 
     def image(self):
@@ -150,10 +149,8 @@ class Mat:
 
     @property
     def entries(self):
-        """Rows as tuples of Fractions, built from the image on first read."""
-        if self._entries is None:
-            self._entries = tuple(_fractions(r, self._den) for r in self._ints)
-        return self._entries
+        """Rows as tuples of Fractions, built from the image on each read."""
+        return tuple(_fractions(r, self._den) for r in self._ints)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -169,7 +166,7 @@ class Mat:
 
     @staticmethod
     def from_rows(rows, cols=None):
-        rows = tuple(vec(r) for r in rows)
+        rows = tuple(rows)
         if rows:
             width = len(rows[0])
             assert cols is None or cols == width
@@ -200,7 +197,7 @@ class Mat:
         return self.shape[0] == self.shape[1]
 
     def row(self, i):
-        return self.entries[i]
+        return _fractions(self._ints[i], self._den)
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH,
+    for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+
+
 def test_classify_text_output(capsys):
     code, out, err = run(capsys, "classify", "--catalog", "so3_killing_neg")
     assert code == 0
@@ -296,11 +305,7 @@ def test_importing_the_cli_runs_no_library_function():
         sys.setprofile(None)
         print(" ".join(ran))
     """)
-    src = os.path.dirname(os.path.dirname(metriclie.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                 if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
@@ -524,6 +529,17 @@ def test_catalog_list_covers_everything(capsys):
     assert code == 0
     names = [e["name"] for e in json.loads(out)["entries"]]
     assert names == list(catalog_list())
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    """`python -m metriclie` runs the package's __main__, which no other
+    test starts: it exits 0 with the bytes main() prints in-process."""
+    done = subprocess.run(
+        [sys.executable, "-m", "metriclie", "catalog", "list"],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, out, _ = run(capsys, "catalog", "list")
+    assert code == 0 and done.stdout == out
 
 
 def test_catalog_show_without_name_exits_one(capsys):

@@ -17,7 +17,7 @@ from metriclie import (
     strong_ideal_closure,
 )
 from metriclie.catalog import catalog_get
-from metriclie.decompose import nabla_span
+from metriclie.decompose import _interacts, nabla_span
 from metriclie.ideals import ann, ann_r, nabla_gg
 from metriclie.linalg import (
     Mat,
@@ -222,9 +222,9 @@ def _per_vector_nabla_span(conn, a, b):
 
 
 def _check_against_per_vector_definitions(spec, conn, subspaces):
-    """is_strong_ideal, strong_ideal_closure, nabla_span and the Γ table
-    of `restrict` on each subspace (ideals or not); the strong-ideal
-    verdicts seen."""
+    """is_strong_ideal, strong_ideal_closure, nabla_span, `_interacts` and
+    the Γ table of `restrict` on each subspace (ideals or not); the
+    strong-ideal verdicts seen."""
     seen = set()
     for h in subspaces:
         ideal = _per_vector_strong_ideal(h, conn)
@@ -233,6 +233,9 @@ def _check_against_per_vector_definitions(spec, conn, subspaces):
         assert strong_ideal_closure(h, conn) == _per_vector_closure(h, conn)
         for b in (h, subspaces[-1]):
             assert nabla_span(conn, h, b) == _per_vector_nabla_span(conn, h, b)
+            assert _interacts(conn, h, b) == any(
+                any(nabla_apply(conn, x, y)) or any(nabla_apply(conn, y, x))
+                for x in h.rows for y in b.rows)
         if not (ideal and h.dim and spec.metric.restrict(h).is_nondegenerate()):
             with pytest.raises(PreconditionError):
                 restrict(spec, h)

@@ -1059,7 +1059,6 @@ def test_symmetry_is_checked_on_the_rows_the_gram_holds():
                                   [0, 1, 5]]))
     h = Subspace.from_vectors(3, [[1, 1, 0], [0, Fraction(1, 2), 2]])
     sub = form.restrict(h)
-    assert sub.gram._entries is None
     g, b = form.gram.entries, h.rows
     assert sub.gram.entries == tuple(
         tuple(sum((x[i] * g[i][j] * y[j] for i in range(3) for j in range(3)),
