@@ -51,10 +51,12 @@ from .linalg import (
     Mat,
     Subspace,
     SymForm,
+    _as_mats,
     _fractions,
     _row_times,
     independent_rows,
     int_image,
+    mats_span,
     rat,
     select_rows,
     table_apply,
@@ -421,15 +423,41 @@ def restrict(spec: AlgebraSpec, h: Subspace) -> AlgebraSpec:
 def transform_spec(spec: AlgebraSpec, p: Mat) -> AlgebraSpec:
     """The same structure written on the basis whose vectors are the rows
     of p (in old coordinates), its table the integer product
-    `table_pairs(T·P⁻¹, P, P)`.  p must be invertible."""
+    `table_pairs(T·P⁻¹, P, P)`.  p must be invertible.
+
+    A commutant kept on spec is carried, not solved again.  New
+    coordinates y are old ones x = Pᵀ·y, so a map T on old coordinates is
+    P⁻ᵀ·T·Pᵀ on new ones.  The new ∇-operators are the old ones so
+    conjugated (∇ is bilinear: ∇_{p_i} and ∇_·p_j are combinations of the
+    old L_k and R_k), so their commutant is the conjugate of the old one.
+    A subspace has one canonical (RREF) basis, so re-reducing the
+    conjugates gives exactly the basis `commutant` would solve.  Its two
+    checks are kept: the identity lies in the span, and every element
+    commutes with each operator of the new connection's `operator_basis`,
+    derived afresh.  Nothing else is carried: the verifier reads the
+    connection and the annihilator report, and a spec without a kept
+    commutant leaves the copy to solve its own."""
     n = spec.dim
     assert p.shape == (n, n)
     pinv = p.inverse()
-    gram = SymForm(p @ spec.gram @ p.transpose())
+    pt = p.transpose()
+    gram = SymForm(p @ spec.gram @ pt)
     connection = spec.mode == MODE_CONNECTION
     old = spec.connection_table if connection else spec.bracket_table
     # row i·n + j: T(p_i, p_j) in the new coordinates
     table = table_pairs(old @ pinv, p, p)
     if connection:
-        return AlgebraSpec.from_connection(spec.basis_names, table, gram)
-    return AlgebraSpec(n, spec.basis_names, table, gram)
+        new = AlgebraSpec.from_connection(spec.basis_names, table, gram)
+    else:
+        new = AlgebraSpec(n, spec.basis_names, table, gram)
+    if spec._commutant is not None:
+        pit = pinv.transpose()
+        sol = mats_span([pit @ t @ pt for t in spec._commutant], n)
+        assert sol.contains([int(k % (n + 1) == 0) for k in range(n * n)]), \
+            "commutant must contain the identity"
+        comm = _as_mats(sol, n)
+        left, right = operator_basis(connection_of(new))
+        assert all(t @ m == m @ t for t in comm for m in left + right), \
+            "carried commutant must commute with every operator"
+        object.__setattr__(new, "_commutant", comm)
+    return new

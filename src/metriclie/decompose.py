@@ -25,7 +25,8 @@ Either way every element's minimal polynomial is a power of one
 irreducible polynomial, which no coprime split can cut, so there the
 SEARCH_EXHAUSTED detail is proven, not enumerated.  C is solved once per
 structure and kept on it (`commutant_of`), beside its connection and
-annihilator report.  `decompose` carries each piece with the projection
+annihilator report; a re-based copy (`transform_spec`) inherits it by
+conjugation.  `decompose` carries each piece with the projection
 onto it along everything outside it, and splits it while the search on
 its corner of C (`_corner`, its own commutant) finds an idempotent;
 `decomposition_from_factors` searches each supplied factor's corner and
@@ -70,11 +71,13 @@ from .ideals import (
 from .linalg import (
     Mat,
     Subspace,
+    _as_mats,
     column_space,
     congruent_diagonalize,
     _kernel_ints,
     _row_times,
     kernel,
+    mats_span,
     minimal_polynomial,
     orthogonal_complement,
     poly_eval_mat,
@@ -233,14 +236,6 @@ def commutant(conn: ConnectionCoeffs):
     return _as_mats(sol, n)
 
 
-def _as_mats(sol, n):
-    """The rows of a subspace of flattened n×n matrices, sliced from its
-    basis image."""
-    d, rows = sol.basis.image()
-    return tuple(Mat.from_image(d, [r[i * n:(i + 1) * n] for i in range(n)],
-                                (n, n)) for r in rows)
-
-
 def commutant_of(spec: AlgebraSpec):
     """`commutant` of the structure's connection, kept on the spec."""
     if spec._commutant is None:
@@ -267,9 +262,8 @@ def _corner(spec, e, piece):
         return (Mat.identity(1),)
     a = select_rows(e, piece.pivots)
     ht, k = piece.basis.transpose(), piece.dim
-    return _as_mats(Subspace.from_vectors(k * k, [
-        [x for r in (a @ t @ ht).image()[1] for x in r]
-        for t in commutant_of(spec)]), k)
+    return _as_mats(mats_span([a @ t @ ht for t in commutant_of(spec)], k),
+                    k)
 
 
 def _candidate_mats(comm, seed, budget):
@@ -395,9 +389,16 @@ def _pairwise_orthogonal(spec, factors, g0):
 
 
 def _package(spec, pieces, g0, case, note):
-    """Sort the (factor, projection, evidence) pieces, attach the
-    orthogonality flag, and verify the result from scratch."""
-    pieces = sorted(pieces, key=lambda p: (p[0].dim, p[0].basis.entries))
+    """Sort the (factor, projection, evidence) pieces by dimension, then by
+    basis rows, attach the orthogonality flag, and verify the result from
+    scratch.  The rows are compared as integer images over the lcm of
+    their denominators, which orders them as their entries."""
+    den = math.lcm(*(f.basis.image()[0] for f, _, _ in pieces))
+
+    def key(piece):
+        d, rows = piece[0].basis.image()
+        return piece[0].dim, [[x * (den // d) for x in r] for r in rows]
+    pieces = sorted(pieces, key=key)
     factors = tuple(f for f, _, _ in pieces)
     dec = Decomposition(
         factors=factors,
@@ -648,7 +649,9 @@ def compare_decompositions(spec: AlgebraSpec, dec_a: Decomposition,
     dims_ok = all(fa[i].dim == fb[j].dim for i, j in matching)
 
     nabla_ok = True
-    for i, j in matching:
+    for (i, j), how in zip(matching, matched_by):
+        if how == "equal":   # fa[i] == fb[j]: the four spans are one
+            continue
         s = nabla_span(conn, fa[i], fa[i])
         if not (s == nabla_span(conn, fb[j], fb[j])
                 and s == nabla_span(conn, fa[i], fb[j])

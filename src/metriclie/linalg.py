@@ -601,6 +601,21 @@ class Subspace:
         return row_apply(coords, self.basis)
 
 
+def mats_span(mats, n):
+    """The span of n×n Mats as a subspace of Q^(n²), each flattened
+    row-major from its own image (a scale changes no span)."""
+    return Subspace.from_vectors(n * n, [[x for r in m.image()[1] for x in r]
+                                         for m in mats])
+
+
+def _as_mats(sol, n):
+    """The rows of a subspace of flattened n×n matrices, sliced from its
+    basis image."""
+    d, rows = sol.basis.image()
+    return tuple(Mat.from_image(d, [r[i * n:(i + 1) * n] for i in range(n)],
+                                (n, n)) for r in rows)
+
+
 def row_space(m: Mat):
     return Subspace.from_vectors(m.ncols, m.image()[1])
 

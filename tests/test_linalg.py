@@ -17,7 +17,7 @@ from metriclie.algebra import (
     right_ops,
 )
 from metriclie.catalog import catalog_get
-from metriclie.decompose import commutant
+from metriclie.decompose import commutant, commutant_of
 from metriclie.linalg import (
     Mat,
     RrefResult,
@@ -828,11 +828,15 @@ def test_commutant_of_the_twelve_dimensional_generic_sum(rebased,
     """so(3)⊗Q(√2) ⊕ so(3)⊗Q(√3) in a generic basis: the centroid
     Q(√2) × Q(√3).  A guard on cost too: solved one operator at a time this
     takes about a second, and as one system of all 24 operators' conditions
-    it takes minutes."""
-    spec = rebased(so3_over_fields(2, 3))
+    it takes minutes.  The block basis's commutant, kept and carried
+    through the same change of basis, is the basis solved here."""
+    block = so3_over_fields(2, 3)
+    commutant_of(block)
+    spec = rebased(block)
     conn = connection_of(spec)
     comm = commutant(conn)
     assert len(comm) == 4
+    assert spec._commutant == comm
     flat = Subspace.from_vectors(144, [sum(a.entries, ()) for a in comm])
     assert flat.contains(sum(Mat.identity(12).entries, ()))
     ops = left_ops(conn) + right_ops(conn)
