@@ -16,7 +16,6 @@ from .algebra import (
     derive_connection,
     left_op,
     left_ops,
-    nabla_apply,
     restrict,
     right_op,
     right_ops,
@@ -94,7 +93,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MODE_BRACKET", "MODE_CONNECTION", "AlgebraSpec", "ConnectionCoeffs",
     "ValidationReport", "check_torsion_and_compatibility", "connection_of",
-    "derive_connection", "left_op", "left_ops", "nabla_apply", "restrict",
+    "derive_connection", "left_op", "left_ops", "restrict",
     "right_op", "right_ops", "transform_spec", "validate",
     "CatalogEntry", "catalog_get", "catalog_list",
     "ClassificationReport", "CurvatureTensor", "ad_matrix", "classify",

@@ -19,25 +19,24 @@ hands over integer images and `build` Mats of its Fractions; every table
 computed here (`derive_connection`, `restrict`, `transform_spec`, c =
 Γ_ij − Γ_ji in connection mode, made once by the constructor) is an
 integer image, passed on as it is.  Construction tests antisymmetry on
-the image rows, by negation only.  A table applied to two vectors is
-`linalg.table_apply` (T(x, y) = Σ_ij x_i y_j T_ij), and to two bases
-`linalg.table_pairs`, the Mat of T(a_p, b_q) over all pairs of rows
-(`restrict`, `transform_spec`).  Each of the 2n operators L_i =
-∇_{e_i}· and R_j = ∇_·e_j is a selection of Γ's rows, transposed
-(`left_op`, `right_op`); conditions linear in those operators are imposed
-on one basis of their span (`operator_basis`): T keeps the span of H when
-the rows of H·Tᵀ lie in it.  The structure checks are integer multiply-adds
-on the images, each over its denominator D: the Jacobi defect
-D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b [e_b,e_k]); the
-Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with c_ijk =
-(G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and compatibility ⟨Γ_ij,e_k⟩ +
-⟨Γ_ik,e_j⟩ = 0 by the same lowering through G (`skew_defects`, which on c
-is bi-invariance).  A Jacobi defect is kept as its integer row over D²
-(`ValidationReport`); Fractions are built only for the value of a
-nonzero torsion or compatibility defect, and for a table's entries or a
-Jacobi defect when they are read.  `validate` inverts G once, kept on
-the structure's `SymForm` (`SymForm.inverse`), and `derive_connection`
-reads that inverse.
+the image rows, by negation only.  A table applied to two bases is
+`linalg.table_pairs`, the Mat of T(a_p, b_q) = Σ_ij (a_p)_i (b_q)_j T_ij
+over all pairs of rows (`restrict`, `transform_spec`).  Each of the 2n
+operators L_i = ∇_{e_i}· and R_j = ∇_·e_j is a selection of Γ's rows,
+transposed (`left_op`, `right_op`); conditions linear in those operators
+are imposed on one basis of their span (`operator_basis`): T keeps the
+span of H when the rows of H·Tᵀ lie in it.  The structure checks are
+integer multiply-adds on the images, each over its denominator D: the
+Jacobi defect D²·Σ_cyclic Σ_b c_ij^b c_bk ([[e_i,e_j],e_k] = Σ_b c_ij^b
+[e_b,e_k]); the Koszul formula Γ_ij = G⁻¹·½(c_ijk − c_jki + c_kij) with
+c_ijk = (G·c_ij)_k; torsion Γ_ij − Γ_ji − c_ij; and compatibility
+⟨Γ_ij,e_k⟩ + ⟨Γ_ik,e_j⟩ = 0 by the same lowering through G
+(`skew_defects`, which on c is bi-invariance).  A Jacobi defect is kept
+as its integer row over D² (`ValidationReport`); Fractions are built
+only for the value of a nonzero torsion or compatibility defect, and for
+a table's entries or a Jacobi defect when they are read.  `validate`
+inverts G once, kept on the structure's `SymForm` (`SymForm.inverse`),
+and `derive_connection` reads that inverse.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .linalg import (
     mats_span,
     rat,
     select_rows,
-    table_apply,
     table_pairs,
 )
 
@@ -164,16 +162,12 @@ class AlgebraSpec:
     def gram(self):
         return self.metric.gram
 
-    def bracket_apply(self, x, y):
-        """Bilinear extension of the bracket table to coordinate vectors."""
-        return table_apply(self.bracket_table, x, y)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     """The structure checks of `validate`.  Each Jacobi defect is kept as
     its integer row over `jacobi_den` (D² for the bracket table's
-    denominator D); `jacobi_failures` reads them as Fraction vectors."""
+    denominator D)."""
 
     mode: str
     antisymmetry_ok: bool
@@ -187,13 +181,6 @@ class ValidationReport:
     @property
     def jacobi_ok(self):
         return not self.jacobi_defects
-
-    @property
-    def jacobi_failures(self):
-        """((name_i, name_j, name_k), defect vector of Fractions) for each
-        basis triple where the Jacobi identity fails."""
-        return tuple((t, _fractions(r, self.jacobi_den))
-                     for t, r in self.jacobi_defects)
 
 
 def validate(spec: AlgebraSpec) -> ValidationReport:
@@ -244,11 +231,6 @@ class ConnectionCoeffs:
     @property
     def dim(self):
         return self.table.ncols
-
-
-def nabla_apply(conn: ConnectionCoeffs, x, y):
-    """∇_x y for coordinate vectors x, y."""
-    return table_apply(conn.table, x, y)
 
 
 def operator_basis(conn: ConnectionCoeffs):

@@ -31,8 +31,7 @@ The tensor is a table too, the Mat of its n³ vectors (row (i·n + j)·n + k
 = R(e_i,e_j)e_k), held as the image of those sums with the R(e_j,e_i)
 planes negated in ints, and the Ricci sums are a Mat's image: Fractions
 are built only when entries are read.  Bi-invariance and the Killing form
-read the bracket table's image; the tensor applied to vectors is
-`linalg.table_apply`.
+read the bracket table's image.
 R = 0 implies ric = 0, so `classify` builds the O(n⁵) tensor only for a
 Ricci-flat structure; the `curvature` command and
 `decompose.flat_riemannian_structure` build it outright.
@@ -45,7 +44,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraSpec, MODE_BRACKET, connection_of, skew_defects
 from .linalg import (Mat, Subspace, int_image, row_space, select_rows,
-                     table_apply, table_pairs, trace_form)
+                     table_pairs, trace_form)
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class CurvatureTensor:
     @property
     def dim(self):
         return self.table.ncols
-
-    def apply(self, x, y, z):
-        return table_apply(self.table, x, y, z)
 
     def is_zero(self):
         return self.table.is_zero()

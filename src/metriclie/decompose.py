@@ -855,20 +855,23 @@ def build_strong_isometry(spec: AlgebraSpec, dec_a: Decomposition,
             else:
                 maps.append(pair_maps[i])
             continue
-        # active pair: shared subspaces + adapted basis + corrections
-        _req(nabla_span(conn, fa[i], fa[i]) == nabla_span(conn, fb[j], fb[j]),
-             "matched factors do not share their nabla span")
-        a_f = subspace_intersect(report.ann_r, fa[i])
-        _req(a_f == subspace_intersect(report.ann_r, fb[j]),
-             "matched factors do not share their annihilator")
+        # active pair: shared subspaces + adapted basis + corrections; the
+        # adapted basis's first s rows span ∇FF, its first k Ann_R ∩ F
         ab = adapted_basis(spec, fa[i])
         k, s = ab.k, ab.s
         shared = select_rows(ab.vectors, range(s))
+        isotropic = select_rows(ab.vectors, range(k))
+        nff_b = nabla_span(conn, fb[j], fb[j])
+        _req(nff_b.dim == s and nff_b.contains_rows(shared),
+             "matched factors do not share their nabla span")
+        a_fb = subspace_intersect(report.ann_r, fb[j])
+        _req(a_fb.dim == k and a_fb.contains_rows(isotropic),
+             "matched factors do not share their annihilator")
         maps.append((shared, shared))   # the shared block maps identically
         if k:
             duals = select_rows(ab.vectors, range(s, s + k))
             fix = _isotropic_correction(duals @ to_g0_b.transpose(), form,
-                                        select_rows(ab.vectors, range(k)))
+                                        isotropic)
             maps.append((duals, duals @ onto_b[j].transpose() + fix))
     if failed_inert:
         pairs = ", ".join(f"{i}->{j}" for i, j in failed_inert)

@@ -19,26 +19,23 @@ block of vectors are such Mats, one row per index pair, triple or vector:
 `stack_rows` puts the rows of several Mats over the lcm of their
 denominators, and `select_rows` slices rows from a Mat's image.
 
-Vectors are plain tuples of Fractions (integer vectors are accepted where
-only their span or direction counts).  A subspace's basis is canonical
-(RREF, no zero rows), so two equal subspaces compare equal as values; it
-is a Mat whose image is the primitive integer RREF rows, each scaled to
-the lcm of the pivot entries.  Membership, reduction and coordinates are
-one integer contraction against that image.
+Vectors travel in blocks, as the rows of a Mat.  A subspace's basis is
+canonical (RREF, no zero rows), so two equal subspaces compare equal as
+values; it is a Mat whose image is the primitive integer RREF rows, each
+scaled to the lcm of the pivot entries.  Membership is one integer
+contraction against that image (`Subspace.contains` tests one vector of
+Fractions or ints).
 
-Every elimination (RREF and its transform, inverse, rank, kernel, solve,
+Every elimination (RREF and its transform, inverse, rank, kernel,
 subspaces, the Krylov sequences of `minimal_polynomial`) runs through one
 integer echelon, built a row at a time by `_echelon_add`, and `_rref_rows`
 returns each canonical row as a primitive integer row, positive at its
 pivot.  These take integer rows only: Fraction vectors are converted in
 one place, `Subspace.from_vectors`.  Congruent diagonalization, being
 symmetric, eliminates outside that echelon, and on integer rows too.
-There is one contraction kernel: a sum of rows of a Mat weighted by a vector
-(`row_apply`, `Mat.apply`, `SymForm.pair`, a product's rows), or by the
-products of several vectors (`table_apply`, the multilinear extension of
-a table held as the Mat of its flattened vectors), runs as integer
-multiply-adds on the images; a vector result builds one Fraction
-per nonzero coordinate.  Bases go through a table as matrices:
+There is one contraction kernel, `_row_times`: a sum of integer rows
+weighted by integers, such as a row of a product, runs as integer
+multiply-adds on the images.  Bases go through a table as matrices:
 `table_pairs(t, a, b)` is the Mat of t(a_p, b_q) over all pairs of rows
 (mode-n products; Kolda & Bader, SIAM Rev. 51, 2009), and
 `Subspace.contains_rows` tests a Mat's rows at once.  Whole-table checks
@@ -61,18 +58,6 @@ from .poly import (_NO_FLOATS, poly, poly_deg, poly_divexact, poly_gcd,
                    poly_monic, poly_mul, rat)
 
 _ZERO = Fraction(0)
-
-
-def vec(items):
-    return tuple(rat(x) for x in items)
-
-
-def unit_vec(n, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _common_ints(rows):
@@ -196,12 +181,6 @@ class Mat:
     def is_square(self):
         return self.shape[0] == self.shape[1]
 
-    def row(self, i):
-        return _fractions(self._ints[i], self._den)
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self):
         d, a = self.image()
         rows = [list(c) for c in zip(*a)] if a else [[] for _ in range(self.ncols)]
@@ -241,12 +220,6 @@ class Mat:
         return Mat.from_image(d1 * d2, [_row_times(r, b, n) for r in a],
                               (self.nrows, n))
 
-    def apply(self, v):
-        """Matrix times column vector."""
-        assert len(v) == self.ncols
-        (d, a), (dv, (w,)) = self.image(), _common_ints([v])
-        return _fractions([sum(map(mul, r, w)) for r in a], d * dv)
-
     def trace(self):
         assert self.is_square
         d, a = self.image()
@@ -266,13 +239,6 @@ class Mat:
         return res.transform
 
 
-def row_apply(v, m: Mat):
-    """Row vector times matrix: Σ_k v_k·(row k of m)."""
-    assert len(v) == m.nrows
-    (d, a), (dv, (w,)) = m.image(), _common_ints([v])
-    return _fractions(_row_times(w, a, m.ncols), d * dv)
-
-
 def stack_rows(mats, ncols):
     """The Mat of the rows of `mats` in turn, each of ncols columns, over
     the lcm of their image denominators."""
@@ -289,26 +255,6 @@ def select_rows(m: Mat, indices):
     image."""
     d, a = m.image()
     return Mat.from_image(d, [a[i] for i in indices], (len(indices), m.ncols))
-
-
-def table_apply(t: Mat, *vectors):
-    """Σ x_i y_j … t[(i·k + j)·k + …]: the multilinear extension of a table
-    held as the Mat of its flattened vectors, for vectors of one length k
-    and a table of k^m rows, on the vectors' integer images; a table row
-    is read once per nonzero product of weights."""
-    k = len(vectors[0])
-    assert all(len(v) == k for v in vectors) and t.nrows == k ** len(vectors)
-    d, rows = t.image()
-    terms = [(0, 1)]
-    for v in vectors:
-        dv, (w,) = _common_ints([v])
-        d *= dv
-        n, nz = len(w), [(k, x) for k, x in enumerate(w) if x]
-        terms = [(i * n + k, a * x) for i, a in terms for k, x in nz]
-    acc = [0] * t.ncols
-    for i, a in terms:
-        acc = [s + a * y for s, y in zip(acc, rows[i])]
-    return _fractions(acc, d)
 
 
 def table_pairs(t: Mat, a: Mat, b: Mat) -> Mat:
@@ -537,20 +483,12 @@ class Subspace:
                    pivots)
 
     @classmethod
-    def zero(cls, n):
-        return cls.from_vectors(n, [])
-
-    @classmethod
     def full(cls, n):
         return cls(n, Mat.identity(n), tuple(range(n)))
 
     @property
     def dim(self):
         return self.basis.nrows
-
-    @property
-    def rows(self):
-        return self.basis.entries
 
     def _residual(self, w):
         """D·w − Σ_i w[p_i]·(row i of the basis image), for an integer
@@ -563,16 +501,6 @@ class Subspace:
             if c:
                 r = [x - c * y for x, y in zip(r, row)]
         return r
-
-    def reduce(self, v):
-        """Return (coords, remainder): v - coords·basis = remainder.  The
-        basis is in RREF, so the coordinates are v's pivot entries and the
-        remainder is one integer contraction (`_residual`)."""
-        v = vec(v)
-        assert len(v) == self.ambient_dim
-        dv, (w,) = _common_ints([v])
-        return (tuple(v[p] for p in self.pivots),
-                _fractions(self._residual(w), dv * self.basis.image()[0]))
 
     def contains(self, v):
         """v (Fractions or ints) lies in the subspace; membership does not
@@ -588,17 +516,6 @@ class Subspace:
     def contains_subspace(self, other):
         assert other.ambient_dim == self.ambient_dim
         return self.contains_rows(other.basis)
-
-    def coords(self, v):
-        v = vec(v)
-        if not self.contains(v):
-            raise ValueError("vector is not in the subspace")
-        return tuple(v[p] for p in self.pivots)
-
-    def embed(self, coords):
-        """Coordinates w.r.t. the canonical basis -> ambient vector."""
-        assert len(coords) == self.dim
-        return row_apply(coords, self.basis)
 
 
 def mats_span(mats, n):
@@ -662,22 +579,6 @@ def kernel(m: Mat):
     return Subspace.from_vectors(m.ncols, _kernel_ints(m.image()[1], m.ncols))
 
 
-def solve(m: Mat, b):
-    """One solution x of m·x = b, or None if inconsistent: for m = A/D and
-    b = β/d, the canonical rows of [d·A | D·β], whose row r reads
-    r[p]·x_p + (free terms) = r[-1], with the free coordinates 0."""
-    assert len(b) == m.nrows
-    (d, a), (db, (beta,)) = m.image(), _common_ints([vec(b)])
-    rows, pivots = _rref_rows([[db * x for x in r] + [d * y]
-                               for r, y in zip(a, beta)], m.ncols + 1)
-    if m.ncols in pivots:
-        return None
-    x = [_ZERO] * m.ncols
-    for r, p in zip(rows, pivots):
-        x[p] = Fraction(r[-1], r[p])
-    return tuple(x)
-
-
 def subspace_sum(a: Subspace, b: Subspace):
     assert a.ambient_dim == b.ambient_dim
     return Subspace.from_vectors(a.ambient_dim,
@@ -733,13 +634,6 @@ class SymForm:
     @property
     def dim(self):
         return self.gram.nrows
-
-    def pair(self, x, y):
-        """xᵀ·G·y, one integer contraction over x and y's images."""
-        assert len(x) == len(y) == self.dim
-        (d, g), (dv, (a, b)) = self.gram.image(), _common_ints([x, y])
-        return Fraction(sum(map(mul, _row_times(a, g, self.dim), b)),
-                        d * dv * dv)
 
     def inverse(self):
         """G⁻¹, or None when G is singular: one elimination on first use,

@@ -19,7 +19,6 @@ from metriclie import (
     is_strong_ideal,
     killing_form,
     left_ops,
-    nabla_apply,
     restrict,
     ricci,
     right_ops,
@@ -36,11 +35,13 @@ from metriclie.linalg import (
     column_space,
     kernel,
     orthogonal_complement,
-    row_apply,
-    unit_vec,
+    row_space,
+    select_rows,
 )
 
 import importlib.resources
+
+from oracles import mat_vec, pair, table_at, unit
 
 
 def test_c01_derived_connection_satisfies_the_two_defining_laws(loaded):
@@ -53,14 +54,15 @@ def test_c01_derived_connection_satisfies_the_two_defining_laws(loaded):
             continue
         n = spec.dim
         gamma = conn.table.entries   # row i·n + j = ∇_{e_i} e_j
+        g = spec.gram.entries
         for i in range(n):
             for j in range(n):
                 diff = tuple(a - b for a, b in zip(gamma[i * n + j],
                                                    gamma[j * n + i]))
-                assert diff == spec.bracket_table.row(i * n + j), name
+                assert diff == spec.bracket_table.entries[i * n + j], name
                 for k in range(n):
-                    lhs = spec.metric.pair(gamma[i * n + j], unit_vec(n, k))
-                    rhs = spec.metric.pair(unit_vec(n, j), gamma[i * n + k])
+                    lhs = pair(g, gamma[i * n + j], unit(n, k))
+                    rhs = pair(g, unit(n, j), gamma[i * n + k])
                     assert lhs + rhs == 0, name
         checked += 1
     assert checked >= 12
@@ -76,7 +78,7 @@ def test_c02_right_annihilator_equals_nabla_orthocomplement(loaded):
 def test_c03_strong_ideals_control_their_orthocomplements(loaded, decomposed):
     seen = 0
     for name, (spec, conn) in loaded.items():
-        n = spec.dim
+        n, gamma = spec.dim, conn.table.entries
         candidates = list(decomposed[name].factors)
         if decomposed[name].g0 is not None:
             candidates.append(decomposed[name].g0)
@@ -84,11 +86,11 @@ def test_c03_strong_ideals_control_their_orthocomplements(loaded, decomposed):
         for h in candidates:
             assert is_strong_ideal(h, conn), name
             hp = orthogonal_complement(h, spec.metric)
-            for w in hp.rows:
+            for w in hp.basis.entries:
                 for i in range(n):
-                    assert hp.contains(nabla_apply(conn, unit_vec(n, i), w)), name
-                for v in h.rows:
-                    assert all(c == 0 for c in nabla_apply(conn, v, w)), name
+                    assert hp.contains(table_at(gamma, unit(n, i), w)), name
+                for v in h.basis.entries:
+                    assert not any(table_at(gamma, v, w)), name
             seen += 1
     assert seen >= 15
 
@@ -107,8 +109,8 @@ def test_c04_biinvariant_identities_flatness_and_ricci_flatness(loaded):
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                assert conn.table.row(i * n + j) == tuple(
-                    x / 2 for x in spec.bracket_table.row(i * n + j)), name
+                assert conn.table.entries[i * n + j] == tuple(
+                    x / 2 for x in spec.bracket_table.entries[i * n + j]), name
         ric = ricci(spec)
         k = killing_form(spec)
         for i in range(n):
@@ -140,11 +142,10 @@ def test_c05_einstein_constants_of_the_simple_entries(loaded):
 def test_c06_nonorthogonal_eight_dim_reproduction(loaded, decomposed):
     spec, _ = loaded["nonorthogonal8"]
     rep = ann_report(spec)
-    assert rep.ann_r == Subspace.from_vectors(
-        8, [unit_vec(8, i) for i in (0, 1, 4, 5)])      # X1 X2 Y1 Y2
+    eye = Mat.identity(8)
+    assert rep.ann_r == row_space(select_rows(eye, (0, 1, 4, 5)))  # X1 X2 Y1 Y2
     assert rep.isotropic
-    assert rep.ann == Subspace.from_vectors(
-        8, [unit_vec(8, i) for i in (1, 5)])            # X2 Y2
+    assert rep.ann == row_space(select_rows(eye, (1, 5)))          # X2 Y2
     dec = decomposed["nonorthogonal8"]
     assert sorted(f.dim for f in dec.factors) == [4, 4]
     assert dec.orthogonal is False
@@ -157,16 +158,16 @@ def test_c06_nonorthogonal_eight_dim_reproduction(loaded, decomposed):
     assert cmp_rep.cross_vanishing_ok
     assert all(cmp_rep.strong_hom_ok) and all(cmp_rep.isometric)
 
-    x4 = unit_vec(8, 3)
-    y4 = unit_vec(8, 7)
+    x4 = unit(8, 3)
+    y4 = unit(8, 7)
     (kx,) = [t for t, (i, _) in enumerate(cmp_rep.matching)
              if dec.factors[i].contains(x4)]
     (ky,) = [t for t, (i, _) in enumerate(cmp_rep.matching)
              if dec.factors[i].contains(y4)]
-    p1_x4 = cmp_rep.projections[kx].apply(x4)
-    p2_y4 = cmp_rep.projections[ky].apply(y4)
-    assert spec.metric.pair(p1_x4, p2_y4) == 1
-    assert spec.metric.pair(x4, y4) == 1
+    p1_x4 = mat_vec(cmp_rep.projections[kx].entries, x4)
+    p2_y4 = mat_vec(cmp_rep.projections[ky].entries, y4)
+    assert pair(spec.gram.entries, p1_x4, p2_y4) == 1
+    assert pair(spec.gram.entries, x4, y4) == 1
 
 
 def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
@@ -181,8 +182,7 @@ def test_c07_uniqueness_under_twenty_random_basis_changes(loaded, decomposed):
         for _ in range(20):
             p = _random_basis_change(n, rng)
             dec_t = decompose(transform_spec(spec, p))
-            mapped = {Subspace.from_vectors(
-                n, [row_apply(w, p) for w in f.rows]) for f in dec_t.factors}
+            mapped = {row_space(f.basis @ p) for f in dec_t.factors}
             assert mapped == canonical, name
         tested += 1
     assert tested == 4   # heisenberg, so3, sl2, so3 x so3
@@ -205,13 +205,13 @@ def test_c09_filtration_chain_of_the_flat_motion_algebra(loaded):
     ch = filtration(spec)
     assert len(ch.chain) == 2
     assert ch.chain[0] == Subspace.full(3)
-    assert ch.chain[1] == Subspace.from_vectors(
-        3, [unit_vec(3, 1), unit_vec(3, 2)])     # span{u1, u2}
+    assert ch.chain[1] == row_space(
+        select_rows(Mat.identity(3), (1, 2)))     # span{u1, u2}
     for cur, nxt in zip(ch.chain, ch.chain[1:]):
         assert is_strong_ideal(nxt, conn)
-        for x in cur.rows:                        # abelian quotient
-            for y in cur.rows:
-                assert nxt.contains(spec.bracket_apply(x, y))
+        for x in cur.basis.entries:               # abelian quotient
+            for y in cur.basis.entries:
+                assert nxt.contains(table_at(spec.bracket_table.entries, x, y))
     assert [h.dim for h in ch.h_blocks] == [1]
 
 
@@ -223,13 +223,14 @@ def test_c10_flat_riemannian_splitting(loaded):
     bracket_span = Subspace.from_vectors(3, spec.bracket_table.entries)
     assert split.derived == bracket_span
     assert split.derived == nabla_gg(conn)
-    for v in split.b.rows:
-        ad = Mat.from_rows([spec.bracket_apply(v, unit_vec(3, i))
-                            for i in range(3)], 3).transpose()
+    g = spec.gram.entries
+    for v in split.b.basis.entries:
+        ad = Mat.from_rows([table_at(spec.bracket_table.entries, v, unit(3, i))
+                            for i in range(3)], 3).transpose().entries
         for i in range(3):
             for j in range(3):
-                lhs = spec.metric.pair(ad.apply(unit_vec(3, i)), unit_vec(3, j))
-                rhs = spec.metric.pair(unit_vec(3, i), ad.apply(unit_vec(3, j)))
+                lhs = pair(g, mat_vec(ad, unit(3, i)), unit(3, j))
+                rhs = pair(g, unit(3, i), mat_vec(ad, unit(3, j)))
                 assert lhs + rhs == 0
     assert 2 * split.b.dim <= split.derived.dim
 

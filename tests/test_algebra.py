@@ -15,7 +15,6 @@ from metriclie import (
     derive_connection,
     is_strong_ideal,
     left_ops,
-    nabla_apply,
     restrict,
     right_ops,
     transform_spec,
@@ -27,9 +26,10 @@ from metriclie.linalg import (
     Mat,
     SymForm,
     Subspace,
-    unit_vec,
-    vec_add,
+    row_space,
+    select_rows,
 )
+from oracles import table_at, unit
 
 
 # an integer in [-2, 2] over a denominator 1, 2 or 3
@@ -216,10 +216,10 @@ def test_transform_spec_moves_the_metric_by_congruence(loaded):
     pinv = p.inverse()
     for i in range(n):
         for j in range(n):
-            old = nabla_apply(conn, p.row(i), p.row(j))
+            old = table_at(conn.table.entries, p.entries[i], p.entries[j])
             back = tuple(sum((old[a] * pinv.entries[a][b] for a in range(n)),
                              Fraction(0)) for b in range(n))
-            assert tconn.table.row(i * n + j) == back
+            assert tconn.table.entries[i * n + j] == back
 
 
 def test_restricting_a_factor_rederives_its_connection(shipped_and_generic,
@@ -271,7 +271,7 @@ def test_a_rebased_or_restricted_structure_images_no_table_again(
 
 def test_restrict_rejects_non_ideals(loaded):
     spec, _ = loaded["heisenberg3_euclid"]
-    h = Subspace.from_vectors(3, [unit_vec(3, 2)])
+    h = Subspace.from_vectors(3, [unit(3, 2)])
     with pytest.raises(PreconditionError):
         restrict(spec, h)
 
@@ -280,13 +280,13 @@ def test_validate_flags_jacobi_failures(loaded):
     spec, _ = loaded["nonorthogonal8"]
     rep = validate(spec)
     assert not rep.jacobi_ok
-    triples = {t for t, _ in rep.jacobi_failures}
+    triples = {t for t, _ in rep.jacobi_defects}
     assert ("X1", "X3", "X4") in triples
     # the defect on that triple is -X2
-    defect = dict(((t, d) for t, d in rep.jacobi_failures))[("X1", "X3", "X4")]
+    defect = dict(rep.jacobi_defects)[("X1", "X3", "X4")]
     expected = [Fraction(0)] * 8
     expected[1] = Fraction(-1)
-    assert list(defect) == expected
+    assert [Fraction(x, rep.jacobi_den) for x in defect] == expected
 
 
 def test_bracket_mode_entries_validate_clean(loaded):
@@ -415,21 +415,30 @@ def test_broken_connection_table_reports_every_defect():
 
 
 def jacobi_oracle(spec):
-    """[[e_i,e_j],e_k] + cyclic through bracket_apply on unit vectors."""
-    n = spec.dim
-    e = [unit_vec(n, i) for i in range(n)]
+    """[[e_i,e_j],e_k] + cyclic, summed from the bracket table on unit
+    vectors."""
+    n, c = spec.dim, spec.bracket_table.entries
+    e = [unit(n, i) for i in range(n)]
 
     def br(x, y):
-        return spec.bracket_apply(x, y)
+        return table_at(c, x, y)
 
     failures = []
     for i, j, k in combinations(range(n), 3):
-        d = vec_add(vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
-                    br(br(e[k], e[i]), e[j]))
+        d = tuple(map(sum, zip(br(br(e[i], e[j]), e[k]),
+                               br(br(e[j], e[k]), e[i]),
+                               br(br(e[k], e[i]), e[j]))))
         if any(d):
             names = spec.basis_names
             failures.append(((names[i], names[j], names[k]), d))
     return tuple(failures)
+
+
+def _defects_match_the_oracle(spec):
+    """`validate`'s integer defects are the oracle's over `jacobi_den`."""
+    rep = validate(spec)
+    return list(rep.jacobi_defects) == [
+        (t, [x * rep.jacobi_den for x in d]) for t, d in jacobi_oracle(spec)]
 
 
 def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic,
@@ -440,8 +449,8 @@ def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic,
     cases = shipped_and_generic + [("nonorthogonal8 (generic basis)",
                                     failing, None)]
     for label, spec, _ in cases:
-        assert validate(spec).jacobi_failures == jacobi_oracle(spec), label
-    assert validate(failing).jacobi_failures
+        assert _defects_match_the_oracle(spec), label
+    assert validate(failing).jacobi_defects
 
 
 @given(random_spec())
@@ -452,7 +461,7 @@ def test_jacobi_failures_match_the_unit_vector_oracle(shipped_and_generic,
                            metric={(e, e): 1 for e in ("e1", "e2", "e3")}))
 @settings(max_examples=25, deadline=None)
 def test_jacobi_failures_match_the_oracle_on_random_tables(spec):
-    assert validate(spec).jacobi_failures == jacobi_oracle(spec)
+    assert _defects_match_the_oracle(spec)
 
 
 def test_restrict_rejects_exactly_the_coordinate_non_ideals(loaded):
@@ -466,8 +475,9 @@ def test_restrict_rejects_exactly_the_coordinate_non_ideals(loaded):
         ops = left_ops(conn) + right_ops(conn)
         for r in range(1, n + 1):
             for idx in combinations(range(n), r):
-                h = Subspace.from_vectors(n, [unit_vec(n, i) for i in idx])
-                ideal = all(h.contains(op.apply(v)) for op in ops for v in h.rows)
+                h = row_space(select_rows(Mat.identity(n), idx))
+                ideal = all(h.contains_rows(h.basis @ op.transpose())
+                            for op in ops)
                 assert is_strong_ideal(h, conn) == ideal, (name, idx)
                 try:
                     restrict(spec, h)

@@ -20,7 +20,8 @@ from metriclie import (
     ricci,
     transform_spec,
 )
-from metriclie.linalg import Mat, SymForm, row_apply, unit_vec
+from metriclie.linalg import Mat, SymForm
+from oracles import mat_vec, pair, unit
 from test_algebra import random_spec
 
 curvature = importlib.import_module("metriclie.curvature")
@@ -30,17 +31,15 @@ def ricci_oracle(spec):
     """ric(X, Y) as the metric contraction sum_k <R(b_k, X) Y, b^k> with
     b^k the metric-dual basis — same trace, different code path."""
     n = spec.dim
-    r = curvature_tensor(spec)
-    ginv = spec.gram.inverse()
-    dual = [ginv.row(k) for k in range(n)]
+    r = curvature_tensor(spec).table.entries   # R(e_k, e_i)e_j at (k·n + i)·n + j
+    g, dual = spec.gram.entries, spec.gram.inverse().entries
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             total = Fraction(0)
             for k in range(n):
-                v = r.apply(unit_vec(n, k), unit_vec(n, i), unit_vec(n, j))
-                total += spec.metric.pair(v, dual[k])
+                total += pair(g, r[(k * n + i) * n + j], dual[k])
             row.append(total)
         out.append(row)
     return Mat.from_rows(out, n)
@@ -80,14 +79,15 @@ def assert_operator_form(spec, label=None):
     tensor's row (i·n + j)·n + k is R(e_i, e_j) e_k."""
     n = spec.dim
     ls = left_ops(connection_of(spec))
-    r = curvature_tensor(spec).table
+    r, c = curvature_tensor(spec).table.entries, spec.bracket_table.entries
     for i in range(n):
         for j in range(n):
             op = ls[i] @ ls[j] - ls[j] @ ls[i]
             for m in range(n):
-                op = op - ls[m].scale(spec.bracket_table.row(i * n + j)[m])
+                op = op - ls[m].scale(c[i * n + j][m])
+            cols = op.transpose().entries
             for k in range(n):
-                assert r.row((i * n + j) * n + k) == op.col(k), (label, i, j, k)
+                assert r[(i * n + j) * n + k] == cols[k], (label, i, j, k)
 
 
 @st.composite
@@ -113,7 +113,7 @@ def random_connection_spec(draw):
             for k in range(j + 1, n):
                 t[j][k] = draw(small)
                 t[k][j] = -t[j][k]
-        gamma.extend(ginv.apply(tuple(Fraction(x) for x in row)) for row in t)
+        gamma.extend((Mat.from_rows(t, n) @ ginv.transpose()).entries)
     names = [f"e{i}" for i in range(n)]
     return AlgebraSpec.from_connection(names, Mat.from_rows(gamma, n),
                                        SymForm(gram))
@@ -172,11 +172,11 @@ def test_biinvariance_detection(loaded):
 
 def biinvariant_oracle(spec):
     """(G·c_ij)_k + (G·c_ik)_j = 0 on all basis triples, each c_ij lowered
-    in Fractions by `row_apply` (the bracket table's row i·n + j is c_ij)."""
+    in Fractions by `mat_vec` (the bracket table's row i·n + j is c_ij)."""
     n = spec.dim
-    c = spec.bracket_table.entries
+    c, g = spec.bracket_table.entries, spec.gram.entries
     for i in range(n):
-        lowered = [row_apply(v, spec.gram) for v in c[i * n:(i + 1) * n]]
+        lowered = [mat_vec(g, v) for v in c[i * n:(i + 1) * n]]
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
@@ -206,8 +206,8 @@ def test_biinvariant_connection_is_half_bracket(loaded):
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                half = tuple(x / 2 for x in spec.bracket_table.row(i * n + j))
-                assert conn.table.row(i * n + j) == half, name
+                half = tuple(x / 2 for x in spec.bracket_table.entries[i * n + j])
+                assert conn.table.entries[i * n + j] == half, name
 
 
 def test_biinvariant_ricci_is_minus_quarter_killing(loaded):
@@ -226,13 +226,14 @@ def test_curvature_antisymmetry_and_metric_skewness(loaded):
     # R(X,Y) = -R(Y,X) always; <R(X,Y)Z, W> = -<R(X,Y)W, Z> for the
     # bracket-mode entries (where the connection really is metric)
     for name, (spec, _) in loaded.items():
-        r = curvature_tensor(spec).table   # row (i·n + j)·n + k = R(e_i,e_j)e_k
-        n = spec.dim
+        # row (i·n + j)·n + k = R(e_i,e_j)e_k
+        r = curvature_tensor(spec).table.entries
+        n, g = spec.dim, spec.gram.entries
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    a = r.row((i * n + j) * n + k)
-                    b = r.row((j * n + i) * n + k)
+                    a = r[(i * n + j) * n + k]
+                    b = r[(j * n + i) * n + k]
                     assert all(x == -y for x, y in zip(a, b)), name
         if name.startswith("nonorthogonal8"):
             continue
@@ -240,10 +241,8 @@ def test_curvature_antisymmetry_and_metric_skewness(loaded):
             for j in range(i + 1, n):
                 for k in range(n):
                     for m in range(k, n):
-                        lhs = spec.metric.pair(r.row((i * n + j) * n + k),
-                                               unit_vec(n, m))
-                        rhs = spec.metric.pair(r.row((i * n + j) * n + m),
-                                               unit_vec(n, k))
+                        lhs = pair(g, r[(i * n + j) * n + k], unit(n, m))
+                        rhs = pair(g, r[(i * n + j) * n + m], unit(n, k))
                         assert lhs == -rhs, name
 
 

@@ -58,15 +58,13 @@ from metriclie.linalg import (
     kernel,
     minimal_polynomial,
     orthogonal_complement,
-    row_apply,
     row_space,
     select_rows,
     subspace_intersect,
     trace_form,
-    unit_vec,
-    vec_add,
 )
 from metriclie.poly import coprime_split
+from oracles import mat_vec, pair, table_at, unit
 
 
 def test_reverification_accepts_every_catalog_decomposition(loaded, decomposed):
@@ -137,8 +135,8 @@ def test_an_idempotent_commutes_exactly_with_what_keeps_its_image_and_kernel(
     e = s @ Mat.from_rows([[int(i == j < k) for j in range(n)]
                            for i in range(n)], n) @ sinv
     t = s @ Mat.from_rows(m, n) @ sinv
-    keeps = all(sub.contains(t.apply(v))
-                for sub in (column_space(e), kernel(e)) for v in sub.rows)
+    keeps = all(sub.contains_rows(sub.basis @ t.transpose())
+                for sub in (column_space(e), kernel(e)))
     assert (e @ t == t @ e) == keeps
 
 
@@ -149,8 +147,8 @@ def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
     spec, _ = loaded["so3_x_so3"]
     dec = decomposed["so3_x_so3"]
     f1, f2 = dec.factors
-    skew = Subspace.from_vectors(
-        spec.dim, [vec_add(v, f1.rows[0]) for v in f2.rows])
+    skew = row_space(f2.basis + Mat.from_rows(
+        [f1.basis.entries[0]] * f2.dim, spec.dim))
     (e,) = _factor_projections(spec.dim, [f1], skew)
     assert e @ e == e and column_space(e) == f1
     cert = replace(dec.certificate, splitting_idempotents=(
@@ -161,9 +159,8 @@ def test_the_lean_verifier_refuses_a_wrong_kernel_and_a_g0_outside_ann(
     spec, _ = loaded["h3_plane"]
     dec = decomposed["h3_plane"]
     (f,) = dec.factors
-    v = next(r for r in f.rows if not ann_report(spec).ann.contains(r))
-    moved = Subspace.from_vectors(spec.dim,
-                                  [vec_add(g, v) for g in dec.g0.rows])
+    v = next(r for r in f.basis.entries if not ann_report(spec).ann.contains(r))
+    moved = row_space(dec.g0.basis + Mat.from_rows([v] * dec.g0.dim))
     with pytest.raises(CertificateError, match="g0 is not inside"):
         verify_decomposition(spec, replace(dec, g0=moved))
 
@@ -180,7 +177,7 @@ def test_the_verifier_refuses_overlapping_pieces_as_a_certificate_failure(
     spec, _ = loaded["h3_plane"]
     dec = decomposed["h3_plane"]
     (f,) = dec.factors
-    inside = Subspace.from_vectors(spec.dim, f.rows[:dec.g0.dim])
+    inside = row_space(select_rows(f.basis, range(dec.g0.dim)))
     with pytest.raises(CertificateError, match="sum directly"):
         verify_decomposition(spec, replace(dec, g0=inside))
 
@@ -236,9 +233,8 @@ def test_supplied_g0_outside_the_annihilator_is_a_precondition_failure(
     spec, _ = loaded["h3_plane"]
     dec = decomposed["h3_plane"]
     (f,) = dec.factors
-    v = next(r for r in f.rows if not ann_report(spec).ann.contains(r))
-    moved = Subspace.from_vectors(spec.dim,
-                                  [vec_add(g, v) for g in dec.g0.rows])
+    v = next(r for r in f.basis.entries if not ann_report(spec).ann.contains(r))
+    moved = row_space(dec.g0.basis + Mat.from_rows([v] * dec.g0.dim))
     with pytest.raises(PreconditionError, match="g0 is not inside"):
         decomposition_from_factors(spec, [f], moved)
 
@@ -249,15 +245,15 @@ def test_a_supplied_zero_factor_is_refused(loaded, decomposed):
     spec, _ = loaded["so3_x_so3"]
     factors = list(decomposed["so3_x_so3"].factors)
     with pytest.raises(PreconditionError, match="zero factor"):
-        decomposition_from_factors(spec, factors + [Subspace.zero(6)])
+        decomposition_from_factors(spec, factors + [Subspace.from_vectors(6, [])])
 
 
 def test_supplied_non_ideal_is_refused(loaded):
     spec, _ = loaded["heisenberg3_euclid"]
     with pytest.raises(PreconditionError):
         decomposition_from_factors(
-            spec, [Subspace.from_vectors(3, [unit_vec(3, 2)]),
-                   Subspace.from_vectors(3, [unit_vec(3, 0), unit_vec(3, 1)])])
+            spec, [Subspace.from_vectors(3, [unit(3, 2)]),
+                   Subspace.from_vectors(3, [unit(3, 0), unit(3, 1)])])
 
 
 def test_comparing_a_decomposition_with_itself(loaded, decomposed):
@@ -292,7 +288,7 @@ def test_adapted_basis_diagonal_block(loaded, decomposed):
 def test_adapted_basis_requires_a_strong_ideal(loaded):
     spec, _ = loaded["heisenberg3_euclid"]
     with pytest.raises(PreconditionError):
-        adapted_basis(spec, Subspace.from_vectors(3, [unit_vec(3, 0)]))
+        adapted_basis(spec, Subspace.from_vectors(3, [unit(3, 0)]))
 
 
 def test_self_isometry_is_the_identity(loaded, decomposed):
@@ -318,7 +314,7 @@ def test_isometry_between_line_splittings(loaded, decomposed):
     assert m.transpose() @ g @ m == g
     # factor images land on the alternative lines
     for f, target in zip(decomposed["abelian_2_lorentz"].factors, (0, 1)):
-        image = Subspace.from_vectors(2, [m.apply(v) for v in f.rows])
+        image = row_space(f.basis @ m.transpose())
         assert image in alt.factors
 
 
@@ -353,14 +349,15 @@ def test_isometry_between_active_factors_that_differ(loaded, monkeypatch):
         metric=metric)
     assert ann_report(spec).case == CASE_ANN_R_EQ_ANN
     dec = decompose(spec)
-    z = unit_vec(7, 6)
+    z = unit(7, 6)
     assert [f.dim for f in dec.factors] == [6]
     assert dec.g0 == Subspace.from_vectors(7, [z])
     f = dec.factors[0]
     ngg = nabla_gg(connection_of(spec))
-    row = next(r for r in f.rows if not ngg.contains(r))
-    f2 = Subspace.from_vectors(7, [vec_add(r, z) if r == row else r
-                                   for r in f.rows])
+    rows = f.basis.entries
+    at = next(p for p, r in enumerate(rows) if not ngg.contains(r))
+    f2 = row_space(f.basis + Mat.from_rows(
+        [z if p == at else (0,) * 7 for p in range(f.dim)]))
     g02 = orthogonal_complement(f2, spec.metric)
     dec2 = decomposition_from_factors(spec, [f2], g02)
     assert compare_decompositions(spec, dec, dec2).matched_by == ("nabla",)
@@ -425,19 +422,20 @@ def test_inert_lines_pair_exactly_when_their_square_classes_agree(data):
     norms = [c * x * x for c, x in zip(ca + cb, data.draw(scales))]
     spec = _abelian_diagonal(norms)
     n = 2 * k
-    f_a = Subspace.from_vectors(n, [unit_vec(n, i) for i in range(k)])
-    f_b = Subspace.from_vectors(n, [unit_vec(n, i) for i in range(k, n)])
+    f_a = row_space(select_rows(Mat.identity(n), range(k)))
+    f_b = row_space(select_rows(Mat.identity(n), range(k, n)))
     want = [sorted(map(_square_class, _diag_lines(spec, f)[1]))
             for f in (f_a, f_b)]
-    pair = _inert_pair_map(spec, f_a, f_b)
-    assert (pair is not None) == (want[0] == want[1])
-    if pair is not None:
-        sources, images = pair
+    paired = _inert_pair_map(spec, f_a, f_b)
+    assert (paired is not None) == (want[0] == want[1])
+    if paired is not None:
+        sources, images = paired
         assert sources.shape == images.shape == (k, n)
         assert row_space(sources) == f_a
         assert row_space(images) == f_b
+        g = spec.gram.entries
         for x, y in zip(sources.entries, images.entries):
-            assert spec.metric.pair(x, x) == spec.metric.pair(y, y)
+            assert pair(g, x, x) == pair(g, y, y)
 
 
 def test_inert_pairing_of_norms_too_large_to_factor():
@@ -498,11 +496,11 @@ def test_filtration_steps_absorb_brackets(loaded):
     # each quotient is abelian: [chain[i], chain[i]] lands in chain[i+1]
     for name in ("e2_flat", "h3_plane"):
         spec, _ = loaded[name]
-        ch = filtration(spec)
+        ch, c = filtration(spec), spec.bracket_table.entries
         for cur, nxt in zip(ch.chain, ch.chain[1:]):
-            for x in cur.rows:
-                for y in cur.rows:
-                    assert nxt.contains(spec.bracket_apply(x, y)), name
+            for x in cur.basis.entries:
+                for y in cur.basis.entries:
+                    assert nxt.contains(table_at(c, x, y)), name
 
 
 def test_flat_riemannian_split_dims(loaded):
@@ -644,8 +642,9 @@ def test_a_subspace_of_a_carrier_maps_onto_its_canonical_basis(data):
     n = data.draw(st.integers(1, 5))
     c = data.draw(subspaces(n))
     h = data.draw(subspaces(c.dim))
-    mapped = tuple(row_apply(r, c.basis) for r in h.rows)
-    assert _to_ambient(c, h).rows == mapped
+    cols = c.basis.transpose().entries
+    mapped = tuple(mat_vec(cols, r) for r in h.basis.entries)
+    assert _to_ambient(c, h).basis.entries == mapped
     assert _to_ambient(c, h) == Subspace.from_vectors(n, mapped)
 
 
@@ -658,11 +657,11 @@ def _direct_sum(*specs):
     at = 0
     for k, s in enumerate(specs):
         names += [f"{b}_{k}" for b in s.basis_names]
-        pad = n - at - s.dim
+        pad, c = n - at - s.dim, s.bracket_table.entries
         for i in range(s.dim):
             for j in range(s.dim):
                 table[(at + i) * n + at + j] = (
-                    zero * at + s.bracket_table.row(i * s.dim + j) + zero * pad)
+                    zero * at + c[i * s.dim + j] + zero * pad)
                 gram[at + i][at + j] = s.gram.entries[i][j]
         at += s.dim
     return AlgebraSpec(n, tuple(names), Mat.from_rows(table, n),
@@ -701,8 +700,10 @@ def test_restricting_from_the_top_equals_restricting_twice(
                 if inner == outer or not outer.contains_subspace(inner):
                     continue
                 proper_pairs += outer.dim < spec.dim
-                local = Subspace.from_vectors(
-                    outer.dim, [outer.coords(r) for r in inner.rows])
+                # inner's rows in outer's canonical basis: their entries
+                # at outer's pivots, where its rows are 1 and 0
+                local = Subspace.from_vectors(outer.dim, [
+                    [r[p] for p in outer.pivots] for r in inner.basis.entries])
                 twice_spec = restrict(mid_spec, local)
                 top_spec = restrict(spec, inner)
                 assert (connection_of(top_spec).table

@@ -68,7 +68,7 @@ def _minimal(**overrides):
 def test_minimal_document_parses():
     doc = parse_document(_minimal())
     assert doc.spec.dim == 2
-    assert doc.spec.metric.pair((1, 0), (1, 0)) == 1
+    assert doc.spec.gram.entries[0][0] == 1
 
 
 def test_unknown_keys_rejected():
@@ -99,7 +99,7 @@ def test_consistent_duplicate_orientations_accepted():
     ok = _minimal(brackets=[{"x": "e1", "y": "e2", "value": {"e1": "1"}},
                             {"x": "e2", "y": "e1", "value": {"e1": "-1"}}])
     doc = parse_document(ok)
-    assert doc.spec.bracket_table.row(0 * 2 + 1)[0] == 1   # [e1, e2]
+    assert doc.spec.bracket_table.entries[0 * 2 + 1][0] == 1   # [e1, e2]
 
 
 def test_mode_keys_are_exclusive():

@@ -11,7 +11,6 @@ from metriclie import (
     is_isotropic,
     is_strong_ideal,
     left_ops,
-    nabla_apply,
     restrict,
     right_ops,
     strong_ideal_closure,
@@ -24,9 +23,11 @@ from metriclie.linalg import (
     Subspace,
     kernel,
     orthogonal_complement,
+    row_space,
+    select_rows,
     subspace_intersect,
-    unit_vec,
 )
+from oracles import table_at, unit
 from test_algebra import random_spec
 
 
@@ -44,12 +45,12 @@ def test_two_sided_annihilator_sits_inside_the_right_one(loaded):
         rep = ann_report(spec)
         assert rep.ann_r.contains_subspace(rep.ann), name
         # membership characterization of the two-sided annihilator
-        n = spec.dim
-        for v in rep.ann.rows:
+        n, gamma = spec.dim, conn.table.entries
+        for v in rep.ann.basis.entries:
             for i in range(n):
-                e = unit_vec(n, i)
-                assert all(x == 0 for x in nabla_apply(conn, v, e))
-                assert all(x == 0 for x in nabla_apply(conn, e, v))
+                e = unit(n, i)
+                assert not any(table_at(gamma, v, e))
+                assert not any(table_at(gamma, e, v))
 
 
 def test_case_dispatch_matches_catalog(loaded):
@@ -61,8 +62,8 @@ def test_case_dispatch_matches_catalog(loaded):
 def test_nonorthogonal8_annihilators(loaded):
     spec, _ = loaded["nonorthogonal8"]
     rep = ann_report(spec)
-    want_r = Subspace.from_vectors(8, [unit_vec(8, i) for i in (0, 1, 4, 5)])
-    want = Subspace.from_vectors(8, [unit_vec(8, i) for i in (1, 5)])
+    want_r = row_space(select_rows(Mat.identity(8), (0, 1, 4, 5)))
+    want = row_space(select_rows(Mat.identity(8), (1, 5)))
     assert rep.ann_r == want_r
     assert rep.ann == want
     assert rep.isotropic
@@ -72,7 +73,7 @@ def test_nonorthogonal8_annihilators(loaded):
 
 def test_heisenberg_center_is_not_a_strong_ideal(loaded):
     spec, conn = loaded["heisenberg3_euclid"]
-    center = Subspace.from_vectors(3, [unit_vec(3, 2)])
+    center = Subspace.from_vectors(3, [unit(3, 2)])
     assert not is_strong_ideal(center, conn)
     # its closure under the operators is everything
     assert strong_ideal_closure(center, conn) == Subspace.full(3)
@@ -92,16 +93,15 @@ def test_strong_ideals_control_their_orthocomplement(loaded, decomposed):
     # nabla_h h^perp vanishes
     for name, dec in decomposed.items():
         spec, conn = loaded[name]
-        n = spec.dim
+        n, gamma = spec.dim, conn.table.entries
         pieces = list(dec.factors) + ([dec.g0] if dec.g0 is not None else [])
         for h in pieces:
             hp = orthogonal_complement(h, spec.metric)
-            for w in hp.rows:
+            for w in hp.basis.entries:
                 for i in range(n):
-                    assert hp.contains(nabla_apply(conn, unit_vec(n, i), w))
-                for v in h.rows:
-                    out = nabla_apply(conn, v, w)
-                    assert all(x == 0 for x in out), name
+                    assert hp.contains(table_at(gamma, unit(n, i), w))
+                for v in h.basis.entries:
+                    assert not any(table_at(gamma, v, w)), name
 
 
 def test_radical_of_ann_r(loaded):
@@ -122,7 +122,7 @@ def _strong_ideal_oracle(h, conn):
     """Every one of the 2n operators L_i, R_j maps every basis vector of h
     into h."""
     ops = left_ops(conn) + right_ops(conn)
-    return all(h.contains(op.apply(v)) for op in ops for v in h.rows)
+    return all(h.contains_rows(h.basis @ op.transpose()) for op in ops)
 
 
 def _annihilators_oracle(conn):
@@ -144,7 +144,7 @@ def _test_subspaces(conn, rng, count):
     """Spans of random small integer vectors (mostly not ideals), their
     strong-ideal closures (ideals), and the annihilators and ∇gg."""
     n = conn.dim
-    out = [Subspace.zero(n), Subspace.full(n), ann_r(conn), ann(conn),
+    out = [Subspace.from_vectors(n, []), Subspace.full(n), ann_r(conn), ann(conn),
            nabla_gg(conn)]
     for _ in range(count):
         k = rng.randint(1, n)
@@ -192,57 +192,64 @@ def test_annihilators_match_the_all_operator_oracle_on_random_tables(spec):
 
 
 # Per-vector definitions of the whole-basis products: each vector goes
-# through `nabla_apply` on its own, and membership and coordinates are read
-# with `Subspace.contains` and `Subspace.coords`.
+# through the Fraction sum ∇_x y = Σ x_i y_j Γ_ij (`oracles.table_at`, on
+# Γ's entries `gamma`) on its own, and membership is read with
+# `Subspace.contains`.
 
-def _nabla_images(conn, v):
+def _nabla_images(gamma, v):
     """∇_{e_i} v and ∇_v e_i for every i."""
-    n = conn.dim
-    return [w for i in range(n) for w in (nabla_apply(conn, unit_vec(n, i), v),
-                                          nabla_apply(conn, v, unit_vec(n, i)))]
+    n = len(v)
+    return [w for i in range(n) for w in (table_at(gamma, unit(n, i), v),
+                                          table_at(gamma, v, unit(n, i)))]
 
 
-def _per_vector_strong_ideal(h, conn):
-    return all(h.contains(w) for v in h.rows for w in _nabla_images(conn, v))
+def _per_vector_strong_ideal(h, gamma):
+    return all(h.contains(w) for v in h.basis.entries
+               for w in _nabla_images(gamma, v))
 
 
-def _per_vector_closure(s, conn):
+def _per_vector_closure(s, gamma):
     current = s
     while True:
-        nxt = Subspace.from_vectors(conn.dim, list(current.rows) + [
-            w for v in current.rows for w in _nabla_images(conn, v)])
+        rows = current.basis.entries
+        nxt = Subspace.from_vectors(s.ambient_dim, list(rows) + [
+            w for v in rows for w in _nabla_images(gamma, v)])
         if nxt == current:
             return current
         current = nxt
 
 
-def _per_vector_nabla_span(conn, a, b):
-    return Subspace.from_vectors(conn.dim, [nabla_apply(conn, x, y)
-                                            for x in a.rows for y in b.rows])
+def _per_vector_nabla_span(gamma, a, b):
+    return Subspace.from_vectors(a.ambient_dim, [
+        table_at(gamma, x, y) for x in a.basis.entries for y in b.basis.entries])
 
 
 def _check_against_per_vector_definitions(spec, conn, subspaces):
     """is_strong_ideal, strong_ideal_closure, nabla_span, `_interacts` and
     the Γ table of `restrict` on each subspace (ideals or not); the
     strong-ideal verdicts seen."""
-    seen = set()
+    seen, gamma = set(), conn.table.entries
     for h in subspaces:
-        ideal = _per_vector_strong_ideal(h, conn)
+        ideal = _per_vector_strong_ideal(h, gamma)
         seen.add(ideal)
         assert is_strong_ideal(h, conn) == ideal
-        assert strong_ideal_closure(h, conn) == _per_vector_closure(h, conn)
+        assert strong_ideal_closure(h, conn) == _per_vector_closure(h, gamma)
         for b in (h, subspaces[-1]):
-            assert nabla_span(conn, h, b) == _per_vector_nabla_span(conn, h, b)
+            assert nabla_span(conn, h, b) == _per_vector_nabla_span(gamma, h, b)
             assert _interacts(conn, h, b) == any(
-                any(nabla_apply(conn, x, y)) or any(nabla_apply(conn, y, x))
-                for x in h.rows for y in b.rows)
+                any(table_at(gamma, x, y)) or any(table_at(gamma, y, x))
+                for x in h.basis.entries for y in b.basis.entries)
         if not (ideal and h.dim and spec.metric.restrict(h).is_nondegenerate()):
             with pytest.raises(PreconditionError):
                 restrict(spec, h)
             continue
-        # row p·k + q: the coordinates of ∇_{h_p} h_q in h
-        want = tuple(h.coords(nabla_apply(conn, x, y))
-                     for x in h.rows for y in h.rows)
+        # row p·k + q: the coordinates c of ∇_{h_p} h_q in h, Σ_r c_r·h_r;
+        # the canonical rows h_r are 1 at their own pivot, 0 at the others'
+        rows = h.basis.entries
+        values = [table_at(gamma, x, y) for x in rows for y in rows]
+        want = tuple(tuple(v[p] for p in h.pivots) for v in values)
+        assert Mat.from_rows(want, h.dim) @ h.basis == Mat.from_rows(
+            values, conn.dim)
         sub = restrict(spec, h)
         assert connection_of(sub).table.entries == want
         assert connection_of(sub).table == Mat.from_rows(want, h.dim)

@@ -3,16 +3,14 @@
 import importlib
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from metriclie import connection_of, linalg
+from metriclie import AlgebraSpec, connection_of, linalg
 from metriclie.algebra import (
     ConnectionCoeffs,
     left_ops,
-    nabla_apply,
     operator_basis,
     right_ops,
 )
@@ -32,16 +30,12 @@ from metriclie.linalg import (
     poly_eval_mat,
     rat,
     rational_sqrt,
-    row_apply,
     row_space,
     rref,
-    solve,
     subspace_complement,
     subspace_intersect,
     subspace_sum,
-    table_apply,
     table_pairs,
-    unit_vec,
 )
 from metriclie.poly import (
     coprime_split,
@@ -347,8 +341,7 @@ def test_diagonalization_scales_the_fraction_oracle_positively(form):
 def test_kernel_vectors_annihilate(m):
     k = kernel(m)
     assert k.dim == m.ncols - m.rank()
-    for v in k.rows:
-        assert all(x == 0 for x in m.apply(v))
+    assert (m @ k.basis.transpose()).is_zero()
 
 
 @given(shaped_mats())
@@ -381,10 +374,6 @@ def test_matmul_matches_the_triple_sum(pair):
     assert prod.shape == (a.nrows, b.ncols)
     assert prod.entries == want
     _check_image(prod, want)
-    # row i of a·b is (row i of a)·b; column j is a·(column j of b)
-    assert tuple(row_apply(a.row(i), b) for i in range(a.nrows)) == want
-    assert tuple(a.apply(b.col(j)) for j in range(b.ncols)) == \
-        tuple(tuple(r[j] for r in want) for j in range(b.ncols))
 
 
 # Entries for the contraction kernel: ints, zeros of both types, negatives,
@@ -412,46 +401,6 @@ contractions = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
     lambda nm: st.tuples(st.just(nm[0]), _terms(*nm)))
 
 
-class _Recorder:
-    """Stands in for Fraction inside linalg and records each (num, den)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, num=0, den=1):
-        self.calls.append((num, den))
-        return Fraction(num, den)
-
-
-@given(contractions)
-@example((3, ([], [])))
-@example((2, ([Fraction(1, 2), Fraction(1, 4)], [[1, 0], [Fraction(1, 2), 0]])))
-@settings(max_examples=150, deadline=None)
-def test_row_apply_and_table_apply_match_the_fraction_sum(case):
-    n, (coeffs, vectors) = case
-    want = tuple(sum((Fraction(c) * Fraction(v[k]) for c, v in zip(coeffs, vectors)),
-                     Fraction(0)) for k in range(n))
-    m = Mat.from_rows(vectors, n)
-    for got in (row_apply(coeffs, m), table_apply(m, coeffs)):
-        assert got == want
-        assert all(type(x) is Fraction for x in got)
-    # bilinear, on the first k ≤ 3 terms: row a·k + b is vectors[(a + b) % k]
-    k = min(len(vectors), 3)
-    square = Mat.from_rows([vectors[(a + b) % k] for a in range(k)
-                            for b in range(k)], n)
-    assert table_apply(square, coeffs[:k], coeffs[:k]) == tuple(
-        sum((Fraction(coeffs[a]) * Fraction(coeffs[b])
-             * Fraction(vectors[(a + b) % k][j])
-             for a in range(k) for b in range(k)), Fraction(0))
-        for j in range(n))
-    # each nonzero coordinate is built once, from the integer sums
-    rec = _Recorder()
-    with mock.patch.object(linalg, "Fraction", rec):
-        assert row_apply(coeffs, m) == want
-        assert table_apply(m, coeffs) == want
-    assert len(rec.calls) == 2 * sum(1 for x in want if x)
-
-
 @given(contractions)
 @example((3, ([], [])))
 @example((2, ([Fraction(1, 2), Fraction(1, 4)], [[1, 0], [Fraction(1, 2), 0]])))
@@ -477,30 +426,6 @@ def test_table_pairs_matches_the_fraction_sum(case):
         assert all(type(x) is Fraction for r in got.entries for x in r)
 
 
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-    st.lists(wide, min_size=n, max_size=n), st.lists(wide, min_size=n, max_size=n))))
-@example(([], []))
-@example(([Fraction(1, 2), Fraction(1, 4)], [1, 1]))
-@settings(max_examples=150, deadline=None)
-def test_pair_matches_the_fraction_sum(pair):
-    """SymForm.pair is xᵀGy summed in Fractions, for the symmetric
-    G = I + x·yᵀ + y·xᵀ, and builds one Fraction."""
-    a, b = pair
-    n = len(a)
-    x, y = [Fraction(v) for v in a], [Fraction(v) for v in b]
-    g = [[int(i == j) + x[i] * y[j] + x[j] * y[i] for j in range(n)]
-         for i in range(n)]
-    want = sum((x[i] * g[i][j] * y[j] for i in range(n) for j in range(n)),
-               Fraction(0))
-    form = SymForm(Mat.from_rows(g, n))
-    got = form.pair(a, b)
-    assert got == want and type(got) is Fraction
-    rec = _Recorder()
-    with mock.patch.object(linalg, "Fraction", rec):
-        assert form.pair(a, b) == want
-    assert len(rec.calls) == 1
-
-
 @given(st.integers(0, 5).flatmap(
     lambda m: st.lists(st.lists(wide, min_size=m, max_size=m), max_size=6)))
 @example([])
@@ -517,39 +442,23 @@ def test_int_image_is_the_table_over_its_common_denominator(rows):
     assert nonzero == [[(k, x) for k, x in enumerate(r) if x] for r in ints]
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_row_lowering_equals_the_gram_matrix_product(data):
-    """For symmetric G, vᵀG read off the rows of G at v's nonzero
-    coordinates (`row_apply`) equals G·v."""
-    n = data.draw(st.integers(1, 5))
-    entries = st.one_of(st.just(Fraction(0)), fractions)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = data.draw(entries)
-    gram = Mat.from_rows(g, n)
-    v = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
-    assert row_apply(v, gram) == gram.apply(v)
-
-
-def _reduce_oracle(sub, v):
+def _remainder_oracle(sub, v):
     """The sequential-subtraction reduction: walk the canonical rows in
-    order and subtract v's entry at each pivot times the row."""
+    order and subtract v's entry at each pivot times the row; what is left
+    of v."""
     v = tuple(Fraction(x) for x in v)
-    coords = []
-    for row, p in zip(sub.rows, sub.pivots):
+    for row, p in zip(sub.basis.entries, sub.pivots):
         c = v[p]
-        coords.append(c)
         if c != 0:
             v = tuple(a - c * b for a, b in zip(v, row))
-    return tuple(coords), v
+    return v
 
 
 @given(st.integers(1, 5).flatmap(subspaces))
 @settings(max_examples=80, deadline=None)
 def test_a_subspace_keeps_the_pivots_of_its_canonical_basis(sub):
-    scanned = tuple(next(i for i, x in enumerate(r) if x) for r in sub.rows)
+    scanned = tuple(next(i for i, x in enumerate(r) if x)
+                    for r in sub.basis.entries)
     assert sub.pivots == scanned
     direct = Subspace(sub.ambient_dim, sub.basis)
     assert direct == sub and direct.pivots == scanned
@@ -572,12 +481,13 @@ def test_independent_rows_pick_the_first_basis_of_the_row_space(m):
     subspaces(n), st.lists(wide, min_size=n, max_size=n))))
 @settings(max_examples=150, deadline=None)
 def test_subspace_reduce_matches_sequential_subtraction(case):
+    """Membership reduces v against the canonical basis in one integer
+    contraction (`Subspace._residual`); it must agree with reducing by
+    sequential subtraction."""
     sub, v = case
-    coords, rem = sub.reduce(v)
-    assert (coords, rem) == _reduce_oracle(sub, v)
-    assert all(type(x) is Fraction for x in coords + rem)
+    rem = _remainder_oracle(sub, v)
     assert sub.contains(v) == all(x == 0 for x in rem)
-    inside = sub.embed(coords)
+    inside = tuple(Fraction(x) - r for x, r in zip(v, rem))
     assert sub.contains(inside)
     # a Mat's rows at once: v, in or out, next to a row that is in
     for rows in ([], [inside], [inside, v], [v, inside]):
@@ -600,16 +510,7 @@ def test_integer_eliminations_match_the_oracle_on_wide_entries(rows):
         m.ncols, Mat.from_rows(want.matrix.entries[:want.rank], m.ncols))
     ker = kernel(m)
     assert ker.dim == m.ncols - want.rank
-    assert all(m.apply(x) == (Fraction(0),) * m.nrows for x in ker.rows)
-
-
-@given(mats(), st.lists(fractions, min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_solve_solutions_check_out(m, b):
-    b = tuple(b[:m.nrows]) + (Fraction(0),) * max(0, m.nrows - len(b))
-    x = solve(m, b)
-    if x is not None:
-        assert m.apply(x) == tuple(b)
+    assert (m @ ker.basis.transpose()).is_zero()
 
 
 @given(mats(nmax=4, square=True))
@@ -623,20 +524,20 @@ def test_minimal_polynomial_annihilates(m):
 
 
 def _minimal_polynomial_oracle(op):
-    """The first linear dependence among the flattened powers I, T, T², …"""
+    """The first linear dependence among the flattened powers I, T, T², …:
+    Fraction Gauss–Jordan on the rows I, …, T^k until their rank falls
+    short by one.  The rows before T^k are independent, so the last row
+    of the RREF is zero and the transform's last row c is the one
+    dependence, Σ c_p T^p = 0, up to scale."""
     n = op.nrows
-
-    def flat(m):
-        return tuple(x for row in m.entries for x in row)
-
-    powers = [Mat.identity(n)]
+    m, rows = Mat.identity(n), []
     while True:
-        target = flat(powers[-1] @ op)
-        a = Mat.from_rows([flat(m) for m in powers], n * n).transpose()
-        x = solve(a, target)
-        if x is not None:
-            return poly(tuple(-c for c in x) + (Fraction(1),))
-        powers.append(powers[-1] @ op)
+        rows.append([x for row in m.entries for x in row])
+        res = _rref_oracle(Mat.from_rows(rows, n * n))
+        if res.rank < len(rows):
+            c = res.transform.entries[-1]
+            return poly(tuple(x / c[-1] for x in c))
+        m = m @ op
 
 
 def _check_minimal_polynomial(m):
@@ -709,7 +610,7 @@ def _commutant_oracle(conn):
     else:
         sol = Subspace.full(n * n)
     return tuple(Mat.from_rows([r[i * n:(i + 1) * n] for i in range(n)], n)
-                 for r in sol.rows)
+                 for r in sol.basis.entries)
 
 
 def test_commutant_matches_the_dense_oracle(shipped_and_generic):
@@ -1027,30 +928,28 @@ def test_rat_passes_fractions_through_and_refuses_floats():
         rat(0.5)
     with pytest.raises(TypeError):
         Mat.from_rows([[Fraction(1), 0.25]], 2)
-    # every conversion to an integer image refuses a float too
+    # every conversion to an integer image, and every value that enters
+    # through `rat`, refuses a float too
     eye = Mat.from_rows([[1, 0], [0, 1]])
-    conn = ConnectionCoeffs(Mat.from_rows(   # rows Γ_00, Γ_01, Γ_10, Γ_11
-        (unit_vec(2, 0), unit_vec(2, 1), unit_vec(2, 1), unit_vec(2, 0)), 2))
-    for refuse in (lambda: eye.apply((0.5, 0)),
-                   lambda: row_apply((0, 0.5), eye),
-                   lambda: Subspace.full(2).contains((1, 0.5)),
+    for refuse in (lambda: Subspace.full(2).contains((1, 0.5)),
+                   lambda: Subspace.full(2).contains((0, 0.5)),
+                   lambda: Subspace.from_vectors(2, [(Fraction(1, 2), 0.5)]),
                    lambda: Mat(((Fraction(1), 0.25),), (1, 2)).image(),
-                   lambda: table_apply(conn.table, (1, 0), (0.5, 0)),
-                   lambda: nabla_apply(conn, (0.5, 0), (1, 0)),
-                   lambda: SymForm(eye).pair((1, 0), (0.5, 0))):
+                   lambda: Mat.from_rows([[1, 0], [0, 0.5]]),
+                   lambda: eye.scale(0.5),
+                   lambda: AlgebraSpec.build(("x", "y"), metric={
+                       ("x", "x"): 1, ("y", "y"): 0.5})):
         with pytest.raises(TypeError, match="floating-point"):
             refuse()
 
 
 def test_tables_refuse_vectors_of_the_wrong_length():
-    """Every vector a table is applied to has as many entries as the
-    table's slots: these once answered, or failed with an IndexError."""
+    """Every basis a table is applied to has as many columns as the
+    table's slots: such calls once answered, or failed with an
+    IndexError."""
     spec = catalog_get("so3_killing_neg").load().spec
     conn = connection_of(spec)
-    for refuse in (lambda: nabla_apply(conn, (0, 1, 0), (1, 0)),
-                   lambda: spec.bracket_apply((0, 1, 0), (0, 0, 1, 0)),
-                   lambda: nabla_apply(conn, (0, 0, 0, 1), (0, 0, 1)),
-                   lambda: table_pairs(conn.table, Mat.identity(3), Mat.identity(2)),
+    for refuse in (lambda: table_pairs(conn.table, Mat.identity(3), Mat.identity(2)),
                    lambda: table_pairs(conn.table, Mat.identity(2), Mat.identity(2))):
         with pytest.raises(AssertionError):
             refuse()
@@ -1063,7 +962,7 @@ def test_symmetry_is_checked_on_the_rows_the_gram_holds():
                                   [0, 1, 5]]))
     h = Subspace.from_vectors(3, [[1, 1, 0], [0, Fraction(1, 2), 2]])
     sub = form.restrict(h)
-    g, b = form.gram.entries, h.rows
+    g, b = form.gram.entries, h.basis.entries
     assert sub.gram.entries == tuple(
         tuple(sum((x[i] * g[i][j] * y[j] for i in range(3) for j in range(3)),
                   Fraction(0)) for y in b) for x in b)
